@@ -32,6 +32,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from .model import (
+    DivergenceError,
     NetworkSpec,
     Trajectory,
     _energy_terms,
@@ -39,7 +40,7 @@ from .model import (
 )
 
 
-class BatchDivergenceError(RuntimeError):
+class BatchDivergenceError(DivergenceError):
     """Raised when the energy rises for many consecutive sweeps."""
 
 

@@ -5,13 +5,20 @@ apical dendrite, basal dendrite), and each gain becomes a single-compartment
 unit whose membrane potential tracks a ratio of synaptic conductances.
 Signals are carried by firing rates, which are rectified potentials, so every
 signed quantity is split across the pair: the ON cell carries the positive
-part and the OFF cell the negative part.
+part and the OFF cell the negative part.  Each compartment's potentials are
+held as one (2, N) stack, the ON row over the OFF row.
 
 Signed synaptic weights split the same way — positive entries excite, the
 magnitudes of negative entries drive the opposing conductance — giving the
-exact identity  g_e - g_i = sum_k w_k x_k  for any signed weights and inputs.
+exact identities
 
-Wiring per cell (ON side; OFF side swaps every signed source):
+    g_e - g_i = W x + c,        g_e + g_i = |W| |x| + |c|
+
+for any signed weights, inputs and offsets.  The steps use them directly:
+each drive is formed once from the signed sources and reaches the stack
+through the sign column [+1, -1].
+
+Wiring per cell (ON side; OFF side negates every signed source):
 
 * soma: leak ``g_vs``, feedforward current ``+z``, coupling currents from
   both dendrites through the axial resistances;
@@ -32,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import DivergenceError, NetworkSpec, rectify
+from .model import DivergenceError, NetworkSpec, rectify, steps_in_span
 
 
 @dataclass(frozen=True)
@@ -61,47 +68,33 @@ class CircuitParams:
 
 @dataclass
 class CircuitState:
-    """Potentials of every compartment plus the gain-unit potentials."""
+    """Compartment potentials as (2, N) ON/OFF stacks, plus the gain units."""
 
-    v_plus: np.ndarray      # (N,) ON soma
-    v_minus: np.ndarray     # (N,) OFF soma
-    va_plus: np.ndarray     # (N,) ON apical dendrite
-    va_minus: np.ndarray    # (N,) OFF apical dendrite
-    vb_plus: np.ndarray     # (N,) ON basal dendrite
-    vb_minus: np.ndarray    # (N,) OFF basal dendrite
+    v: np.ndarray           # (2, N) soma
+    va: np.ndarray          # (2, N) apical dendrite
+    vb: np.ndarray          # (2, N) basal dendrite
     a: np.ndarray           # (N,) a-gain unit potentials
     b: np.ndarray           # (N,) b-gain unit potentials
     t: float = 0.0
 
     @classmethod
     def zeros(cls, n: int, t: float = 0.0) -> "CircuitState":
-        return cls(*(np.zeros(n) for _ in range(8)), t=t)
+        return cls(*(np.zeros((2, n)) for _ in range(3)), np.zeros(n), np.zeros(n), t=t)
 
     @property
     def y_net(self) -> np.ndarray:
         """Signed response carried by the pair: rate(ON) - rate(OFF)."""
-        return rectify(self.v_plus) - rectify(self.v_minus)
+        y = rectify(self.v)
+        return y[0] - y[1]
+
+
+_ON_OFF = np.array([[1.0], [-1.0]])
 
 
 def split_signed(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Split a signed array into its rectified positive and negative parts."""
     v = np.asarray(values)
     return rectify(v), rectify(-v)
-
-
-def _paired_drive(
-    w: np.ndarray, x_pos: np.ndarray, x_neg: np.ndarray,
-    c_pos: np.ndarray, c_neg: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Drive received by the ON and OFF targets of a signed pathway.
-
-    Positive weights connect like to like; negative weights cross over.
-    The difference of the two outputs equals w @ (x_pos - x_neg) + c exactly.
-    """
-    w_pos, w_neg = split_signed(w)
-    same = w_pos @ x_pos + w_neg @ x_neg + c_pos
-    cross = w_pos @ x_neg + w_neg @ x_pos + c_neg
-    return same, cross
 
 
 def total_conductance(
@@ -149,85 +142,59 @@ def thalamic_step(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Advance the two gain-unit populations by one step.
 
-    Each unit's potential follows C dv/dt = -(g_e + g_i + g_l) v + g_e - g_i,
-    with conductances assembled by the signed-weight split from the input and
-    the ON/OFF rates.  Returns the new (a, b) potentials.
+    Each unit's potential follows C dv/dt = -(g_e + g_i + g_l) v + g_e - g_i.
+    Under the signed-weight split of the signed input ``x`` and the ON/OFF
+    rates, g_e - g_i = W_x x + W_y (y+ - y-) + c and
+    g_e + g_i = |W_x| |x| + |W_y| (y+ + y-) + |c|.  Returns the new (a, b).
     """
-    x_pos, x_neg = split_signed(np.asarray(x))
+    x = np.asarray(x)
+    x_abs = np.abs(x)
+    y_net = y_plus - y_minus
+    y_sum = y_plus + y_minus
 
     def advance(v, w_x, w_y, c):
-        c_pos, c_neg = split_signed(c)
-        ge_x, gi_x = _paired_drive(w_x, x_pos, x_neg, c_pos, c_neg)
-        ge_y, gi_y = _paired_drive(w_y, y_plus, y_minus,
-                                   np.zeros_like(c), np.zeros_like(c))
-        g_e = ge_x + ge_y
-        g_i = gi_x + gi_y
-        g = g_e + g_i + params.g_leak_gain
-        return v + (dt / params.capacitance) * (-g * v + g_e - g_i)
+        g_diff = w_x @ x + w_y @ y_net + c
+        g_sum = np.abs(w_x) @ x_abs + np.abs(w_y) @ y_sum + np.abs(c)
+        g = g_sum + params.g_leak_gain
+        return v + (dt / params.capacitance) * (-g * v + g_diff)
 
-    a_new = advance(state.a, spec.w_ax, spec.w_ay, spec.c_a)
-    b_new = advance(state.b, spec.w_bx, spec.w_by, spec.c_b)
-    return a_new, b_new
+    return (advance(state.a, spec.w_ax, spec.w_ay, spec.c_a),
+            advance(state.b, spec.w_bx, spec.w_by, spec.c_b))
 
 
 def pfc_step(
     spec: NetworkSpec,
     params: CircuitParams,
     state: CircuitState,
-    x_pair: tuple[np.ndarray, np.ndarray],
+    x: np.ndarray,
     dt: float,
 ) -> CircuitState:
     """Advance every ON/OFF three-compartment cell by one step.
 
-    ``x_pair`` is the rectified (positive, negative) input pair (see
-    :func:`split_signed`).  Gain potentials pass through unchanged: the
+    ``x`` is the signed input.  Gain potentials pass through unchanged: the
     gain-unit update lives in :func:`thalamic_step` and both read the same
     pre-step state, keeping the whole circuit synchronous.
     """
-    if np.iscomplexobj(spec.w_zx) and np.any(spec.w_zx.imag) or \
-            np.iscomplexobj(spec.w_yy) and np.any(spec.w_yy.imag):
+    if np.any(spec.w_zx.imag) or np.any(spec.w_yy.imag):
         raise ValueError("circuit realization requires a real-valued network")
-    x_pos, x_neg = (np.asarray(v) for v in x_pair)
     scale = dt / params.capacitance
+    g_va = rectify(state.a) / params.r_apical
+    g_vb = rectify(state.b) / params.r_basal
+    y = rectify(state.v)
 
-    a_plus = rectify(state.a)
-    b_plus = rectify(state.b)
-    g_va = a_plus / params.r_apical
-    g_vb = b_plus / params.r_basal
-
-    y_plus = rectify(state.v_plus)
-    y_minus = rectify(state.v_minus)
-
-    cz_pos, cz_neg = split_signed(spec.c_z.real)
-    cy_pos, cy_neg = split_signed(spec.c_yhat.real)
-    iz_pos, iz_neg = _paired_drive(spec.w_zx.real, x_pos, x_neg, cz_pos, cz_neg)
-    iy_pos, iy_neg = _paired_drive(spec.w_yy.real, y_plus, y_minus, cy_pos, cy_neg)
-
-    def side(v, va, vb, i_z_soma, i_z_basal, i_y_apical):
-        i_as = (va - v) / params.r_apical
-        i_bs = (vb - v) / params.r_basal
-        v_new = v + scale * (-params.g_leak_soma * v + i_z_soma + i_as + i_bs)
-        va_new = va + scale * (-g_va * va + i_y_apical - i_as)
-        vb_new = vb + scale * (-g_vb * vb + i_z_basal - i_bs)
-        return v_new, va_new, vb_new
-
-    # ON cells receive +z at the soma, -z at the basal dendrite, +yhat at the
-    # apical dendrite; OFF cells receive every signed source negated.
-    vp, vap, vbp = side(
-        state.v_plus, state.va_plus, state.vb_plus,
-        iz_pos - iz_neg, iz_neg - iz_pos, iy_pos - iy_neg,
-    )
-    vm, vam, vbm = side(
-        state.v_minus, state.va_minus, state.vb_minus,
-        iz_neg - iz_pos, iz_pos - iz_neg, iy_neg - iy_pos,
-    )
-
-    new = CircuitState(
-        v_plus=vp, v_minus=vm, va_plus=vap, va_minus=vam,
-        vb_plus=vbp, vb_minus=vbm,
+    # Each drive is formed once and reaches the ON row as is, the OFF row
+    # negated.  Soma: +z; apical dendrite: +yhat; basal dendrite: -z.
+    z = _ON_OFF * (spec.w_zx.real @ np.asarray(x) + spec.c_z.real)
+    yhat = _ON_OFF * (spec.w_yy.real @ (y[0] - y[1]) + spec.c_yhat.real)
+    v, va, vb = state.v, state.va, state.vb
+    i_as = (va - v) / params.r_apical
+    i_bs = (vb - v) / params.r_basal
+    return CircuitState(
+        v=v + scale * (-params.g_leak_soma * v + z + i_as + i_bs),
+        va=va + scale * (-g_va * va + yhat - i_as),
+        vb=vb + scale * (-g_vb * vb - z - i_bs),
         a=state.a.copy(), b=state.b.copy(), t=state.t + dt,
     )
-    return new
 
 
 @dataclass
@@ -235,19 +202,17 @@ class CircuitTrajectory:
     """Recorded circuit run; one row per recorded sample."""
 
     dt: float               # spacing of recorded samples, ms
-    times: np.ndarray
-    v_plus: np.ndarray
-    v_minus: np.ndarray
-    va_plus: np.ndarray
-    va_minus: np.ndarray
-    vb_plus: np.ndarray
-    vb_minus: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    times: np.ndarray       # (T,)
+    v: np.ndarray           # (T, 2, N) soma, ON row then OFF row
+    va: np.ndarray          # (T, 2, N) apical dendrite
+    vb: np.ndarray          # (T, 2, N) basal dendrite
+    a: np.ndarray           # (T, N)
+    b: np.ndarray           # (T, N)
 
     @property
     def y_net(self) -> np.ndarray:
-        return rectify(self.v_plus) - rectify(self.v_minus)
+        y = rectify(self.v)
+        return y[:, 0] - y[:, 1]
 
     @property
     def n_samples(self) -> int:
@@ -258,6 +223,9 @@ class CircuitTrajectory:
         if idx < 0 or idx >= self.n_samples:
             raise IndexError(f"time {t} outside trajectory range")
         return idx
+
+
+_STATE_FIELDS = ("v", "va", "vb", "a", "b")
 
 
 def simulate_circuit(
@@ -278,36 +246,30 @@ def simulate_circuit(
     """
     if dt <= 0 or record_stride < 1:
         raise ValueError("dt must be positive and record_stride >= 1")
-    n_steps = int(round((t_stop - t_start) / dt))
+    n_steps = steps_in_span(t_stop - t_start, dt)
     if n_steps % record_stride != 0:
         raise ValueError("record_stride must divide the step count")
     n_rec = n_steps // record_stride + 1
 
     n = spec.n_neurons
-    rec = {
-        name: np.zeros((n_rec, n))
-        for name in ("v_plus", "v_minus", "va_plus", "va_minus",
-                     "vb_plus", "vb_minus", "a", "b")
-    }
     state = init if init is not None else CircuitState.zeros(n, t=t_start)
+    rec = {name: np.zeros((n_rec,) + getattr(state, name).shape)
+           for name in _STATE_FIELDS}
 
-    row = 0
     for i in range(n_steps + 1):
         if i % record_stride == 0:
-            for name in rec:
-                rec[name][row] = getattr(state, name)
-            row += 1
+            for name, arr in rec.items():
+                arr[i // record_stride] = getattr(state, name)
         if i == n_steps:
             break
         t = t_start + i * dt
         x = np.asarray(input_fn(t))
-        y_plus = rectify(state.v_plus)
-        y_minus = rectify(state.v_minus)
-        a_new, b_new = thalamic_step(spec, params, state, x, y_plus, y_minus, dt)
-        state = pfc_step(spec, params, state, split_signed(x), dt)
-        state.a = a_new
-        state.b = b_new
-        if i % 256 == 0 and not np.all(np.isfinite(state.v_plus)):
+        y = rectify(state.v)
+        a_new, b_new = thalamic_step(spec, params, state, x, y[0], y[1], dt)
+        state = pfc_step(spec, params, state, x, dt)
+        state.a, state.b = a_new, b_new
+        if i % 256 == 0 and not all(np.all(np.isfinite(getattr(state, f)))
+                                    for f in rec):
             raise DivergenceError(f"non-finite circuit state at t = {t:.6g} ms")
 
     if not all(np.all(np.isfinite(arr)) for arr in rec.values()):

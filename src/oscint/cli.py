@@ -16,9 +16,9 @@ makes.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import os
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -28,6 +28,7 @@ import numpy as np
 from . import config as config_mod
 from . import output
 from .dynamics import simulate
+from .model import DivergenceError
 from .scenarios import SCENARIO_NAMES, ScenarioResult, run_scenario
 from .spectral import SpectralReport, analyze
 from .weights import (
@@ -246,12 +247,15 @@ def _run_spec_file(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    if cfg.spec_path and not cfg.scenario:
-        return _run_spec_file(cfg)
-    if not cfg.scenario:
+    if not (cfg.scenario or cfg.spec_path):
         print("run: provide --scenario or --spec", file=sys.stderr)
         return 2
+    # Bad input (an unreadable or malformed config, an off-grid span, an
+    # unwritable output directory) exits 2; a run that diverges exits 1.
+    # Either way the message is one line.
     try:
+        if not cfg.scenario:
+            return _run_spec_file(cfg)
         result = run_scenario(
             cfg.scenario,
             dt=cfg.dt,
@@ -259,10 +263,13 @@ def cmd_run(cfg: RunConfig) -> int:
             seed=cfg.seed,
             tau_scale=cfg.tau_scale,
         )
-    except ValueError as exc:
+        _write_artifacts(result, cfg.out_dir, cfg.plot)
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_artifacts(result, cfg.out_dir, cfg.plot)
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     for line in _report_lines(result):
         print(line)
     return 0 if result.all_passed else 1
@@ -343,7 +350,7 @@ def _sweep_one(name: str, out_dir: str, dt: Optional[float],
                plot: bool) -> tuple[str, bool, str]:
     try:
         result = run_scenario(name, dt=dt, seed=seed, tau_scale=tau_scale)
-    except ValueError as exc:
+    except (ValueError, DivergenceError) as exc:
         return name, False, str(exc)
     _write_artifacts(result, Path(out_dir), plot)
     failed = [a.name for a in result.assertions if not (a.passed or a.skipped)]
@@ -358,9 +365,11 @@ def cmd_sweep(cfg: RunConfig) -> int:
         return 2
     args = [(name, str(cfg.out_dir), cfg.dt, cfg.tau_scale, cfg.seed, cfg.plot)
             for name in cfg.scenarios]
-    results = []
-    if cfg.workers > 1 and len(args) > 1:
-        with concurrent.futures.ProcessPoolExecutor(cfg.workers) as pool:
+    # The pool starts all its workers up front, so never ask for more than
+    # there are scenarios to run or cores to run them on.
+    workers = min(cfg.workers, len(args), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(workers) as pool:
             futures = [pool.submit(_sweep_one, *a) for a in args]
             results = [f.result() for f in futures]
     else:

@@ -14,6 +14,7 @@ import numpy as np
 
 from .model import NetworkSpec
 
+_SCALAR_FIELDS = ("n_neurons", "n_inputs", "n_readout", "tau_a", "tau_b")
 _COMPLEX_FIELDS = ("w_zx", "w_yy", "w_ry", "c_z", "c_yhat", "c_r")
 _REAL_FIELDS = ("w_ax", "w_bx", "w_ay", "w_by", "c_a", "c_b", "tau_y")
 
@@ -61,9 +62,24 @@ def spec_to_dict(spec: NetworkSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> NetworkSpec:
-    n = int(data["n_neurons"])
-    m = int(data["n_inputs"])
-    k = int(data["n_readout"])
+    """Rebuild a spec; raises ValueError naming any missing, unknown or bad key."""
+    if not isinstance(data, dict):
+        raise ValueError("network config must be a JSON object")
+    expected = _SCALAR_FIELDS + _COMPLEX_FIELDS + _REAL_FIELDS
+    missing = [name for name in expected if name not in data]
+    if missing:
+        raise ValueError(f"network config is missing key(s): {', '.join(missing)}")
+    unknown = sorted(set(data) - set(expected))
+    if unknown:
+        raise ValueError(f"network config has unknown key(s): {', '.join(unknown)}")
+
+    def decode(name, convert, *args):
+        try:
+            return convert(data[name], *args)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"network config key {name!r}: {exc}") from exc
+
+    n, m, k = (decode(name, int) for name in ("n_neurons", "n_inputs", "n_readout"))
     shapes = {
         "w_zx": (n, m), "w_yy": (n, n), "w_ry": (k, n),
         "w_ax": (n, m), "w_bx": (n, m), "w_ay": (n, n), "w_by": (n, n),
@@ -74,13 +90,12 @@ def spec_from_dict(data: dict) -> NetworkSpec:
         "n_neurons": n,
         "n_inputs": m,
         "n_readout": k,
-        "tau_a": float(data["tau_a"]),
-        "tau_b": float(data["tau_b"]),
+        "tau_a": decode("tau_a", float),
+        "tau_b": decode("tau_b", float),
     }
-    for name in _COMPLEX_FIELDS:
-        kwargs[name] = _decode_array(data[name], shapes[name], complex_valued=True)
-    for name in _REAL_FIELDS:
-        kwargs[name] = _decode_array(data[name], shapes[name], complex_valued=False)
+    for name in _COMPLEX_FIELDS + _REAL_FIELDS:
+        kwargs[name] = decode(name, _decode_array, shapes[name],
+                              name in _COMPLEX_FIELDS)
     return NetworkSpec(**kwargs)
 
 

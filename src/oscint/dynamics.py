@@ -28,6 +28,7 @@ from .model import (
     input_drive,
     recurrent_drive,
     rectify,
+    steps_in_span,
 )
 
 
@@ -113,7 +114,7 @@ def simulate(
             f"dt = {dt} exceeds min(tau_y)/10 = {float(np.min(spec.tau_y)) / 10.0}"
         )
 
-    n_steps = int(round((t_stop - t_start) / dt))
+    n_steps = steps_in_span(t_stop - t_start, dt)
     n_samples = n_steps + 1
     n, m = spec.n_neurons, spec.n_inputs
 

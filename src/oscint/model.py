@@ -34,6 +34,23 @@ class DivergenceError(RuntimeError):
     """
 
 
+def steps_in_span(span: float, dt: float) -> int:
+    """Number of ``dt`` steps in ``span``.
+
+    Raises ValueError unless ``span`` is a non-negative whole number of steps,
+    within a relative 1e-9, so no engine silently stops short of or runs past
+    the time it was asked for.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    ratio = span / dt
+    n_steps = round(ratio)
+    if n_steps < 0 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
+        raise ValueError(f"span {span:g} is not a non-negative whole number "
+                         f"of steps of dt = {dt:g}")
+    return int(n_steps)
+
+
 def rectify(values: np.ndarray | float) -> np.ndarray | float:
     """Elementwise max(value, 0); the only nonlinearity in the model."""
     return np.maximum(values, 0.0)
@@ -67,13 +84,14 @@ def _as_real_vector(value, size: int, name: str) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NetworkSpec:
     """Immutable description of one network.
 
     Construct directly with full matrices, or use :meth:`build` to fill unused
     pathways with zeros.  All arrays are copied and frozen so a spec can be
-    shared between threads/processes without defensive copying.
+    shared between threads/processes without defensive copying.  Specs
+    compare and hash by identity.
     """
 
     n_neurons: int

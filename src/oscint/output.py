@@ -62,15 +62,15 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
 
 def write_circuit_csv(path: str | Path, traj: CircuitTrajectory) -> None:
     """Same layout with per-compartment potential columns per neuron."""
-    n = traj.v_plus.shape[1]
+    n = traj.a.shape[1]
     header = ["t"]
     columns: list[np.ndarray] = [traj.times]
-    parts = ("v_plus", "v_minus", "va_plus", "va_minus", "vb_plus", "vb_minus",
-             "a", "b")
     for j in range(n):
-        for part in parts:
-            header.append(f"{part}_{j}")
-            columns.append(getattr(traj, part)[:, j])
+        for stack in ("v", "va", "vb"):
+            header += [f"{stack}_plus_{j}", f"{stack}_minus_{j}"]
+            columns += [getattr(traj, stack)[:, 0, j], getattr(traj, stack)[:, 1, j]]
+        header += [f"a_{j}", f"b_{j}"]
+        columns += [traj.a[:, j], traj.b[:, j]]
     _write_rows(Path(path), header, columns)
 
 

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .model import steps_in_span
 from .weights import diagonal_oscillators
 
 
@@ -131,7 +132,7 @@ def predictive_basis(
     """
     if not 0 <= channel < pspec.n_channels:
         raise ValueError("channel index out of range")
-    n_steps = int(round(horizon / dt))
+    n_steps = steps_in_span(horizon, dt)
     a_plus = max(a, 0.0)
     w = pspec.w_diag[channel]
     out = np.empty(n_steps + 1, dtype=np.complex128)
@@ -187,7 +188,7 @@ def predict_series(
     n_past = len(x_arr)
     if t_start is None:
         t_start = -n_past * dt
-    n_future = int(round(horizon / dt))
+    n_future = steps_in_span(horizon, dt)
     n_total = n_past + n_future
 
     times = t_start + dt * np.arange(n_total + 1)

@@ -13,7 +13,7 @@ from oscint.circuit import (
     thalamic_step,
     total_conductance,
 )
-from oscint.model import NetworkSpec
+from oscint.model import DivergenceError, NetworkSpec, rectify
 
 
 def test_split_signed_partition():
@@ -100,9 +100,9 @@ def _relax_single_cell(w_self=0.3, z=1.0, n_steps=8000, dt=0.05):
     state = CircuitState.zeros(1)
     state.a = np.ones(1)
     state.b = np.ones(1)
-    x_pair = split_signed(np.array([z]))
+    x = np.array([z])
     for _ in range(n_steps):
-        state = pfc_step(spec, params, state, x_pair, dt)
+        state = pfc_step(spec, params, state, x, dt)
     return spec, params, state
 
 
@@ -110,14 +110,14 @@ def test_compartment_cell_relaxes_to_hand_value():
     # One self-coupled cell, both gains held at 1, unit drive: the somatic
     # equilibrium solves g_v v = 0.5 z + 0.5 w v, i.e. v = 0.5/(1.55 - 0.15).
     _, _, state = _relax_single_cell()
-    assert state.v_plus[0] == pytest.approx(0.35714285714285715, abs=1e-10)
-    assert state.v_minus[0] == pytest.approx(-state.v_plus[0], abs=1e-12)
-    assert state.y_net[0] == pytest.approx(state.v_plus[0], abs=1e-12)
+    assert state.v[0, 0] == pytest.approx(0.35714285714285715, abs=1e-10)
+    assert state.v[1, 0] == pytest.approx(-state.v[0, 0], abs=1e-12)
+    assert state.y_net[0] == pytest.approx(state.v[0, 0], abs=1e-12)
 
 
 def test_compartment_currents_balance_at_equilibrium():
     spec, params, state = _relax_single_cell()
-    v, va, vb = state.v_plus[0], state.va_plus[0], state.vb_plus[0]
+    v, va, vb = state.v[0, 0], state.va[0, 0], state.vb[0, 0]
     i_as = (va - v) / params.r_apical
     i_bs = (vb - v) / params.r_basal
     soma = -params.g_leak_soma * v + 1.0 + i_as + i_bs
@@ -131,7 +131,7 @@ def test_equilibrium_matches_steady_state_formula():
     spec, params, state = _relax_single_cell()
     v = steady_state_vs(params, np.array([1.0]), 0.3 * state.y_net,
                         np.ones(1), np.ones(1))
-    assert v[0] == pytest.approx(state.v_plus[0], abs=1e-10)
+    assert v[0] == pytest.approx(state.v[0, 0], abs=1e-10)
 
 
 def test_circuit_rejects_complex_weights():
@@ -139,14 +139,14 @@ def test_circuit_rejects_complex_weights():
     params = CircuitParams()
     state = CircuitState.zeros(1)
     with pytest.raises(ValueError, match="real-valued"):
-        pfc_step(spec, params, state, split_signed(np.zeros(1)), 0.01)
+        pfc_step(spec, params, state, np.zeros(1), 0.01)
 
 
 def test_circuit_accepts_complex_dtype_with_zero_imag():
     spec = NetworkSpec.build(1, 1, w_yy=np.array([[0.5 + 0j]]))
     state = pfc_step(spec, CircuitParams(), CircuitState.zeros(1),
-                     split_signed(np.zeros(1)), 0.01)
-    assert np.all(np.isfinite(state.v_plus))
+                     np.zeros(1), 0.01)
+    assert np.all(np.isfinite(state.v))
 
 
 def test_on_off_pair_stays_antisymmetric():
@@ -165,10 +165,10 @@ def test_on_off_pair_stays_antisymmetric():
         lambda t: np.array([np.sin(0.01 * t)]),
         0.0, 50.0, dt=0.01,
     )
-    assert np.abs(traj.v_plus + traj.v_minus).max() < 1e-12
-    assert np.abs(traj.va_plus + traj.va_minus).max() < 1e-12
-    on = np.maximum(traj.v_plus, 0.0)
-    off = np.maximum(traj.v_minus, 0.0)
+    assert np.abs(traj.v[:, 0] + traj.v[:, 1]).max() < 1e-12
+    assert np.abs(traj.va[:, 0] + traj.va[:, 1]).max() < 1e-12
+    on = np.maximum(traj.v[:, 0], 0.0)
+    off = np.maximum(traj.v[:, 1], 0.0)
     assert np.all(on * off < 1e-24)
 
 
@@ -183,3 +183,87 @@ def test_simulate_circuit_recording():
     with pytest.raises(ValueError, match="record_stride"):
         simulate_circuit(spec, CircuitParams(), lambda t: np.zeros(1),
                          0.0, 1.0, dt=0.1, record_stride=3)
+
+
+def _paired_drive(w, x_pos, x_neg, c):
+    """Conductances onto the ON and OFF targets of a signed pathway, with
+    every weight and offset split into its excitatory and inhibitory parts."""
+    w_pos, w_neg = split_signed(w)
+    c_pos, c_neg = split_signed(c)
+    return (w_pos @ x_pos + w_neg @ x_neg + c_pos,
+            w_pos @ x_neg + w_neg @ x_pos + c_neg)
+
+
+def test_steps_match_paired_conductance_reference():
+    rng = np.random.default_rng(21)
+    n, m = 5, 3
+    spec = NetworkSpec.build(
+        n, m,
+        w_zx=rng.standard_normal((n, m)), w_yy=rng.standard_normal((n, n)),
+        w_ax=rng.standard_normal((n, m)), w_bx=rng.standard_normal((n, m)),
+        w_ay=rng.standard_normal((n, n)), w_by=rng.standard_normal((n, n)),
+        c_z=rng.standard_normal(n), c_yhat=rng.standard_normal(n),
+        c_a=rng.standard_normal(n), c_b=rng.standard_normal(n),
+    )
+    params = CircuitParams(capacitance=2.0, g_leak_soma=1.5, r_apical=7.0,
+                           r_basal=0.5, g_leak_gain=0.8)
+    # ON and OFF rows start unrelated, so no antisymmetry hides an error.
+    state = CircuitState(v=rng.standard_normal((2, n)),
+                         va=rng.standard_normal((2, n)),
+                         vb=rng.standard_normal((2, n)),
+                         a=rng.standard_normal(n), b=rng.standard_normal(n), t=0.3)
+    x = rng.standard_normal(m)
+    dt = 0.01
+    scale = dt / params.capacitance
+    x_pos, x_neg = split_signed(x)
+    y_plus, y_minus = rectify(state.v)
+
+    gains = thalamic_step(spec, params, state, x, y_plus, y_minus, dt)
+    pathways = ((state.a, spec.w_ax, spec.w_ay, spec.c_a),
+                (state.b, spec.w_bx, spec.w_by, spec.c_b))
+    for got, (v, w_x, w_y, c) in zip(gains, pathways):
+        ge_x, gi_x = _paired_drive(w_x, x_pos, x_neg, c)
+        ge_y, gi_y = _paired_drive(w_y, y_plus, y_minus, np.zeros(n))
+        g_e, g_i = ge_x + ge_y, gi_x + gi_y
+        want = v + scale * (-(g_e + g_i + params.g_leak_gain) * v + g_e - g_i)
+        assert np.abs(got - want).max() <= 1e-12
+
+    new = pfc_step(spec, params, state, x, dt)
+    iz_pos, iz_neg = _paired_drive(spec.w_zx.real, x_pos, x_neg, spec.c_z.real)
+    iy_pos, iy_neg = _paired_drive(spec.w_yy.real, y_plus, y_minus,
+                                   spec.c_yhat.real)
+    g_va = rectify(state.a) / params.r_apical
+    g_vb = rectify(state.b) / params.r_basal
+    sources = ((iz_pos - iz_neg, iy_pos - iy_neg),     # ON row
+               (iz_neg - iz_pos, iy_neg - iy_pos))     # OFF row
+    for row, (i_z, i_y) in enumerate(sources):
+        v, va, vb = state.v[row], state.va[row], state.vb[row]
+        i_as = (va - v) / params.r_apical
+        i_bs = (vb - v) / params.r_basal
+        want = {
+            "v": v + scale * (-params.g_leak_soma * v + i_z + i_as + i_bs),
+            "va": va + scale * (-g_va * va + i_y - i_as),
+            "vb": vb + scale * (-g_vb * vb - i_z - i_bs),
+        }
+        for name, value in want.items():
+            assert np.abs(getattr(new, name)[row] - value).max() <= 1e-12
+    assert np.array_equal(new.a, state.a) and np.array_equal(new.b, state.b)
+    assert new.t == pytest.approx(state.t + dt)
+
+
+def test_simulate_circuit_raises_on_blow_up():
+    # A gain conductance of 1000 makes the explicit gain update unstable at
+    # dt = 0.01 (|1 - dt g / C| = 9), so the potentials overflow within
+    # a few hundred steps.
+    spec = NetworkSpec.build(1, 1, w_ax=np.array([[1e3]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="non-finite circuit state at t"):
+            simulate_circuit(spec, CircuitParams(), lambda t: np.ones(1),
+                             0.0, 10.0, dt=0.01)
+
+
+def test_simulate_circuit_rejects_off_grid_span():
+    spec = NetworkSpec.build(1, 1)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        simulate_circuit(spec, CircuitParams(), lambda t: np.zeros(1),
+                         0.0, 1.05, dt=0.1)

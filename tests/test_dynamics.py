@@ -123,3 +123,9 @@ def test_recorded_samples_are_pre_step_states():
     assert traj.y[0, 0] == 0j
     assert traj.times[0] == 0.0
     assert traj.n_samples == 6
+
+
+def test_simulate_rejects_off_grid_span():
+    spec = NetworkSpec.build(1, 1)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        simulate(spec, lambda t: np.zeros(1), 0.0, 10.7, dt=1.0)

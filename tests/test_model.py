@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oscint.config import load_spec, save_spec, spec_from_dict, spec_to_dict
 from oscint.model import (
@@ -15,6 +17,7 @@ from oscint.model import (
     predicted_series,
     rectify,
     recurrent_drive,
+    steps_in_span,
 )
 
 
@@ -231,3 +234,45 @@ def test_config_preserves_empty_readout_shape():
     loaded = spec_from_dict(spec_to_dict(spec))
     assert loaded.w_ry.shape == (0, 4)
     assert loaded.c_r.shape == (0,)
+
+
+def test_spec_compares_and_hashes_by_identity():
+    spec = NetworkSpec.build(2, 1)
+    twin = spec.replace()
+    assert spec == spec
+    assert spec != twin
+    assert {spec: 1, twin: 2}[spec] == 1
+
+
+def test_spec_from_dict_names_bad_keys():
+    data = spec_to_dict(NetworkSpec.build(2, 1))
+    missing = dict(data)
+    del missing["n_neurons"]
+    with pytest.raises(ValueError, match="missing key.*n_neurons"):
+        spec_from_dict(missing)
+    with pytest.raises(ValueError, match="unknown key.*w_extra"):
+        spec_from_dict(data | {"w_extra": []})
+    with pytest.raises(ValueError, match="'w_yy'"):
+        spec_from_dict(data | {"w_yy": [[1.0]]})
+    with pytest.raises(ValueError, match="JSON object"):
+        spec_from_dict([data])
+
+
+@given(n_steps=st.integers(0, 10**6),
+       dt=st.sampled_from([0.01, 0.05, 0.1, 0.2, 0.5, 0.7, 1.0, 2.5]))
+def test_steps_in_span_counts_grid_spans(n_steps, dt):
+    assert steps_in_span(n_steps * dt, dt) == n_steps
+
+
+@given(n_steps=st.integers(0, 10**5), frac=st.floats(1e-3, 1.0 - 1e-3),
+       dt=st.sampled_from([0.01, 0.1, 0.7, 1.0]))
+def test_steps_in_span_rejects_off_grid_spans(n_steps, frac, dt):
+    with pytest.raises(ValueError, match="whole number of steps"):
+        steps_in_span((n_steps + frac) * dt, dt)
+
+
+def test_steps_in_span_rejects_negative_spans_and_steps():
+    with pytest.raises(ValueError):
+        steps_in_span(-1.0, 0.1)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        steps_in_span(1.0, 0.0)

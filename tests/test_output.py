@@ -75,7 +75,7 @@ def test_circuit_csv_layout_and_values(tmp_path):
     assert len(lines) == 1 + traj.n_samples
     last = [float(v) for v in lines[-1].split(",")]
     assert last[0] == pytest.approx(2.0)
-    assert last[1] == pytest.approx(traj.v_plus[-1, 0])
+    assert last[1] == pytest.approx(traj.v[-1, 0, 0])
 
 
 def test_prediction_csv_channel_labels(tmp_path):

@@ -148,3 +148,12 @@ def test_raised_recurrent_gain_damps_every_channel():
     mags = np.abs(result.y[i0:])
     assert np.all(np.diff(mags, axis=0) <= 0)
     assert mags[-1].max() < 1e-3 * mags[0].max()
+
+
+def test_bank_rejects_off_grid_horizon():
+    pspec = PredictorSpec((2.0,))
+    sched = ModulatorSchedule(((0.0, 0.0, 0.0),))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        predict_series(pspec, np.zeros(10), sched, horizon=1.05, dt=0.1)
+    with pytest.raises(ValueError, match="whole number of steps"):
+        predictive_basis(pspec, 0, horizon=1.05, dt=0.1)
