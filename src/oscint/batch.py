@@ -105,11 +105,13 @@ class ForwardOutputs:
 
 
 def _gain_series(
-    drive: np.ndarray, tau: float, dt: float, init: float
+    drive: np.ndarray, tau: float, dt: float, init: float | np.ndarray
 ) -> np.ndarray:
     """First-order Euler recursion g[i+1] = g[i] + (dt/tau)(drive[i] - g[i]).
 
-    Vectorized across samples as an IIR filter along the time axis.
+    Vectorized across samples as an IIR filter along the time axis.  ``init``
+    is g[0]: one value, or one per column.  The rate integrator's block path
+    advances its gains with this same filter.
     """
     t_samples = drive.shape[0]
     out = np.empty_like(drive)

@@ -348,11 +348,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
 def _sweep_one(name: str, out_dir: str, dt: Optional[float],
                tau_scale: Optional[float], seed: Optional[int],
                plot: bool) -> tuple[str, bool, str]:
+    # Bad input, an unwritable output directory and a divergence each end
+    # this scenario in one FAIL line; the other scenarios still run.
     try:
         result = run_scenario(name, dt=dt, seed=seed, tau_scale=tau_scale)
-    except (ValueError, DivergenceError) as exc:
+        _write_artifacts(result, Path(out_dir), plot)
+    except (OSError, ValueError, DivergenceError) as exc:
         return name, False, str(exc)
-    _write_artifacts(result, Path(out_dir), plot)
     failed = [a.name for a in result.assertions if not (a.passed or a.skipped)]
     detail = "ok" if not failed else "failed: " + "; ".join(failed)
     return name, result.all_passed, detail

@@ -218,6 +218,21 @@ def test_sweep_reports_divergence_as_fail(tmp_path, capsys, monkeypatch):
     assert "FAIL fig4: non-finite state at t = 3 ms" in out
 
 
+def test_sweep_unwritable_out_reports_fail(tmp_path, capsys, monkeypatch):
+    def no_pool(*_):
+        raise AssertionError("a serial sweep must start no worker process")
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", no_pool)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = cli.main(["--out", str(blocker / "out"), "sweep",
+                     "--scenarios", "fig2,fig4", "--no-plot"])
+    assert code == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert [line.split(":")[0] for line in lines] == ["FAIL fig2", "FAIL fig4"]
+    assert all("Not a directory" in line for line in lines)
+
+
 class _RecordingPool:
     """Stands in for ProcessPoolExecutor: records the worker count and runs
     each submitted call in this process, starting nothing."""
