@@ -17,6 +17,16 @@ coordinate is exactly 1, so step sizes below 2 are stable and the iteration
 is a Jacobi-style relaxation that transports information roughly one sample
 per sweep.
 
+:func:`solve` does not call the two passes.  The drive z, the alpha and b
+series and the weights built from them (beta, 1/(1+b+), 1/(1+alpha+)) are
+formed once before the first sweep; each sweep then forms only the shifted
+prediction (one matmul), the two residuals y - z and y - yhat/(1+alpha+), the
+energy and the gradient step from those residuals.  When the gains read the
+response (non-zero ``w_alpha_y`` or ``w_by``) the gain series and their
+weights are rebuilt every sweep instead.  The stop rule is the same either
+way.  :func:`forward_pass` and :func:`backward_pass` compute one sweep from
+scratch and are the reference the solver is tested against.
+
 The gain that divides the recurrent prediction here is the *excess* gain
 ("alpha"), related to the integrator's a-gain by (1+a+) = (1+b+)(1+alpha+).
 Its drive weights default to the a-gain weights of the network but can be
@@ -69,12 +79,21 @@ class BatchProblem:
 
     def __post_init__(self) -> None:
         self.x_series = np.asarray(self.x_series)
-        if self.x_series.ndim != 2 or self.x_series.shape[1] != self.spec.n_inputs:
-            raise ValueError("x_series must have shape (n_samples, n_inputs)")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
+        if (self.x_series.ndim != 2 or self.x_series.shape[0] < 1
+                or self.x_series.shape[1] != self.spec.n_inputs):
+            raise ValueError("x_series must have shape (n_samples >= 1, n_inputs)")
+        if not np.all(np.isfinite(self.x_series)):
+            raise ValueError("x_series must be finite")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and positive")
+        # Rates of 2 and above are accepted: solve reports the divergence.
+        if not (np.isfinite(self.rate) and self.rate >= 0):
+            raise ValueError("rate must be finite and >= 0")
+        if (not isinstance(self.max_iters, (int, np.integer))
+                or isinstance(self.max_iters, bool) or self.max_iters < 1):
+            raise ValueError("max_iters must be an integer >= 1")
+        if not (np.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError("tolerance must be finite and >= 0")
         if self.w_alpha_x is None:
             self.w_alpha_x = self.spec.w_ax
         if self.w_alpha_y is None:
@@ -83,6 +102,11 @@ class BatchProblem:
             self.c_alpha = self.spec.c_a
         if self.tau_alpha is None:
             self.tau_alpha = self.spec.tau_a
+        if not (np.isfinite(self.tau_alpha) and self.tau_alpha > 0):
+            raise ValueError("tau_alpha must be finite and positive")
+        for name in ("alpha0", "b0"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ValueError(f"{name} must be finite")
 
     @property
     def n_samples(self) -> int:
@@ -144,12 +168,19 @@ def forward_pass(prob: BatchProblem, y_series: np.ndarray) -> ForwardOutputs:
     if len(y) > 1:
         yhat[1:] = y[:-1] @ spec.w_yy.T + spec.c_yhat
 
+    alpha, b = _gain_pair(prob, y)
+    return ForwardOutputs(z=z, yhat=yhat, alpha=alpha, b=b)
+
+
+def _gain_pair(prob: BatchProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (alpha, b) series driven by the input and the response ``y``."""
+    spec, x = prob.spec, prob.x_series
     x_real = x.real if np.iscomplexobj(x) else x
     alpha_drive = x_real @ prob.w_alpha_x.T + (y @ prob.w_alpha_y.T).real + prob.c_alpha
     b_drive = x_real @ spec.w_bx.T + (y @ spec.w_by.T).real + spec.c_b
     alpha = _gain_series(alpha_drive, prob.tau_alpha, prob.dt, prob.alpha0)
     b = _gain_series(b_drive, spec.tau_b, prob.dt, prob.b0)
-    return ForwardOutputs(z=z, yhat=yhat, alpha=alpha, b=b)
+    return alpha, b
 
 
 def backward_pass(
@@ -186,16 +217,43 @@ class BatchResult:
 _DIVERGENCE_PATIENCE = 10
 
 
-def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResult:
-    """Alternate forward/backward passes until the energy stalls.
+def _sweep_weights(prob: BatchProblem, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """beta, 1 - beta, 1/(1+b+) and 1/(1+alpha+) for the gains driven by ``y``.
 
-    Convergence: relative energy decrease below ``prob.tolerance``.
-    Divergence (energy rising for 10 consecutive sweeps) raises
+    The gain series themselves are not kept: only these four enter a sweep.
+    """
+    alpha, b = _gain_pair(prob, y)
+    b_plus = rectify(b)
+    beta = b_plus / (1.0 + b_plus)
+    return beta, 1.0 - beta, 1.0 / (1.0 + b_plus), 1.0 / (1.0 + rectify(alpha))
+
+
+def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResult:
+    """Descend the trajectory energy by sweeps until it stalls.
+
+    Each sweep evaluates the energy of the current series, then takes one
+    gradient step with the prediction held fixed: the sweep of
+    :func:`forward_pass` and :func:`backward_pass`, to rounding.  The drive z
+    and, unless the gains read y (non-zero ``w_alpha_y`` or ``w_by``), the
+    gain weights beta, 1/(1+b+) and 1/(1+alpha+) are formed once before the
+    first sweep; gains that read y are rebuilt from the current series every
+    sweep.  A sweep otherwise costs one prediction matmul and the residual
+    arithmetic, with the series updated in place.
+
+    Convergence: relative energy decrease below ``prob.tolerance``; the
+    returned series is the one whose energy met it.  Divergence (energy
+    rising for 10 consecutive sweeps, or non-finite) raises
     :class:`BatchDivergenceError` with the iteration index.
     """
+    spec = prob.spec
     y = prob.zero_series() if y_init is None else np.array(y_init, dtype=np.complex128)
-    if y.shape != (prob.n_samples, prob.spec.n_neurons):
+    if y.shape != (prob.n_samples, spec.n_neurons):
         raise ValueError("y_init has wrong shape")
+
+    gains_read_y = bool(np.any(prob.w_alpha_y)) or not spec._w_by_zero
+    z = prob.x_series @ spec.w_zx.T + spec.c_z
+    w_yy_t = spec.w_yy.T
+    yhat = np.empty_like(y)
 
     energies = []
     prev_energy = None
@@ -203,8 +261,17 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     iterations = 0
     converged = False
     for iteration in range(1, prob.max_iters + 1):
-        fwd = forward_pass(prob, y)
-        e = _series_energy(prob, y, fwd)
+        if iteration == 1 or gains_read_y:
+            beta, one_minus_beta, recur_weight, recur_scale = _sweep_weights(prob, y)
+        # Sample i predicts from sample i - 1; sample 0 from itself.
+        np.matmul(y[0], w_yy_t, out=yhat[0])
+        np.matmul(y[:-1], w_yy_t, out=yhat[1:])
+        yhat += spec.c_yhat
+        feed_res = y - z
+        recur_res = y - yhat * recur_scale
+
+        e = float(0.5 * prob.dt * (beta * np.abs(feed_res) ** 2
+                                   + recur_weight * np.abs(recur_res) ** 2).sum())
         if not np.isfinite(e):
             raise BatchDivergenceError(
                 f"energy became non-finite at iteration {iteration}"
@@ -226,7 +293,7 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
                 converged = True
                 break
         prev_energy = e
-        y = backward_pass(prob, y, fwd)
+        y -= prob.rate * (beta * feed_res + one_minus_beta * recur_res)
 
     return BatchResult(
         y_series=y,

@@ -118,8 +118,8 @@ def simulate(
     ``input_fn(t)`` must return the length-M input vector at time ``t`` (ms).
     The recorded sample at index ``i`` is the state at ``t_start + i*dt``
     alongside the input/drive evaluated there; the final sample at ``t_stop``
-    is recorded without stepping past it.  Identical arguments produce
-    bit-identical trajectories.
+    is recorded without stepping past it.  ``traj.x`` is complex if any
+    sample is.  Identical arguments produce bit-identical trajectories.
 
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
     ``_BLOCK`` steps (see the module docstring); otherwise it takes one
@@ -166,6 +166,18 @@ def simulate(
     return traj
 
 
+def _input_record(traj: Trajectory, x: np.ndarray) -> np.ndarray:
+    """``traj.x``, promoted once to complex128 if the samples ``x`` are complex.
+
+    The record is sized by the first sample's dtype; a later complex sample
+    would otherwise lose its imaginary part in the record while driving the
+    network with it.
+    """
+    if np.iscomplexobj(x) and not np.iscomplexobj(traj.x):
+        traj.x = traj.x.astype(np.complex128)
+    return traj.x
+
+
 def _advance_steps(spec: NetworkSpec, input_fn: InputFunction,
                    traj: Trajectory, x0: np.ndarray, state: SimState) -> None:
     """Fill ``traj`` with one :func:`step` per sample."""
@@ -175,7 +187,7 @@ def _advance_steps(spec: NetworkSpec, input_fn: InputFunction,
     state = SimState(y=state.y, a=state.a, b=state.b, t=t_start)
     for i in range(traj.n_samples):
         x = x0 if i == 0 else np.asarray(input_fn(t_start + i * dt))
-        traj.x[i] = x
+        _input_record(traj, x)[i] = x
         traj.z[i] = input_drive(spec, x)
         traj.a[i] = state.a
         traj.b[i] = state.b
@@ -196,7 +208,7 @@ def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
     ``push = (dt/tau_y) (beta z + c_yhat / (1+a+))``.  Sample e starts the
     next block.
     """
-    x_all, z_all, a_all, b_all, y_all = traj.x, traj.z, traj.a, traj.b, traj.y
+    z_all, a_all, b_all, y_all = traj.z, traj.a, traj.b, traj.y
     t_start, dt = float(traj.times[0]), traj.dt
     n_steps = traj.n_samples - 1
     rate = dt / spec.tau_y
@@ -206,13 +218,12 @@ def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
     # One pass even for a zero-step run, which still records z at t_start.
     for s in range(0, max(n_steps, 1), _BLOCK):
         e = min(s + _BLOCK, n_steps)
-        # Drives and gains read the samples as returned, as step() does; the
-        # record keeps the dtype of the first sample.
+        # Drives and gains read the samples as returned, as step() does.
         rows = [x_last] + [input_fn(t_start + i * dt) for i in range(s + 1, e + 1)]
         x = np.array(rows)
         if x.shape != (e - s + 1, m):
             raise ValueError(f"input_fn must return shape ({m},) samples")
-        x_all[s + 1:e + 1] = x[1:]
+        _input_record(traj, x)[s + 1:e + 1] = x[1:]
         x_last = x[-1]
         x_real = x.real
         z_all[s:e + 1] = x @ spec.w_zx.T + spec.c_z

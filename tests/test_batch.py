@@ -1,11 +1,16 @@
 """Whole-trajectory energy descent: forward/backward passes and solve."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oscint.batch import (
     BatchDivergenceError,
     BatchProblem,
+    _series_energy,
     backward_pass,
     forward_pass,
     solve,
@@ -233,3 +238,147 @@ def test_trajectory_from_result_round_trip():
     # alpha = 0 throughout, so the equivalent a-gain equals b
     assert np.abs(traj.a - traj.b).max() < 1e-13
     assert np.isfinite(energy(prob.spec, traj))
+
+
+def _reference_solve(prob, y_init=None):
+    """The sweep loop written with the public passes: one ``forward_pass``,
+    ``_series_energy`` and ``backward_pass`` per sweep, same stop rule.
+    Returns (y, energy history, converged)."""
+    y = prob.zero_series() if y_init is None else np.array(y_init, dtype=np.complex128)
+    energies, prev, rises = [], None, 0
+    for _ in range(prob.max_iters):
+        fwd = forward_pass(prob, y)
+        e = _series_energy(prob, y, fwd)
+        energies.append(e)
+        if prev is not None:
+            rises = rises + 1 if e > prev else 0
+            assert rises < 10, "reference diverged"
+            if (prev - e) / max(abs(prev), 1e-30) < prob.tolerance and e <= prev:
+                return y, np.array(energies), True
+        prev = e
+        y = backward_pass(prob, y, fwd)
+    return y, np.array(energies), False
+
+
+def _random_problem(rng, case, t_len=30, n=3, m=2):
+    """A random problem with signed gain weights (so rectification engages);
+    ``case`` selects the feature under test.  The rate is above 1 so that
+    near the fixed point successive energy changes alternate in sign and the
+    stop rule ends the run; below 1 the energy can rise for many sweeps in a
+    row while the iterates converge."""
+    w_yy = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
+    if case == "complex w_yy":
+        w_yy = w_yy + 0.5j * rng.standard_normal((n, n)) / np.sqrt(n)
+    spec = NetworkSpec.build(
+        n, m,
+        w_yy=w_yy,
+        w_zx=rng.standard_normal((n, m)),
+        w_bx=rng.standard_normal((n, m)),
+        w_by=0.3 * rng.standard_normal((n, n)) if case == "w_by" else np.zeros((n, n)),
+        c_yhat=0.3 * rng.standard_normal(n),
+        c_b=rng.uniform(0.2, 1.0, n),
+        tau_b=5.0,
+    )
+    w_alpha_y = (0.3 * rng.standard_normal((n, n)) if case == "w_alpha_y"
+                 else np.zeros((n, n)))
+    return BatchProblem(
+        spec=spec, x_series=rng.standard_normal((t_len, m)), rate=1.3,
+        max_iters=600, tolerance=1e-10, tau_alpha=4.0, alpha0=0.2, b0=0.5,
+        w_alpha_x=rng.standard_normal((n, m)), w_alpha_y=w_alpha_y,
+        c_alpha=0.3 * rng.standard_normal(n),
+    )
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 30])
+@pytest.mark.parametrize(
+    "case", ["frozen", "w_alpha_y", "w_by", "complex w_yy", "y_init"])
+def test_solve_matches_reference_loop(case, t_len):
+    # solve forms the drive and (for gains that do not read y) the gain
+    # weights once; the reference rebuilds everything every sweep.  Gains
+    # that read y must be rebuilt every sweep by solve too.
+    rng = np.random.default_rng(31)
+    prob = _random_problem(rng, case, t_len=t_len)
+    y_init = None
+    if case == "y_init":
+        y_init = (rng.standard_normal((t_len, 3))
+                  + 1j * rng.standard_normal((t_len, 3)))
+    y_ref, e_ref, conv_ref = _reference_solve(prob, y_init)
+    result = solve(prob, y_init)
+    assert result.iterations == len(e_ref) > 1
+    assert result.converged == conv_ref
+    rel = np.abs(result.energy_history - e_ref) / np.abs(e_ref)
+    assert rel.max() <= 1e-12
+    bound = 1e-12 * max(1.0, float(np.abs(y_ref).max()))
+    assert np.abs(result.y_series - y_ref).max() <= bound
+
+
+def _fixed_point_oracle(prob):
+    """Closed form of the frozen-gain fixed point by forward substitution:
+    y[i] = beta z[i] + (1 - beta)(W_yy y[i-1] + c_yhat)/(1+alpha+), with
+    sample 0 predicting from itself (one linear solve)."""
+    from oscint.batch import _gain_series
+    from oscint.model import rectify
+
+    spec, x = prob.spec, prob.x_series
+    z = x @ spec.w_zx.T + spec.c_z
+    alpha = _gain_series(x @ prob.w_alpha_x.T + prob.c_alpha,
+                         prob.tau_alpha, prob.dt, prob.alpha0)
+    b = _gain_series(x @ spec.w_bx.T + spec.c_b, spec.tau_b, prob.dt, prob.b0)
+    b_plus = rectify(b)
+    beta = b_plus / (1.0 + b_plus)
+    recur = (1.0 - beta) / (1.0 + rectify(alpha))
+    y = np.empty_like(z)
+    lhs = np.eye(spec.n_neurons) - recur[0][:, None] * spec.w_yy
+    y[0] = np.linalg.solve(lhs, beta[0] * z[0] + recur[0] * spec.c_yhat)
+    for i in range(1, len(y)):
+        y[i] = beta[i] * z[i] + recur[i] * (spec.w_yy @ y[i - 1] + spec.c_yhat)
+    return y
+
+
+def test_solve_converges_to_closed_form_fixed_point():
+    rng = np.random.default_rng(12)
+    prob = _random_problem(rng, "complex w_yy", t_len=25)
+    prob.max_iters, prob.tolerance = 5000, 1e-15
+    result = solve(prob)
+    assert result.converged
+    oracle = _fixed_point_oracle(prob)
+    assert np.abs(result.y_series - oracle).max() <= 1e-9
+
+
+@pytest.mark.parametrize("field, value", [
+    ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.5), ("max_iters", True),
+    ("tolerance", math.nan), ("tolerance", -1e-9), ("tolerance", math.inf),
+    ("dt", math.nan), ("dt", 0.0), ("dt", -1.0), ("dt", math.inf),
+    ("rate", math.nan), ("rate", -0.1), ("rate", math.inf),
+    ("tau_alpha", 0.0), ("tau_alpha", -1.0), ("tau_alpha", math.nan),
+    ("alpha0", math.nan), ("b0", math.inf),
+])
+def test_problem_rejects_bad_arguments(field, value):
+    spec = NetworkSpec.build(2, 1)
+    with pytest.raises(ValueError, match=field):
+        BatchProblem(spec=spec, x_series=np.zeros((4, 1)), **{field: value})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_problem_rejects_non_finite_input(bad):
+    x_series = np.zeros((4, 1), dtype=type(bad))
+    x_series[2, 0] = bad
+    with pytest.raises(ValueError, match="x_series"):
+        BatchProblem(spec=NetworkSpec.build(2, 1), x_series=x_series)
+
+
+@given(field=st.sampled_from(["dt", "rate", "tolerance", "tau_alpha"]),
+       value=st.floats(allow_nan=True, allow_infinity=True))
+def test_problem_accepts_exactly_the_finite_range(field, value):
+    # dt and tau_alpha must be positive, rate and tolerance non-negative;
+    # every finite rate is accepted, including the divergent ones >= 2.
+    ok = math.isfinite(value) and (
+        value > 0 if field in ("dt", "tau_alpha") else value >= 0)
+    spec = NetworkSpec.build(2, 1)
+    make = lambda: BatchProblem(spec=spec, x_series=np.zeros((3, 1)),
+                                **{field: value})
+    if ok:
+        assert getattr(make(), field) == value
+    else:
+        with pytest.raises(ValueError, match=field):
+            make()
