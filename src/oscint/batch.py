@@ -318,7 +318,6 @@ def trajectory_from_result(
         dt=prob.dt,
         times=times,
         x=prob.x_series,
-        z=fwd.z,
         a=a_equiv,
         b=fwd.b,
         y=result.y_series,

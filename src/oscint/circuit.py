@@ -39,7 +39,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .model import DivergenceError, NetworkSpec, rectify, steps_in_span
+from .model import (
+    DivergenceError,
+    NetworkSpec,
+    SampledRecord,
+    rectify,
+    steps_in_span,
+)
 
 
 @dataclass(frozen=True)
@@ -198,11 +204,9 @@ def pfc_step(
 
 
 @dataclass
-class CircuitTrajectory:
-    """Recorded circuit run; one row per recorded sample."""
+class CircuitTrajectory(SampledRecord):
+    """Recorded circuit run; one row per recorded sample, ``dt`` apart."""
 
-    dt: float               # spacing of recorded samples, ms
-    times: np.ndarray       # (T,)
     v: np.ndarray           # (T, 2, N) soma, ON row then OFF row
     va: np.ndarray          # (T, 2, N) apical dendrite
     vb: np.ndarray          # (T, 2, N) basal dendrite
@@ -213,16 +217,6 @@ class CircuitTrajectory:
     def y_net(self) -> np.ndarray:
         y = rectify(self.v)
         return y[:, 0] - y[:, 1]
-
-    @property
-    def n_samples(self) -> int:
-        return len(self.times)
-
-    def sample_index(self, t: float) -> int:
-        idx = int(round((t - self.times[0]) / self.dt))
-        if idx < 0 or idx >= self.n_samples:
-            raise IndexError(f"time {t} outside trajectory range")
-        return idx
 
 
 _STATE_FIELDS = ("v", "va", "vb", "a", "b")

@@ -117,9 +117,10 @@ def simulate(
 
     ``input_fn(t)`` must return the length-M input vector at time ``t`` (ms).
     The recorded sample at index ``i`` is the state at ``t_start + i*dt``
-    alongside the input/drive evaluated there; the final sample at ``t_stop``
-    is recorded without stepping past it.  ``traj.x`` is complex if any
-    sample is.  Identical arguments produce bit-identical trajectories.
+    alongside the input evaluated there; the final sample at ``t_stop`` is
+    recorded without stepping past it.  ``traj.x`` is complex if any sample
+    is; the drive z is not recorded, as ``traj.x`` gives it.  Identical
+    arguments produce bit-identical trajectories.
 
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
     ``_BLOCK`` steps (see the module docstring); otherwise it takes one
@@ -149,14 +150,13 @@ def simulate(
     x0 = np.asarray(input_fn(t_start))
     x_dtype = np.complex128 if np.iscomplexobj(x0) else np.float64
     xs = np.zeros((n_samples, m), dtype=x_dtype)
-    zs = np.zeros((n_samples, n), dtype=np.complex128)
     as_ = np.zeros((n_samples, n))
     bs = np.zeros((n_samples, n))
     ys = np.zeros((n_samples, n), dtype=np.complex128)
     xs[0], ys[0], as_[0], bs[0] = x0, state.y, state.a, state.b
 
     times = t_start + dt * np.arange(n_samples)
-    traj = Trajectory(dt=dt, times=times, x=xs, z=zs, a=as_, b=bs, y=ys)
+    traj = Trajectory(dt=dt, times=times, x=xs, a=as_, b=bs, y=ys)
     if spec._w_ay_zero and spec._w_by_zero:
         _advance_blocks(spec, input_fn, traj, x0)
     else:
@@ -188,7 +188,6 @@ def _advance_steps(spec: NetworkSpec, input_fn: InputFunction,
     for i in range(traj.n_samples):
         x = x0 if i == 0 else np.asarray(input_fn(t_start + i * dt))
         _input_record(traj, x)[i] = x
-        traj.z[i] = input_drive(spec, x)
         traj.a[i] = state.a
         traj.b[i] = state.b
         traj.y[i] = state.y
@@ -202,20 +201,21 @@ def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
 
     Valid only when the gains do not read y.  Block ``[s, e]`` forms x, z, a
     and b for samples s..e at once (sample e's gains come from the drive
-    before it), then runs y through
+    before it; z is the block's own and is not recorded), then runs y through
     ``y[i+1] = keep * y[i] + gate[i] * (W_yy @ y[i]) + push[i]`` with
     ``keep = 1 - dt/tau_y``, ``gate = (dt/tau_y) / (1+a+)`` and
     ``push = (dt/tau_y) (beta z + c_yhat / (1+a+))``.  Sample e starts the
     next block.
     """
-    z_all, a_all, b_all, y_all = traj.z, traj.a, traj.b, traj.y
+    a_all, b_all, y_all = traj.a, traj.b, traj.y
     t_start, dt = float(traj.times[0]), traj.dt
     n_steps = traj.n_samples - 1
     rate = dt / spec.tau_y
     keep = 1.0 - rate
     m = spec.n_inputs
     x_last = x0
-    # One pass even for a zero-step run, which still records z at t_start.
+    # One pass even for a zero-step run, which still checks the first
+    # sample's shape.
     for s in range(0, max(n_steps, 1), _BLOCK):
         e = min(s + _BLOCK, n_steps)
         # Drives and gains read the samples as returned, as step() does.
@@ -226,7 +226,7 @@ def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
         _input_record(traj, x)[s + 1:e + 1] = x[1:]
         x_last = x[-1]
         x_real = x.real
-        z_all[s:e + 1] = x @ spec.w_zx.T + spec.c_z
+        z = x @ spec.w_zx.T + spec.c_z
         a_all[s:e + 1] = _gain_series(x_real @ spec.w_ax.T + spec.c_a,
                                       spec.tau_a, dt, a_all[s])
         b_all[s:e + 1] = _gain_series(x_real @ spec.w_bx.T + spec.c_b,
@@ -238,7 +238,7 @@ def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
             recur = 1.0 / (1.0 + rectify(a_all[s:e]))
             b_plus = rectify(b_all[s:e])
             gate = rate * recur
-            push = rate * (b_plus / (1.0 + b_plus) * z_all[s:e]
+            push = rate * (b_plus / (1.0 + b_plus) * z[:-1]
                            + spec.c_yhat * recur)
             y = y_all[s]
             for y_next, g, p in zip(y_all[s + 1:e + 1], gate, push):

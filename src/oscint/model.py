@@ -56,31 +56,11 @@ def rectify(values: np.ndarray | float) -> np.ndarray | float:
     return np.maximum(values, 0.0)
 
 
-def _as_complex_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    out = np.array(value, dtype=np.complex128, copy=True)
-    if out.shape != (rows, cols):
-        raise ValueError(f"{name} must have shape {(rows, cols)}, got {out.shape}")
-    return out
-
-
-def _as_real_matrix(value, rows: int, cols: int, name: str) -> np.ndarray:
-    out = np.array(value, dtype=np.float64, copy=True)
-    if out.shape != (rows, cols):
-        raise ValueError(f"{name} must have shape {(rows, cols)}, got {out.shape}")
-    return out
-
-
-def _as_complex_vector(value, size: int, name: str) -> np.ndarray:
-    out = np.array(value, dtype=np.complex128, copy=True)
-    if out.shape != (size,):
-        raise ValueError(f"{name} must have shape {(size,)}, got {out.shape}")
-    return out
-
-
-def _as_real_vector(value, size: int, name: str) -> np.ndarray:
-    out = np.array(value, dtype=np.float64, copy=True)
-    if out.shape != (size,):
-        raise ValueError(f"{name} must have shape {(size,)}, got {out.shape}")
+def _coerce(value, shape: tuple, dtype, name: str) -> np.ndarray:
+    """A fresh ``dtype`` copy of ``value``; ValueError unless it has ``shape``."""
+    out = np.array(value, dtype=dtype, copy=True)
+    if out.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
     return out
 
 
@@ -117,21 +97,24 @@ class NetworkSpec:
         n, m, k = self.n_neurons, self.n_inputs, self.n_readout
         if n < 1 or m < 0 or k < 0:
             raise ValueError("n_neurons must be >= 1 and channel counts >= 0")
-        coerced = {
-            "w_zx": _as_complex_matrix(self.w_zx, n, m, "w_zx"),
-            "w_yy": _as_complex_matrix(self.w_yy, n, n, "w_yy"),
-            "w_ry": _as_complex_matrix(self.w_ry, k, n, "w_ry"),
-            "w_ax": _as_real_matrix(self.w_ax, n, m, "w_ax"),
-            "w_bx": _as_real_matrix(self.w_bx, n, m, "w_bx"),
-            "w_ay": _as_real_matrix(self.w_ay, n, n, "w_ay"),
-            "w_by": _as_real_matrix(self.w_by, n, n, "w_by"),
-            "c_z": _as_complex_vector(self.c_z, n, "c_z"),
-            "c_yhat": _as_complex_vector(self.c_yhat, n, "c_yhat"),
-            "c_a": _as_real_vector(self.c_a, n, "c_a"),
-            "c_b": _as_real_vector(self.c_b, n, "c_b"),
-            "c_r": _as_complex_vector(self.c_r, k, "c_r"),
-            "tau_y": _as_real_vector(self.tau_y, n, "tau_y"),
+        c128, f64 = np.complex128, np.float64
+        layout = {
+            "w_zx": ((n, m), c128),
+            "w_yy": ((n, n), c128),
+            "w_ry": ((k, n), c128),
+            "w_ax": ((n, m), f64),
+            "w_bx": ((n, m), f64),
+            "w_ay": ((n, n), f64),
+            "w_by": ((n, n), f64),
+            "c_z": ((n,), c128),
+            "c_yhat": ((n,), c128),
+            "c_a": ((n,), f64),
+            "c_b": ((n,), f64),
+            "c_r": ((k,), c128),
+            "tau_y": ((n,), f64),
         }
+        coerced = {name: _coerce(getattr(self, name), shape, dtype, name)
+                   for name, (shape, dtype) in layout.items()}
         for name, arr in coerced.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -231,46 +214,67 @@ def recurrent_drive(spec: NetworkSpec, y: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class Trajectory:
-    """Uniformly sampled record of a simulation.
+class SampledRecord:
+    """A run's record on a uniform time grid: ``times[i] = times[0] + i*dt``.
 
-    Sample ``i`` holds the state *at* ``times[i]`` together with the input and
-    feedforward drive evaluated at that instant (the values that advance the
-    state to sample ``i + 1``).  ``readout`` is filled by callers that attach a
-    linear readout; it is not produced by the integrator itself.
+    Every array field holds one row per sample.  The rate, circuit and
+    frequency-bank records share this one rule for turning times into
+    samples: :meth:`sample_index` for a time, :meth:`window` for a span.
     """
 
     dt: float
-    times: np.ndarray       # (T,)
-    x: np.ndarray           # (T, M)
-    z: np.ndarray           # (T, N) complex
-    a: np.ndarray           # (T, N) real, unrectified
-    b: np.ndarray           # (T, N) real, unrectified
-    y: np.ndarray           # (T, N) complex
-    readout: Optional[np.ndarray] = None    # (T, K) complex, optional
+    times: np.ndarray       # (T,) ms
 
     def __post_init__(self) -> None:
         if self.times.ndim != 1 or len(self.times) < 1:
             raise ValueError("times must be a non-empty 1-d array")
-        if len(self.times) > 1:
-            gaps = np.diff(self.times)
-            if not np.allclose(gaps, self.dt, rtol=1e-9, atol=1e-9):
-                raise ValueError("times must be uniformly spaced by dt")
-        for name in ("x", "z", "a", "b", "y"):
-            arr = getattr(self, name)
-            if arr.shape[0] != len(self.times):
-                raise ValueError(f"{name} and times disagree on sample count")
+        if not np.allclose(np.diff(self.times), self.dt, rtol=1e-9, atol=1e-9):
+            raise ValueError("times must be uniformly spaced by dt")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.ndarray) and value.shape[:1] != self.times.shape:
+                raise ValueError(f"{f.name} and times disagree on sample count")
 
     @property
     def n_samples(self) -> int:
         return len(self.times)
 
-    def sample_index(self, t: float) -> int:
-        """Index of the sample closest to time t (must lie on the grid)."""
-        idx = int(round((t - self.times[0]) / self.dt))
-        if idx < 0 or idx >= self.n_samples:
-            raise IndexError(f"time {t} outside trajectory range")
-        return idx
+    def sample_index(self, t):
+        """Index of the sample nearest time ``t``, or an index array for an
+        array of times; IndexError if any falls outside the run."""
+        idx = np.rint((np.asarray(t) - self.times[0]) / self.dt).astype(np.intp)
+        if np.any(idx < 0) or np.any(idx >= self.n_samples):
+            raise IndexError(f"time {t} outside the run")
+        return int(idx) if idx.ndim == 0 else idx
+
+    def window(self, t_lo: float, t_hi: float) -> Optional[slice]:
+        """Samples from ``t_lo`` to ``t_hi`` inclusive, or None when that
+        span is not inside ``[times[0], times[-1]]`` (or is reversed).
+
+        The ends may miss the grid by a relative 1e-9 of the run's steps.
+        """
+        slack = 1e-9 * max(1, self.n_samples - 1) * self.dt
+        if not self.times[0] - slack <= t_lo <= t_hi <= self.times[-1] + slack:
+            return None
+        return slice(self.sample_index(t_lo), self.sample_index(t_hi) + 1)
+
+
+@dataclass
+class Trajectory(SampledRecord):
+    """Record of a rate-model simulation.
+
+    Sample ``i`` holds the state *at* ``times[i]`` together with the input
+    evaluated at that instant (the value that advances the state to sample
+    ``i + 1``).  The feedforward drive is not stored; it is
+    ``x @ w_zx.T + c_z``.  ``readout`` is filled by callers that attach a
+    linear readout; it is not produced by the integrator itself.
+    """
+
+    x: np.ndarray           # (T, M)
+    a: np.ndarray           # (T, N) real, unrectified
+    b: np.ndarray           # (T, N) real, unrectified
+    y: np.ndarray           # (T, N) complex
+    readout: Optional[np.ndarray] = None    # (T, K) complex, optional
 
 
 def predicted_series(spec: NetworkSpec, y_series: np.ndarray) -> np.ndarray:
@@ -312,19 +316,21 @@ def energy(spec: NetworkSpec, traj: Trajectory) -> float:
     """Total trajectory energy.
 
     Each sample contributes a convex mismatch between the response and two
-    targets: the feedforward drive (weighted b+/(1+b+)) and the gain-corrected
-    recurrent prediction (weighted 1/(1+b+)).  The recurrent prediction is
-    treated as data (no dependence on the current sample), so the per-sample
-    curvature in each response coordinate is exactly 1.
+    targets: the feedforward drive z = W_zx x + c_z, derived from ``traj.x``
+    (weighted b+/(1+b+)), and the gain-corrected recurrent prediction
+    (weighted 1/(1+b+)).  The recurrent prediction is treated as data (no
+    dependence on the current sample), so the per-sample curvature in each
+    response coordinate is exactly 1.
     """
-    for name in ("y", "z", "a", "b"):
+    for name in ("y", "x", "a", "b"):
         if not np.all(np.isfinite(getattr(traj, name))):
             raise ValueError(f"trajectory field {name} contains non-finite values")
     a_plus = rectify(traj.a)
     b_plus = rectify(traj.b)
     alpha_plus = mismatch_gain(a_plus, b_plus)
+    z = traj.x @ spec.w_zx.T + spec.c_z
     yhat = predicted_series(spec, traj.y)
-    terms = _energy_terms(traj.y, traj.z, yhat, alpha_plus, b_plus)
+    terms = _energy_terms(traj.y, z, yhat, alpha_plus, b_plus)
     return float(0.5 * traj.dt * terms.sum())
 
 

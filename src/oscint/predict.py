@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import steps_in_span
+from .model import SampledRecord, steps_in_span
 from .weights import diagonal_oscillators
 
 
@@ -145,20 +145,12 @@ def predictive_basis(
 
 
 @dataclass
-class PredictionResult:
+class PredictionResult(SampledRecord):
     """Recorded bank run: channel states plus in-phase/quadrature readouts."""
 
-    dt: float
-    times: np.ndarray
     y: np.ndarray               # (T, n_channels) complex
     readout: np.ndarray         # (T,) sum of Re(y_j)
     quadrature: np.ndarray      # (T,) sum of Im(y_j)
-
-    def sample_index(self, t: float) -> int:
-        idx = int(round((t - self.times[0]) / self.dt))
-        if idx < 0 or idx >= len(self.times):
-            raise IndexError(f"time {t} outside prediction range")
-        return idx
 
 
 def predict_series(

@@ -17,11 +17,18 @@ Preset ids (fig2..fig10) are opaque names kept stable for scripting:
 * ``fig8``  — superposition of two stored oscillatory patterns
 * ``fig9``  — conductance-circuit realization matched to the rate model
 * ``fig10`` — frequency-bank extrapolation of a two-tone signal
+
+A check that reads a time window of a run goes through :func:`_check`: it
+measures inside the window that the run's record looks up
+(:meth:`oscint.model.SampledRecord.window`), or reports the check skipped
+when that window is not inside the run.  ``run_scenario`` rejects an
+override that the preset would ignore.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,7 +36,13 @@ import numpy as np
 from . import batch as batch_mod
 from .circuit import CircuitParams, simulate_circuit, total_conductance
 from .dynamics import simulate
-from .model import NetworkSpec, SimState, Trajectory
+from .model import (
+    NetworkSpec,
+    SampledRecord,
+    SimState,
+    Trajectory,
+    steps_in_span,
+)
 from .predict import ModulatorSchedule, PredictorSpec, predict_series
 from .spectral import (
     STABLE_OSCILLATION,
@@ -106,16 +119,17 @@ def _outcome(name: str, passed: bool, detail: str) -> AssertionOutcome:
     return AssertionOutcome(name=name, passed=bool(passed), detail=detail)
 
 
-def _skip(name: str, why: str) -> AssertionOutcome:
-    return AssertionOutcome(name=name, passed=False, detail=why, skipped=True)
-
-
-def _window(traj, t_lo: float, t_hi: float) -> Optional[slice]:
-    """Sample slice covering [t_lo, t_hi]; None if outside the run."""
-    t0, t1 = traj.times[0], traj.times[-1]
-    if t_lo < t0 - 1e-9 or t_hi > t1 + 1e-9:
-        return None
-    return slice(traj.sample_index(t_lo), traj.sample_index(t_hi) + 1)
+def _check(name: str, record: SampledRecord, t_lo: float, t_hi: float,
+           window_name: str, measure: Callable[[slice], tuple[bool, str]]
+           ) -> AssertionOutcome:
+    """Outcome of ``measure(win) -> (passed, detail)`` over the samples of
+    ``record`` from ``t_lo`` to ``t_hi``; skipped, "<window_name> outside
+    run", when that window is not inside the run."""
+    win = record.window(t_lo, t_hi)
+    if win is None:
+        return AssertionOutcome(name=name, passed=False, skipped=True,
+                                detail=f"{window_name} outside run")
+    return _outcome(name, *measure(win))
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +199,23 @@ def _build_fig2(ov: Overrides) -> ScenarioResult:
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
     traj = simulate(spec, pulse_input(4, pulses), 0.0, t_stop, dt, record_readout=True)
 
-    checks = []
-    win = _window(traj, timing.input_off + 500.0, timing.end_cue_on)
-    if win is None:
-        checks.append(_skip("delay readout matches cue", "delay window outside run"))
-    else:
+    def delay_readout(win):
         err = float(np.abs(traj.readout[win] - _UNIT_TARGET_2D).max())
-        checks.append(_outcome(
-            "delay readout matches cue",
-            err < 1e-3,
-            f"max |readout - target| = {err:.3e} over the delay (tol 1e-3)",
-        ))
-    t_reset = timing.end_cue_on + 20.0 * float(spec.tau_y.max())
-    win = _window(traj, t_reset, min(t_stop, timing.end_cue_off))
-    if win is None:
-        checks.append(_skip("reset clears activity", "reset window outside run"))
-    else:
+        return err < 1e-3, (f"max |readout - target| = {err:.3e} over the "
+                            f"delay (tol 1e-3)")
+
+    def reset(win):
         resid = float(np.abs(traj.y[win]).max())
-        checks.append(_outcome(
-            "reset clears activity",
-            resid < 1e-3,
-            f"max |y| = {resid:.3e} from 20 tau after the end cue (tol 1e-3)",
-        ))
+        return resid < 1e-3, (f"max |y| = {resid:.3e} from 20 tau after the "
+                              f"end cue (tol 1e-3)")
+
+    t_reset = timing.end_cue_on + 20.0 * float(spec.tau_y.max())
+    checks = [
+        _check("delay readout matches cue", traj, timing.input_off + 500.0,
+               timing.end_cue_on, "delay window", delay_readout),
+        _check("reset clears activity", traj, t_reset,
+               min(t_stop, timing.end_cue_off), "reset window", reset),
+    ]
 
     return ScenarioResult(
         name="fig2",
@@ -228,13 +237,10 @@ def _build_fig3(ov: Overrides) -> ScenarioResult:
     timing = _MemoryTiming()
     t_stop = ov.duration if ov.duration is not None else timing.t_stop
 
-    reference = _build_fig2(Overrides(dt=dt, duration=t_stop))
+    reference = _build_fig2(Overrides(dt=dt, duration=t_stop,
+                                      tau_scale=ov.tau_scale))
     spec = reference.extras["spec"]
-    pulses = reference.extras["pulses"]
-    input_fn = pulse_input(4, pulses)
-    n_samples = int(round(t_stop / dt)) + 1
-    times = dt * np.arange(n_samples)
-    x_series = np.array([input_fn(t) for t in times])
+    ref_traj = reference.trajectory
 
     # The incremental trial holds a = b during encoding, i.e. zero recurrent
     # excess; pin the excess gain at zero rather than recycling the a-weights.
@@ -245,7 +251,7 @@ def _build_fig3(ov: Overrides) -> ScenarioResult:
     n, m = spec.n_neurons, spec.n_inputs
     prob = batch_mod.BatchProblem(
         spec=spec,
-        x_series=x_series,
+        x_series=ref_traj.x,
         dt=dt,
         rate=0.8,
         max_iters=8000,
@@ -258,40 +264,32 @@ def _build_fig3(ov: Overrides) -> ScenarioResult:
     traj = batch_mod.trajectory_from_result(prob, result)
     traj.readout = traj.y @ spec.w_ry.T + spec.c_r
 
-    checks = []
-    checks.append(_outcome(
-        "energy descent converged",
-        result.converged,
-        f"{result.iterations} sweeps, final energy {result.energy_history[-1]:.6g}",
-    ))
     hist = result.energy_history
     n_rises = int((np.diff(hist) > 0).sum())
-    checks.append(_outcome(
-        "energy history never rises",
-        n_rises == 0,
-        f"{n_rises} rising sweeps out of {len(hist) - 1}",
-    ))
-    win = _window(traj, 2000.0, 2500.0)
-    ref_traj = reference.trajectory
-    if win is None:
-        checks.append(_skip("batch matches incremental delay activity",
-                            "comparison window outside run"))
-    else:
-        ref_win = _window(ref_traj, 2000.0, 2500.0)
-        err = float(np.abs(traj.y[win] - ref_traj.y[ref_win]).max())
-        checks.append(_outcome(
-            "batch matches incremental delay activity",
-            err < 1e-4,
-            f"max |batch - incremental| = {err:.3e} during the delay (tol 1e-4)",
-        ))
     fwd = batch_mod.forward_pass(prob, result.y_series)
-    b_on = float(fwd.b[traj.sample_index(250.0)].min())
-    b_off = float(np.abs(fwd.b[traj.sample_index(2000.0)]).max())
-    checks.append(_outcome(
-        "gain series locked to the cue",
-        b_on > 0.9 and b_off < 1e-3,
-        f"b = {b_on:.3f} mid-cue, {b_off:.1e} mid-delay",
-    ))
+
+    def matches_incremental(win):
+        # Both records sample the same grid: dt apart from t = 0.
+        err = float(np.abs(traj.y[win] - ref_traj.y[win]).max())
+        return err < 1e-4, (f"max |batch - incremental| = {err:.3e} during "
+                            f"the delay (tol 1e-4)")
+
+    def gain_locked(win):
+        b_on = float(fwd.b[win.start].min())
+        b_off = float(np.abs(fwd.b[win.stop - 1]).max())
+        return (b_on > 0.9 and b_off < 1e-3,
+                f"b = {b_on:.3f} mid-cue, {b_off:.1e} mid-delay")
+
+    checks = [
+        _outcome("energy descent converged", result.converged,
+                 f"{result.iterations} sweeps, final energy {hist[-1]:.6g}"),
+        _outcome("energy history never rises", n_rises == 0,
+                 f"{n_rises} rising sweeps out of {len(hist) - 1}"),
+        _check("batch matches incremental delay activity", traj, 2000.0,
+               2500.0, "comparison window", matches_incremental),
+        _check("gain series locked to the cue", traj, 250.0, 2000.0,
+               "cue-to-delay window", gain_locked),
+    ]
 
     return ScenarioResult(
         name="fig3",
@@ -322,7 +320,7 @@ class Movement:
 def _movement_gain(tau_y: float, tau_b: float, dt: float, duration: float) -> float:
     """Integrated update gain sum_k (dt/tau_y) b_k/(1+b_k) over a gate window,
     with the gain advancing by its own recursion from zero."""
-    steps = int(round(duration / dt))
+    steps = steps_in_span(duration, dt)
     b = 0.0
     total = 0.0
     for _ in range(steps):
@@ -377,7 +375,6 @@ def double_step_loop(
         dt=dt,
         times=cat(lambda p: p.times),
         x=cat(lambda p: p.x),
-        z=cat(lambda p: p.z),
         a=cat(lambda p: p.a),
         b=cat(lambda p: p.b),
         y=cat(lambda p: p.y),
@@ -454,20 +451,18 @@ def _build_fig4(ov: Overrides) -> ScenarioResult:
         "after first movement": (2050.0, np.array([0.0, 0.0]), np.array([0.0, -1.0])),
         "after second movement": (2750.0, np.array([0.0, 1.0]), np.array([0.0, 0.0])),
     }
-    checks = []
-    for label, (t, exp1, exp2) in snapshots.items():
-        if t > traj.times[-1]:
-            checks.append(_skip(f"map positions {label}", "snapshot outside run"))
-            continue
-        got = traj.readout[traj.sample_index(t)].real
+
+    def positions(win, exp1, exp2):
+        got = traj.readout[win.start].real
         err = float(max(np.abs(got[:2] - exp1).max(), np.abs(got[2:] - exp2).max()))
-        checks.append(_outcome(
-            f"map positions {label}",
-            err < 5e-2,
+        return err < 5e-2, (
             f"readout ({got[0]:+.3f},{got[1]:+.3f} | {got[2]:+.3f},{got[3]:+.3f}) "
             f"vs expected ({exp1[0]:+g},{exp1[1]:+g} | {exp2[0]:+g},{exp2[1]:+g}), "
-            f"max err {err:.2e} (tol 5e-2)",
-        ))
+            f"max err {err:.2e} (tol 5e-2)")
+
+    checks = [_check(f"map positions {label}", traj, t, t, "snapshot",
+                     partial(positions, exp1=exp1, exp2=exp2))
+              for label, (t, exp1, exp2) in snapshots.items()]
 
     return ScenarioResult(
         name="fig4",
@@ -504,39 +499,36 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
     traj = simulate(spec, pulse_input(4, pulses), 0.0, t_stop, dt, record_readout=True)
 
     expected_hz = 1000.0 / (n * 10.0)   # one lap of the ring per n tau
-    checks = []
-    win = _window(traj, 1500.0, timing.end_cue_on)
-    mag = None
-    if win is None:
-        checks.append(_skip("stored magnitudes constant", "delay window outside run"))
-        checks.append(_skip("stored magnitudes match cue", "delay window outside run"))
-    else:
-        mag = np.abs(traj.y[win] @ encoder.conj())
+
+    def held(win):
+        return np.abs(traj.y[win] @ encoder.conj())
+
+    def constant(win):
+        mag = held(win)
         drift = float(np.abs(mag - mag[0]).max())
-        checks.append(_outcome(
-            "stored magnitudes constant",
-            drift < 1e-3,
-            f"max drift {drift:.3e} over the late delay (tol 1e-3)",
-        ))
-        value_err = float(np.abs(mag[0] - np.abs(_UNIT_TARGET_2D)).max())
-        checks.append(_outcome(
-            "stored magnitudes match cue",
-            value_err < 5e-3,
-            f"|readout| vs |target| differs by {value_err:.3e} (tol 5e-3)",
-        ))
-    win = _window(traj, timing.input_off, timing.end_cue_on)
-    if win is None:
-        checks.append(_skip("single-unit oscillation near 1 Hz",
-                            "delay window outside run"))
-    else:
+        return drift < 1e-3, f"max drift {drift:.3e} over the late delay (tol 1e-3)"
+
+    def matches_cue(win):
+        value_err = float(np.abs(held(win)[0] - np.abs(_UNIT_TARGET_2D)).max())
+        return value_err < 5e-3, (f"|readout| vs |target| differs by "
+                                  f"{value_err:.3e} (tol 5e-3)")
+
+    def oscillates(win):
         bin_hz = 1000.0 / ((win.stop - win.start) * dt)
         peak = dominant_frequency(traj.y[win, 0].real, dt)
-        checks.append(_outcome(
-            "single-unit oscillation near 1 Hz",
-            abs(peak - expected_hz) <= max(0.5, bin_hz),
+        return abs(peak - expected_hz) <= max(0.5, bin_hz), (
             f"spectral peak {peak:.3f} Hz vs {expected_hz:.3f} Hz "
-            f"(bin {bin_hz:.3f} Hz)",
-        ))
+            f"(bin {bin_hz:.3f} Hz)")
+
+    late_delay = (1500.0, timing.end_cue_on)
+    checks = [
+        _check("stored magnitudes constant", traj, *late_delay,
+               "delay window", constant),
+        _check("stored magnitudes match cue", traj, *late_delay,
+               "delay window", matches_cue),
+        _check("single-unit oscillation near 1 Hz", traj, timing.input_off,
+               timing.end_cue_on, "delay window", oscillates),
+    ]
 
     return ScenarioResult(
         name="fig5",
@@ -546,7 +538,7 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
         trajectory=traj,
         assertions=checks,
         extras={"spec": spec, "encoder": encoder, "timing": timing,
-                "expected_hz": expected_hz, "magnitudes": mag},
+                "expected_hz": expected_hz},
     )
 
 
@@ -580,22 +572,16 @@ def _build_fig6(ov: Overrides) -> ScenarioResult:
     traj = simulate(spec, pulse_input(12, pulses), 0.0, t_stop, dt,
                     record_readout=True)
 
-    checks = []
+    def constant(win):
+        mag = np.abs(traj.y[win] @ encoder.conj())
+        drift = float(np.abs(mag - mag[0]).max())
+        return drift < 1e-2, f"max drift {drift:.3e} over 2 s of delay (tol 1e-2)"
+
     # Reference taken after the gains have fully shut off (20 tau_a past the
     # start cue); the stored magnitudes must stay put for the next 2 s.
     t_ref = 1200.0
-    win = _window(traj, t_ref, t_ref + 2000.0)
-    mag = None
-    if win is None:
-        checks.append(_skip("10-d magnitudes constant", "delay window outside run"))
-    else:
-        mag = np.abs(traj.y[win] @ encoder.conj())
-        drift = float(np.abs(mag - mag[0]).max())
-        checks.append(_outcome(
-            "10-d magnitudes constant",
-            drift < 1e-2,
-            f"max drift {drift:.3e} over 2 s of delay (tol 1e-2)",
-        ))
+    checks = [_check("10-d magnitudes constant", traj, t_ref, t_ref + 2000.0,
+                     "delay window", constant)]
     report = analyze(w, 10.0)
     checks.append(_outcome(
         "10 sustained dimensions",
@@ -611,7 +597,7 @@ def _build_fig6(ov: Overrides) -> ScenarioResult:
         trajectory=traj,
         assertions=checks,
         extras={"spec": spec, "encoder": encoder, "target": target,
-                "request": req, "magnitudes": mag, "report": report},
+                "request": req, "report": report},
     )
 
 
@@ -650,36 +636,28 @@ def _build_fig7(ov: Overrides) -> ScenarioResult:
                     record_readout=True)
     report = analyze(w, tau_vec)
 
-    checks = []
+    def oscillates(win):
+        bin_hz = 1000.0 / ((win.stop - win.start) * dt)
+        peak = dominant_frequency(traj.y[win, 0].real, dt)
+        return abs(peak - predicted) <= 0.5, (
+            f"spectral peak {peak:.3f} Hz vs predicted {predicted:.3f} Hz "
+            f"(bin {bin_hz:.3f} Hz, tol 0.5 Hz)")
+
+    def decays(win):
+        sig = np.abs(traj.y[win, 0])
+        peaks = [float(sig[i]) for i in range(1, len(sig) - 1)
+                 if sig[i] > sig[i - 1] and sig[i] >= sig[i + 1]]
+        decreasing = all(b < a for a, b in zip(peaks, peaks[1:]))
+        return len(peaks) >= 3 and decreasing, (
+            f"{len(peaks)} envelope peaks, strictly decreasing: {decreasing}")
+
     if report.stability == STABLE_OSCILLATION and report.frequencies_hz.size:
         predicted = float(report.frequencies_hz[0])
-        win = _window(traj, 1000.0, 3000.0)
-        if win is None:
-            checks.append(_skip("delay oscillation at predicted frequency",
-                                "delay window outside run"))
-        else:
-            bin_hz = 1000.0 / ((win.stop - win.start) * dt)
-            peak = dominant_frequency(traj.y[win, 0].real, dt)
-            checks.append(_outcome(
-                "delay oscillation at predicted frequency",
-                abs(peak - predicted) <= 0.5,
-                f"spectral peak {peak:.3f} Hz vs predicted {predicted:.3f} Hz "
-                f"(bin {bin_hz:.3f} Hz, tol 0.5 Hz)",
-            ))
+        checks = [_check("delay oscillation at predicted frequency", traj,
+                         1000.0, 3000.0, "delay window", oscillates)]
     else:
-        win = _window(traj, 600.0, 1400.0)
-        if win is None:
-            checks.append(_skip("delay activity decays", "window outside run"))
-        else:
-            sig = np.abs(traj.y[win, 0])
-            peaks = [float(sig[i]) for i in range(1, len(sig) - 1)
-                     if sig[i] > sig[i - 1] and sig[i] >= sig[i + 1]]
-            decreasing = all(b < a for a, b in zip(peaks, peaks[1:]))
-            checks.append(_outcome(
-                "delay activity decays",
-                len(peaks) >= 3 and decreasing,
-                f"{len(peaks)} envelope peaks, strictly decreasing: {decreasing}",
-            ))
+        checks = [_check("delay activity decays", traj, 600.0, 1400.0,
+                         "window", decays)]
     checks.append(_outcome(
         "stability class matches time constants",
         report.stability in (STABLE_OSCILLATION, "decaying"),
@@ -829,59 +807,42 @@ def _build_fig9(ov: Overrides) -> ScenarioResult:
     circ_traj = simulate_circuit(circuit_spec, params, input_fn, 0.0, t_stop,
                                  dt_circuit, record_stride=stride)
 
-    # Resample both onto a 1 ms grid for comparison.
-    rate_stride = int(round(1.0 / dt_rate))
-    rate_ms = rate_traj.y[::rate_stride].real
-    circ_ms = circ_traj.y_net
-    n_ms = min(len(rate_ms), len(circ_ms))
+    def rate_gap(win, scale=1.0):
+        # The rate run's samples at the circuit's recorded times.
+        rate_y = rate_traj.y[rate_traj.sample_index(circ_traj.times[win])].real
+        return float(np.abs(circ_traj.y_net[win] / scale - rate_y).max())
 
-    def compare(t_lo: float, t_hi: float, scale: float = 1.0) -> Optional[float]:
-        lo, hi = int(round(t_lo)), min(int(round(t_hi)), n_ms - 1)
-        if lo > hi:
-            return None
-        diff = circ_ms[lo:hi + 1] / scale - rate_ms[lo:hi + 1]
-        return float(np.abs(diff).max())
+    def delay(win):
+        err = rate_gap(win)
+        return err < 1e-3, (f"max |y_net - y| = {err:.3e} during the delay "
+                            f"(tol 1e-3)")
 
-    checks = []
-    delay_err = compare(t_settle, timing.end_cue_on)
-    if delay_err is None:
-        checks.append(_skip("circuit matches rate model through the delay",
-                            "delay window outside run"))
-    else:
-        checks.append(_outcome(
-            "circuit matches rate model through the delay",
-            delay_err < 1e-3,
-            f"max |y_net - y| = {delay_err:.3e} during the delay (tol 1e-3)",
-        ))
-    input_err = compare(timing.cue_off - 20.0, timing.cue_off - 1.0,
-                        scale=plateau_ratio)
-    if input_err is None:
-        checks.append(_skip("encoding plateau sits at the predicted level",
-                            "encoding window outside run"))
-    else:
-        checks.append(_outcome(
-            "encoding plateau sits at the predicted level",
-            input_err < 5e-3,
-            f"max |y_net/{plateau_ratio:.4f} - y| = {input_err:.3e} "
-            f"late in the cue period (tol 5e-3)",
-        ))
-    i_gain = min(int(round(200.0)), n_ms - 1)
-    gain_level = float(circ_traj.a[i_gain, 0])
-    checks.append(_outcome(
-        "gain units saturate at the conductance ratio",
-        abs(gain_level - h) < 1e-3,
-        f"thalamic a = {gain_level:.5f} under a unit cue (expected {h:g})",
-    ))
-    t_reset = timing.end_cue_on + 200.0
-    if t_reset <= circ_traj.times[-1]:
-        resid = float(np.abs(circ_ms[int(round(t_reset)):]).max())
-        checks.append(_outcome(
-            "circuit resets",
-            resid < 1e-3,
-            f"max |y_net| = {resid:.3e} from 20 tau after the end cue (tol 1e-3)",
-        ))
-    else:
-        checks.append(_skip("circuit resets", "reset window outside run"))
+    def plateau(win):
+        err = rate_gap(win, scale=plateau_ratio)
+        return err < 5e-3, (f"max |y_net/{plateau_ratio:.4f} - y| = {err:.3e} "
+                            f"late in the cue period (tol 5e-3)")
+
+    def gain(win):
+        level = float(circ_traj.a[win.start, 0])
+        return abs(level - h) < 1e-3, (f"thalamic a = {level:.5f} under a unit "
+                                       f"cue (expected {h:g})")
+
+    def reset(win):
+        resid = float(np.abs(circ_traj.y_net[win]).max())
+        return resid < 1e-3, (f"max |y_net| = {resid:.3e} from 20 tau after "
+                              f"the end cue (tol 1e-3)")
+
+    checks = [
+        _check("circuit matches rate model through the delay", circ_traj,
+               t_settle, timing.end_cue_on, "delay window", delay),
+        _check("encoding plateau sits at the predicted level", circ_traj,
+               timing.cue_off - 20.0, timing.cue_off - 1.0, "encoding window",
+               plateau),
+        _check("gain units saturate at the conductance ratio", circ_traj,
+               200.0, 200.0, "gain sample", gain),
+        _check("circuit resets", circ_traj, timing.end_cue_on + 200.0,
+               circ_traj.times[-1], "reset window", reset),
+    ]
 
     return ScenarioResult(
         name="fig9",
@@ -915,57 +876,46 @@ def _build_fig10(ov: Overrides) -> ScenarioResult:
         (0.0, 0.0, 0.0),
         (min(reset_at, horizon), 1.0, 0.0),
     ))
-    n_past = int(round(3000.0 / dt))
+    n_past = steps_in_span(3000.0, dt)
     t_past = -3000.0 + dt * np.arange(n_past)
     x_past = (np.sin(2.0 * np.pi * 0.002 * t_past)
               + np.sin(2.0 * np.pi * 0.008 * t_past))
     result = predict_series(pspec, x_past, schedule, horizon, dt)
 
-    checks = []
-    i0 = result.sample_index(0.0)
-    win_end = min(1000.0, horizon)
-    i1 = result.sample_index(win_end)
-    seg = result.readout[i0 + 1 : i1 + 1]
-    spectrum = np.abs(np.fft.rfft(seg - seg.mean()))
-    spectrum[0] = 0.0
-    freqs = np.fft.rfftfreq(len(seg), d=dt / 1000.0)
-    top2 = freqs[np.argsort(spectrum)[-2:]]
-    bin_hz = freqs[1]
-    ok = (min(abs(top2 - 2.0)) <= bin_hz) and (min(abs(top2 - 8.0)) <= bin_hz)
-    checks.append(_outcome(
-        "continuation carries both tones",
-        bool(ok),
-        f"top spectral peaks at {sorted(round(float(f), 3) for f in top2)} Hz "
-        f"(expected 2 and 8, bin {bin_hz:.3f} Hz)",
-    ))
+    def carries_tones(win):
+        seg = result.readout[win][1:]       # the samples after t = 0
+        spectrum = np.abs(np.fft.rfft(seg - seg.mean()))
+        spectrum[0] = 0.0
+        freqs = np.fft.rfftfreq(len(seg), d=dt / 1000.0)
+        top2 = freqs[np.argsort(spectrum)[-2:]]
+        bin_hz = freqs[1]
+        ok = (min(abs(top2 - 2.0)) <= bin_hz) and (min(abs(top2 - 8.0)) <= bin_hz)
+        return bool(ok), (
+            f"top spectral peaks at {sorted(round(float(f), 3) for f in top2)} Hz "
+            f"(expected 2 and 8, bin {bin_hz:.3f} Hz)")
 
-    if reset_at <= horizon:
-        i2 = result.sample_index(reset_at)
-        mags = np.abs(result.y[i0:i2 + 1])
+    def conserves(win):
+        mags = np.abs(result.y[win])
         dev = float(np.abs(mags - mags[0]).max())
         rate_per_s = dev / ((reset_at - 0.0) / 1000.0)
-        checks.append(_outcome(
-            "free-run conserves channel magnitudes",
-            rate_per_s <= 1e-4,
+        return rate_per_s <= 1e-4, (
             f"max magnitude drift {dev:.3e} over {reset_at/1000:.1f} s "
-            f"({rate_per_s:.2e}/s, tol 1e-4/s)",
-        ))
-        t_reset_done = reset_at + 20.0 * pspec.tau_y
-        if t_reset_done <= horizon:
-            i3 = result.sample_index(t_reset_done)
-            resid = float(np.abs(result.y[i3:]).max())
-            checks.append(_outcome(
-                "raised gain damps every channel",
-                resid < 1e-3,
-                f"max |y| = {resid:.3e} from 20 tau after the gain step "
-                f"(tol 1e-3)",
-            ))
-        else:
-            checks.append(_skip("raised gain damps every channel",
-                                "reset window outside run"))
-    else:
-        checks.append(_skip("free-run conserves channel magnitudes",
-                            "free-run window outside run"))
+            f"({rate_per_s:.2e}/s, tol 1e-4/s)")
+
+    def damps(win):
+        resid = float(np.abs(result.y[win]).max())
+        return resid < 1e-3, (f"max |y| = {resid:.3e} from 20 tau after the "
+                              f"gain step (tol 1e-3)")
+
+    checks = [
+        _check("continuation carries both tones", result, 0.0,
+               min(1000.0, horizon), "continuation window", carries_tones),
+        _check("free-run conserves channel magnitudes", result, 0.0, reset_at,
+               "free-run window", conserves),
+        _check("raised gain damps every channel", result,
+               reset_at + 20.0 * pspec.tau_y, result.times[-1],
+               "reset window", damps),
+    ]
 
     return ScenarioResult(
         name="fig10",
@@ -996,17 +946,34 @@ _BUILDERS: dict[str, Callable[[Overrides], ScenarioResult]] = {
 
 SCENARIO_NAMES = tuple(_BUILDERS)
 
+# The overrides each preset honours.  ``seed`` is accepted everywhere, as
+# ``oscint sweep`` passes it to every preset; only fig7 takes ``tau_y``, and
+# fig9 and fig10 keep their time constants fixed.
+_COMMON = frozenset({"dt", "duration", "seed", "tau_scale"})
+_HONOURED = {name: _COMMON for name in _BUILDERS} | {
+    "fig7": _COMMON | {"tau_y"},
+    "fig9": _COMMON - {"tau_scale"},
+    "fig10": _COMMON - {"tau_scale"},
+}
+
 
 def run_scenario(name: str, **overrides) -> ScenarioResult:
     """Execute a preset and return its trajectory plus assertion outcomes.
 
     ``overrides`` accepts dt, duration, seed, tau_scale and (fig7) tau_y.
-    Check failures are reported in the result, never raised; an unknown
-    scenario name raises ValueError.
+    Check failures are reported in the result, never raised.  An unknown
+    scenario name, or an override the preset would ignore (tau_scale on
+    fig9 and fig10, tau_y anywhere but fig7), raises ValueError; an unknown
+    override raises TypeError.
     """
     if name not in _BUILDERS:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
     ov = Overrides(**overrides)
+    ignored = sorted(key for key, value in overrides.items()
+                     if value is not None and key not in _HONOURED[name])
+    if ignored:
+        raise ValueError(f"{name} does not use the override(s) "
+                         f"{', '.join(ignored)}")
     return _BUILDERS[name](ov)

@@ -122,6 +122,38 @@ def test_sweep_runs_selected_scenarios(tmp_path, capsys):
     assert (tmp_path / "fig4_trajectory.csv").exists()
 
 
+def test_run_reset_window_past_the_run_is_skipped(tmp_path, capsys):
+    # At twice the time constants fig2's reset window starts after its run
+    # ends: the check is reported skipped, not a traceback.
+    code = cli.main(["--out", str(tmp_path), "run", "--scenario", "fig2",
+                     "--tau-scale", "2", "--no-plot"])
+    out = capsys.readouterr().out
+    assert "[SKIP] reset clears activity: reset window outside run" in out
+    assert code == 0
+
+
+def test_sweep_tau_scale_prints_one_line_per_preset(tmp_path, capsys):
+    cli.main(["--out", str(tmp_path), "sweep", "--scenarios", "fig2,fig4",
+              "--tau-scale", "2", "--no-plot"])
+    lines = capsys.readouterr().out.strip().splitlines()
+    heads = [line.split(":")[0].split() for line in lines]
+    assert [name for _, name in heads] == ["fig2", "fig4"]
+    assert all(status in ("PASS", "FAIL") for status, _ in heads)
+
+
+def test_ignored_override_exits_2_in_run_and_fails_in_sweep(tmp_path, capsys):
+    code = cli.main(["--out", str(tmp_path), "run", "--scenario", "fig9",
+                     "--tau-scale", "2"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: fig9 does not use the override(s) tau_scale\n")
+    code = cli.main(["--out", str(tmp_path), "sweep", "--scenarios", "fig10",
+                     "--tau-scale", "2"])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        "FAIL fig10: fig10 does not use the override(s) tau_scale\n")
+
+
 def test_sweep_unknown_scenario_exits_2(tmp_path, capsys):
     code = cli.main(["--out", str(tmp_path), "sweep", "--scenarios", "bogus"])
     assert code == 2

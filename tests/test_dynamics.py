@@ -181,20 +181,22 @@ def test_gains_reading_y_take_the_step_loop_exactly():
 @pytest.mark.parametrize("w_ay", [0.0, 0.3])
 def test_complex_input_after_real_is_recorded_whole(w_ay):
     # Both paths (w_ay = 0: blocks; w_ay != 0: steps) promote the input
-    # record to complex at the first complex sample, so the recorded x
-    # reproduces the recorded drive z.
+    # record to complex at the first complex sample, so replaying the
+    # recorded x through step() reproduces the recorded y.
     rng = np.random.default_rng(5)
     n, m, dt, t_start = 4, 2, 0.5, 3.0
     spec = _gated_spec(rng, n, m, w_ay=w_ay * rng.standard_normal((n, n)))
     input_fn = _random_input(rng, m, "complex after real", t_start)
+    init = _random_init(rng, n, t_start)
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
         traj = simulate(spec, input_fn, t_start, t_start + (_BLOCK + 3) * dt,
-                        dt=dt, init=_random_init(rng, n, t_start))
+                        dt=dt, init=init)
     assert traj.x.dtype == np.complex128
     assert np.abs(traj.x[1:].imag).min() > 0.0
-    z = traj.x @ spec.w_zx.T + spec.c_z
-    assert np.abs(traj.z - z).max() <= 1e-12 * max(1.0, float(np.abs(z).max()))
+    y, _, _ = _step_loop(spec, lambda t: traj.x[traj.sample_index(t)],
+                         t_start, traj.n_samples - 1, dt, init)
+    assert np.abs(traj.y - y).max() <= 1e-12 * max(1.0, float(np.abs(y).max()))
 
 
 def test_simulate_rejects_wrong_shaped_input():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oscint.circuit import CircuitTrajectory
 from oscint.config import load_spec, save_spec, spec_from_dict, spec_to_dict
 from oscint.model import (
     NetworkSpec,
@@ -19,6 +20,7 @@ from oscint.model import (
     recurrent_drive,
     steps_in_span,
 )
+from oscint.predict import PredictionResult
 
 
 def test_rectify_scalar_and_array():
@@ -64,12 +66,12 @@ def test_predicted_series_first_sample_self_referential():
     assert np.allclose(yhat.ravel(), [3.0, 3.0], atol=1e-15)
 
 
-def _single_sample_traj(y_val, z_val, a_val, b_val):
+def _single_sample_traj(y_val, x_val, a_val, b_val):
+    # Every energy test below uses w_zx = 1, so the drive z equals x_val.
     return Trajectory(
         dt=1.0,
         times=np.array([0.0]),
-        x=np.array([[0.0]]),
-        z=np.array([[z_val]]),
+        x=np.array([[x_val]]),
         a=np.array([[a_val]]),
         b=np.array([[b_val]]),
         y=np.array([[y_val]], dtype=np.complex128),
@@ -111,7 +113,6 @@ def test_energy_phase_invariant_without_offsets():
         dt=0.5,
         times=0.5 * np.arange(5),
         x=np.zeros((5, 1)),
-        z=np.zeros((5, 3)),
         a=np.full((5, 3), 0.7),
         b=np.full((5, 3), 0.2),
         y=y,
@@ -120,7 +121,6 @@ def test_energy_phase_invariant_without_offsets():
         dt=0.5,
         times=0.5 * np.arange(5),
         x=np.zeros((5, 1)),
-        z=np.zeros((5, 3)),
         a=np.full((5, 3), 0.7),
         b=np.full((5, 3), 0.2),
         y=y * np.exp(1j * 1.234),
@@ -133,12 +133,12 @@ def test_energy_nonnegative_random_sweep():
     for _ in range(25):
         n = int(rng.integers(1, 5))
         t = int(rng.integers(1, 7))
-        spec = NetworkSpec.build(n, 2, w_yy=rng.standard_normal((n, n)))
+        spec = NetworkSpec.build(n, 2, w_yy=rng.standard_normal((n, n)),
+                                 w_zx=rng.standard_normal((n, 2)))
         traj = Trajectory(
             dt=1.0,
             times=np.arange(t, dtype=float),
             x=rng.standard_normal((t, 2)),
-            z=rng.standard_normal((t, n)),
             a=rectify(rng.standard_normal((t, n))),
             b=rectify(rng.standard_normal((t, n))),
             y=rng.standard_normal((t, n)) + 1j * rng.standard_normal((t, n)),
@@ -185,7 +185,6 @@ def test_trajectory_requires_uniform_times():
             dt=1.0,
             times=np.array([0.0, 1.0, 3.0]),
             x=np.zeros((3, 1)),
-            z=np.zeros((3, 1)),
             a=np.zeros((3, 1)),
             b=np.zeros((3, 1)),
             y=np.zeros((3, 1), dtype=np.complex128),
@@ -197,7 +196,6 @@ def test_trajectory_sample_index():
         dt=0.5,
         times=0.5 * np.arange(9),
         x=np.zeros((9, 1)),
-        z=np.zeros((9, 1)),
         a=np.zeros((9, 1)),
         b=np.zeros((9, 1)),
         y=np.zeros((9, 1), dtype=np.complex128),
@@ -205,6 +203,55 @@ def test_trajectory_sample_index():
     assert traj.sample_index(0.0) == 0
     assert traj.sample_index(2.0) == 4
     assert traj.n_samples == 9
+
+
+def _records(n=9, dt=0.5, t0=-1.0):
+    """One record of each kind on the grid -1.0, -0.5, ..., 3.0."""
+    times = t0 + dt * np.arange(n)
+    return [
+        Trajectory(dt=dt, times=times, x=np.zeros((n, 1)), a=np.zeros((n, 2)),
+                   b=np.zeros((n, 2)), y=np.zeros((n, 2), dtype=np.complex128)),
+        CircuitTrajectory(dt=dt, times=times, v=np.zeros((n, 2, 2)),
+                          va=np.zeros((n, 2, 2)), vb=np.zeros((n, 2, 2)),
+                          a=np.zeros((n, 2)), b=np.zeros((n, 2))),
+        PredictionResult(dt=dt, times=times,
+                         y=np.zeros((n, 3), dtype=np.complex128),
+                         readout=np.zeros(n), quadrature=np.zeros(n)),
+    ]
+
+
+_RECORD_IDS = ["rate", "circuit", "prediction"]
+
+
+@pytest.mark.parametrize("record", _records(), ids=_RECORD_IDS)
+def test_record_time_grid(record):
+    assert record.n_samples == 9
+    assert record.sample_index(0.0) == 2
+    assert np.array_equal(record.sample_index(np.array([-1.0, 3.0])), [0, 8])
+    with pytest.raises(IndexError):
+        record.sample_index(3.5)
+    assert record.window(-1.0, 3.0) == slice(0, 9)
+    assert record.window(0.0, 1.0) == slice(2, 5)
+    assert record.window(1.0, 1.0) == slice(4, 5)
+    # Ends that miss the grid by rounding still count as inside.
+    assert record.window(-1.0 - 1e-12, 3.0 + 1e-12) == slice(0, 9)
+
+
+@pytest.mark.parametrize("record", _records(), ids=_RECORD_IDS)
+@pytest.mark.parametrize("span", [(2.0, 3.5), (3.5, 4.0), (-1.5, 0.0),
+                                  (2.0, 1.0), (3.5, 3.0)],
+                         ids=["past end", "after end", "before start",
+                              "reversed", "starts after end"])
+def test_record_window_outside_the_run(record, span):
+    assert record.window(*span) is None
+
+
+@pytest.mark.parametrize("kind, name", [(0, "y"), (1, "v"), (2, "readout")],
+                         ids=_RECORD_IDS)
+def test_record_rejects_short_field(kind, name):
+    record = _records()[kind]
+    with pytest.raises(ValueError, match="disagree on sample count"):
+        dataclasses.replace(record, **{name: getattr(record, name)[:-1]})
 
 
 def test_config_round_trip_is_exact(tmp_path):

@@ -85,3 +85,22 @@ def test_fig10_continuation_passes():
     result = run_scenario("fig10")
     _assert_checks_pass(result)
     assert result.kind == "prediction"
+
+
+@pytest.mark.parametrize("name, override", [
+    ("fig9", "tau_scale"),
+    ("fig10", "tau_scale"),
+    *[(name, "tau_y") for name in SCENARIO_NAMES if name != "fig7"],
+])
+def test_ignored_override_raises(name, override):
+    # Rejected before anything runs: these presets would silently ignore it.
+    value = 2.0 if override == "tau_scale" else (10.0, 12.5)
+    with pytest.raises(ValueError, match=f"{name} does not use .*{override}"):
+        run_scenario(name, **{override: value})
+
+
+def test_fig3_passes_tau_scale_to_its_reference():
+    result = run_scenario("fig3", duration=300.0, tau_scale=2.0)
+    assert np.all(result.extras["spec"].tau_y == 20.0)
+    assert np.array_equal(result.extras["problem"].x_series,
+                          result.extras["incremental"].x)
