@@ -30,6 +30,16 @@ Wiring per cell (ON side; OFF side negates every signed source):
 Dendritic potentials relax instantaneously in the model's derivation; here
 they are integrated explicitly with a small time step.  Only real-valued
 networks can be realized (rates are real).
+
+:func:`simulate_circuit` takes one of two paths through the same Euler
+steps.  When the gains do not read the response (``w_ay = w_by = 0``, true
+of fig9 and its calibration probe) the gain units hear only the input, so
+the run goes in blocks of ``_BLOCK`` steps: each block's inputs are
+evaluated, z and both populations' g_e - g_i and g_e + g_i are one matmul
+each, the gain units advance over the block, and a loop advances only the
+(3, 2N) compartment stack [v; va; vb], one W_yy matvec per step.  Specs
+whose gains read y take one :func:`thalamic_step` and one :func:`pfc_step`
+per step; that loop is also the reference the block path is tested against.
 """
 
 from __future__ import annotations
@@ -221,6 +231,11 @@ class CircuitTrajectory(SampledRecord):
 
 _STATE_FIELDS = ("v", "va", "vb", "a", "b")
 
+# Steps per block of the input-gated path, as in :mod:`oscint.dynamics`: the
+# per-block matmuls cost little per step and the block's buffers stay small
+# (a few (512, 6N) arrays).
+_BLOCK = 512
+
 
 def simulate_circuit(
     spec: NetworkSpec,
@@ -237,9 +252,19 @@ def simulate_circuit(
     Gain units and compartment cells advance synchronously from the same
     pre-step state.  The compartment coupling is stiff (axial conductances up
     to 1/R_b per unit capacitance), hence the small default step.
+
+    When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
+    ``_BLOCK`` steps (see the module docstring); otherwise it takes one
+    :func:`thalamic_step` and one :func:`pfc_step` per step.  The two paths
+    agree to rounding.  Complex ``w_zx`` or ``w_yy`` raise ValueError before
+    any step.  A non-finite state raises :class:`DivergenceError`: the block
+    path names the time of the first non-finite sample, the step loop checks
+    every 256th step and then the record.
     """
     if dt <= 0 or record_stride < 1:
         raise ValueError("dt must be positive and record_stride >= 1")
+    if np.any(spec.w_zx.imag) or np.any(spec.w_yy.imag):
+        raise ValueError("circuit realization requires a real-valued network")
     n_steps = steps_in_span(t_stop - t_start, dt)
     if n_steps % record_stride != 0:
         raise ValueError("record_stride must divide the step count")
@@ -247,15 +272,34 @@ def simulate_circuit(
 
     n = spec.n_neurons
     state = init if init is not None else CircuitState.zeros(n, t=t_start)
-    rec = {name: np.zeros((n_rec,) + getattr(state, name).shape)
-           for name in _STATE_FIELDS}
+    rec = {}
+    for name in _STATE_FIELDS:
+        value = getattr(state, name)
+        shape = (n,) if name in ("a", "b") else (2, n)
+        if np.shape(value) != shape:
+            raise ValueError(f"init.{name} has shape {np.shape(value)}, "
+                             f"expected {shape}")
+        rec[name] = np.zeros((n_rec,) + shape)
+        rec[name][0] = value
 
-    for i in range(n_steps + 1):
-        if i % record_stride == 0:
-            for name, arr in rec.items():
-                arr[i // record_stride] = getattr(state, name)
-        if i == n_steps:
-            break
+    times = t_start + dt * record_stride * np.arange(n_rec)
+    traj = CircuitTrajectory(dt=dt * record_stride, times=times, **rec)
+    if spec._w_ay_zero and spec._w_by_zero:
+        _advance_blocks(spec, params, input_fn, traj, dt, record_stride)
+    else:
+        _advance_steps(spec, params, input_fn, traj, dt, record_stride, state)
+    return traj
+
+
+def _advance_steps(spec: NetworkSpec, params: CircuitParams,
+                   input_fn: Callable[[float], np.ndarray],
+                   traj: CircuitTrajectory, dt: float, stride: int,
+                   state: CircuitState) -> None:
+    """Fill ``traj`` past its first sample with one :func:`thalamic_step`
+    and one :func:`pfc_step` per step."""
+    t_start = float(traj.times[0])
+    n_steps = (traj.n_samples - 1) * stride
+    for i in range(n_steps):
         t = t_start + i * dt
         x = np.asarray(input_fn(t))
         y = rectify(state.v)
@@ -263,10 +307,117 @@ def simulate_circuit(
         state = pfc_step(spec, params, state, x, dt)
         state.a, state.b = a_new, b_new
         if i % 256 == 0 and not all(np.all(np.isfinite(getattr(state, f)))
-                                    for f in rec):
+                                    for f in _STATE_FIELDS):
             raise DivergenceError(f"non-finite circuit state at t = {t:.6g} ms")
+        if (i + 1) % stride == 0:
+            for name in _STATE_FIELDS:
+                getattr(traj, name)[(i + 1) // stride] = getattr(state, name)
 
-    if not all(np.all(np.isfinite(arr)) for arr in rec.values()):
+    if not all(np.all(np.isfinite(getattr(traj, f))) for f in _STATE_FIELDS):
         raise DivergenceError("non-finite circuit state recorded")
-    times = t_start + dt * record_stride * np.arange(n_rec)
-    return CircuitTrajectory(dt=dt * record_stride, times=times, **rec)
+
+
+def _advance_blocks(spec: NetworkSpec, params: CircuitParams,
+                    input_fn: Callable[[float], np.ndarray],
+                    traj: CircuitTrajectory, dt: float, stride: int) -> None:
+    """Fill ``traj`` past its first sample, ``_BLOCK`` steps at a time.
+
+    Valid only when the gains do not read y.  With s = dt/C, block ``[s0, e)``
+    evaluates its inputs, then:
+
+    * the gain units, stacked [a; b] as 2N-vectors, follow
+      ``g[i+1] = (1 - s (G_sum[i] + g_leak)) g[i] + s G_diff[i]``, where
+      G_diff = X W_gᵀ + c_g and G_sum = |X| |W_g|ᵀ + |c_g| are one matmul
+      each over the block;
+    * their rectified values give each step's dendritic leaks
+      rect(a)/R_a and rect(b)/R_b;
+    * the (3, 2N) compartment stack [v; va; vb] (ON half, then OFF half)
+      follows ``S[i+1] = K S[i] + D[i] * S[i] + F[i]`` plus the recurrent
+      current s W_yy (y+ - y-) into the apical rows with the ON/OFF sign.
+      K is the constant axial coupling between the compartments, D[i] the
+      per-step diagonal (leaks included) and F[i] the drives ±s z and
+      ±s c_yhat.
+
+    Every step of a block is held in the block's buffers, so one finiteness
+    check per block names the first non-finite sample; only the rows
+    ``stride`` selects are copied into ``traj``.  The last step of a block
+    starts the next.
+    """
+    n, m = spec.n_neurons, spec.n_inputs
+    t_start = float(traj.times[0])
+    n_steps = (traj.n_samples - 1) * stride
+    s = dt / params.capacitance
+    ga, gb = 1.0 / params.r_apical, 1.0 / params.r_basal
+
+    w_g = np.vstack([spec.w_ax, spec.w_bx])
+    c_g = np.concatenate([spec.c_a, spec.c_b])
+    w_g_abs, c_g_abs = np.abs(w_g), np.abs(c_g)
+    w_z, c_z = spec.w_zx.real, spec.c_z.real
+    # The recurrent current s W_yy (y+ - y-) on the ON half of the apical
+    # row and its negative on the OFF half, as one matrix on rect(v).
+    w_rec = s * np.kron(_ON_OFF @ _ON_OFF.T, spec.w_yy.real)
+    coupling = s * np.array([[0.0, ga, gb], [ga, 0.0, 0.0], [gb, 0.0, 0.0]])
+    keep = 1.0 - s * np.array([params.g_leak_soma + ga + gb, ga, gb])
+    leak = s * np.repeat([ga, gb], n)
+    c_yhat = (s * _ON_OFF * spec.c_yhat.real).ravel()
+
+    gains = np.empty((_BLOCK + 1, 2 * n))
+    gains[0] = np.concatenate([traj.a[0], traj.b[0]])
+    cells = np.empty((_BLOCK + 1, 3, 2 * n))
+    cells[0] = np.stack([traj.v[0], traj.va[0], traj.vb[0]]).reshape(3, 2 * n)
+    diag = np.empty((_BLOCK, 3, 2 * n))
+    diag[:, 0] = keep[0]
+    drive = np.empty((_BLOCK, 3, 2 * n))
+    drive[:, 1] = c_yhat
+    scratch = np.empty((3, 2 * n))
+    rates = np.empty(2 * n)
+    for s0 in range(0, n_steps, _BLOCK):
+        e = min(s0 + _BLOCK, n_steps)
+        k = e - s0
+        x = np.array([input_fn(t_start + i * dt) for i in range(s0, e)])
+        if x.shape != (k, m) or np.iscomplexobj(x):
+            raise ValueError(f"input_fn must return real samples of shape ({m},)")
+
+        # Past a blow-up the block runs on to its end; the check below
+        # reports it, so the overflow warnings would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            decay = 1.0 - s * (np.abs(x) @ w_g_abs.T + c_g_abs
+                               + params.g_leak_gain)
+            push = s * (x @ w_g.T + c_g)
+            for g, g_next, d, p in zip(gains, gains[1:k + 1], decay, push):
+                np.multiply(d, g, out=g_next)
+                g_next += p
+
+            leaks = leak * rectify(gains[:k])
+            diag[:k, 1, :n] = diag[:k, 1, n:] = keep[1] - leaks[:, :n]
+            diag[:k, 2, :n] = diag[:k, 2, n:] = keep[2] - leaks[:, n:]
+            sz = s * (x @ w_z.T + c_z)
+            drive[:k, 0, :n] = drive[:k, 2, n:] = sz
+            drive[:k, 0, n:] = drive[:k, 2, :n] = -sz
+            for c, c_next, dg, f in zip(cells, cells[1:k + 1], diag, drive):
+                np.dot(coupling, c, out=c_next)
+                np.multiply(dg, c, out=scratch)
+                c_next += scratch
+                c_next += f
+                np.maximum(c[0], 0.0, out=rates)
+                c_next[1] += w_rec.dot(rates)
+
+        finite = (np.isfinite(gains[1:k + 1]).all(axis=1)
+                  & np.isfinite(cells[1:k + 1]).all(axis=(1, 2)))
+        if not finite.all():
+            first = s0 + 1 + int(np.argmin(finite))
+            raise DivergenceError(f"non-finite circuit state at "
+                                  f"t = {t_start + first * dt:.6g} ms")
+
+        # Recorded steps in (s0, e]: the multiples of the stride.
+        lo = -(-(s0 + 1) // stride)
+        hi = e // stride + 1
+        rows = slice(lo * stride - s0, k + 1, stride)
+        traj.a[lo:hi] = gains[rows, :n]
+        traj.b[lo:hi] = gains[rows, n:]
+        compartments = cells[rows].reshape(-1, 3, 2, n)
+        traj.v[lo:hi] = compartments[:, 0]
+        traj.va[lo:hi] = compartments[:, 1]
+        traj.vb[lo:hi] = compartments[:, 2]
+        gains[0] = gains[k]
+        cells[0] = cells[k]

@@ -115,6 +115,11 @@ class Overrides:
     tau_y: Optional[tuple] = None
 
 
+def _tau_scaled(tau_y, ov: Overrides):
+    """``tau_y`` times the ``tau_scale`` override, when one is given."""
+    return tau_y if ov.tau_scale is None else tau_y * ov.tau_scale
+
+
 def _outcome(name: str, passed: bool, detail: str) -> AssertionOutcome:
     return AssertionOutcome(name=name, passed=bool(passed), detail=detail)
 
@@ -193,9 +198,7 @@ def _build_fig2(ov: Overrides) -> ScenarioResult:
 
     w = center_surround(8)
     encoder = eigen_encoder(w, 2)
-    spec = _memory_spec(w, encoder)
-    if ov.tau_scale:
-        spec = spec.replace(tau_y=spec.tau_y * ov.tau_scale)
+    spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
     traj = simulate(spec, pulse_input(4, pulses), 0.0, t_stop, dt, record_readout=True)
 
@@ -403,7 +406,8 @@ def _build_fig4(ov: Overrides) -> ScenarioResult:
     m1 = -np.eye(2)
     m2 = np.array([[1.0, 0.0], [-1.0, -1.0]])
     move_duration = 100.0
-    kappa = 1.0 / _movement_gain(10.0, 10.0, dt, move_duration)
+    tau_y = _tau_scaled(10.0, ov)
+    kappa = 1.0 / _movement_gain(tau_y, 10.0, dt, move_duration)
 
     # Channels: t1x t1y t2x t2y cdx cdy cue_start gate cue_end
     m_inputs = 9
@@ -419,11 +423,9 @@ def _build_fig4(ov: Overrides) -> ScenarioResult:
     w_bx[:, 7] = 1.0
     w_ry = np.vstack([v1.conj().T, v2.conj().T])
     spec = NetworkSpec.build(
-        n, m_inputs, n_readout=4,
+        n, m_inputs, n_readout=4, tau_y=tau_y,
         w_yy=w, w_zx=w_zx, w_ry=w_ry, w_ax=w_ax, w_bx=w_bx,
     )
-    if ov.tau_scale:
-        spec = spec.replace(tau_y=spec.tau_y * ov.tau_scale)
 
     target1 = np.array([1.0, 0.5])
     target2 = np.array([-1.0, 0.5])
@@ -491,9 +493,7 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
     w = synfire(n) / np.cos(2.0 * np.pi / n)
     top3 = eigen_encoder(w, 3)
     encoder = top3[:, 1:3]      # the conjugate oscillatory pair
-    spec = _memory_spec(w, encoder)
-    if ov.tau_scale:
-        spec = spec.replace(tau_y=spec.tau_y * ov.tau_scale)
+    spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
 
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
     traj = simulate(spec, pulse_input(4, pulses), 0.0, t_stop, dt, record_readout=True)
@@ -562,9 +562,7 @@ def _build_fig6(ov: Overrides) -> ScenarioResult:
     req = _fig6_request(ov.seed)
     w = random_spectral(req)
     encoder = eigen_encoder(w, 10)
-    spec = _memory_spec(w, encoder)
-    if ov.tau_scale:
-        spec = spec.replace(tau_y=spec.tau_y * ov.tau_scale)
+    spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
 
     rng = np.random.default_rng(req.seed + 1)
     target = rng.standard_normal(10)
@@ -609,9 +607,7 @@ def _build_fig7(ov: Overrides) -> ScenarioResult:
     dt = ov.dt if ov.dt is not None else 0.1
     t_stop = ov.duration if ov.duration is not None else 3200.0
     tau_pair = ov.tau_y if ov.tau_y is not None else (10.0, 12.5)
-    tau_vec = np.asarray(tau_pair, dtype=np.float64)
-    if ov.tau_scale:
-        tau_vec = tau_vec * ov.tau_scale
+    tau_vec = _tau_scaled(np.asarray(tau_pair, dtype=np.float64), ov)
 
     w = ei_pair()
     m_inputs = 3
@@ -699,11 +695,9 @@ def _build_fig8(ov: Overrides) -> ScenarioResult:
     w_bx = np.zeros((100, m_inputs))
     w_bx[:, 2] = 1.0
     spec = NetworkSpec.build(
-        100, m_inputs, n_readout=0,
+        100, m_inputs, n_readout=0, tau_y=_tau_scaled(10.0, ov),
         w_yy=w, w_zx=w_zx, w_ax=w_ax, w_bx=w_bx,
     )
-    if ov.tau_scale:
-        spec = spec.replace(tau_y=spec.tau_y * ov.tau_scale)
 
     cue = [Pulse(2, 0.0, 500.0, 1.0), Pulse(3, 3000.0, 3200.0, 1.0)]
     drive_a = [Pulse(0, 0.0, 1000.0, 1.0)] + cue
@@ -963,8 +957,9 @@ def run_scenario(name: str, **overrides) -> ScenarioResult:
     ``overrides`` accepts dt, duration, seed, tau_scale and (fig7) tau_y.
     Check failures are reported in the result, never raised.  An unknown
     scenario name, or an override the preset would ignore (tau_scale on
-    fig9 and fig10, tau_y anywhere but fig7), raises ValueError; an unknown
-    override raises TypeError.
+    fig9 and fig10, tau_y anywhere but fig7), raises ValueError, as does a
+    tau_scale that is not a positive finite number; an unknown override
+    raises TypeError.
     """
     if name not in _BUILDERS:
         raise ValueError(
@@ -976,4 +971,8 @@ def run_scenario(name: str, **overrides) -> ScenarioResult:
     if ignored:
         raise ValueError(f"{name} does not use the override(s) "
                          f"{', '.join(ignored)}")
+    if ov.tau_scale is not None and not (np.isfinite(ov.tau_scale)
+                                         and ov.tau_scale > 0):
+        raise ValueError(f"tau_scale must be positive and finite, "
+                         f"got {ov.tau_scale!r}")
     return _BUILDERS[name](ov)

@@ -1,8 +1,11 @@
 """Conductance-circuit realization: gain units, compartment cells, simulator."""
 
+import re
+
 import numpy as np
 import pytest
 
+import oscint.circuit
 from oscint.circuit import (
     CircuitParams,
     CircuitState,
@@ -267,3 +270,161 @@ def test_simulate_circuit_rejects_off_grid_span():
     with pytest.raises(ValueError, match="whole number of steps"):
         simulate_circuit(spec, CircuitParams(), lambda t: np.zeros(1),
                          0.0, 1.05, dt=0.1)
+
+
+def test_simulate_circuit_step_loop_raises_on_blow_up():
+    # The same unstable gain unit on a spec whose gains read y, which takes
+    # the thalamic_step + pfc_step loop.
+    spec = NetworkSpec.build(1, 1, w_ax=np.array([[1e3]]),
+                             w_ay=np.array([[0.5]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="non-finite circuit state at t"):
+            simulate_circuit(spec, CircuitParams(), lambda t: np.ones(1),
+                             0.0, 10.0, dt=0.01)
+
+
+_FIELDS = ("v", "va", "vb", "a", "b")
+
+
+def _reference_run(spec, params, input_fn, t_start, n_steps, dt, init, stride):
+    """One thalamic_step and one pfc_step per step, every stride-th recorded."""
+    state = init
+    rows = {name: [getattr(state, name).copy()] for name in _FIELDS}
+    for i in range(n_steps):
+        x = np.asarray(input_fn(t_start + i * dt))
+        y = rectify(state.v)
+        a, b = thalamic_step(spec, params, state, x, y[0], y[1], dt)
+        state = pfc_step(spec, params, state, x, dt)
+        state.a, state.b = a, b
+        if (i + 1) % stride == 0:
+            for name in _FIELDS:
+                rows[name].append(getattr(state, name).copy())
+    return {name: np.array(arrs) for name, arrs in rows.items()}
+
+
+def _random_gated_case(seed, n, m):
+    """Input-gated spec with mixed-sign weights and offsets, unrelated ON
+    and OFF rows in the initial state, and a mixed-sign input."""
+    rng = np.random.default_rng(seed)
+    spec = NetworkSpec.build(
+        n, m,
+        w_zx=rng.standard_normal((n, m)), w_yy=0.4 * rng.standard_normal((n, n)),
+        w_ax=rng.standard_normal((n, m)), w_bx=rng.standard_normal((n, m)),
+        c_z=rng.standard_normal(n), c_yhat=rng.standard_normal(n),
+        c_a=rng.standard_normal(n), c_b=rng.standard_normal(n),
+    )
+    params = CircuitParams(capacitance=rng.uniform(0.5, 2.0),
+                           g_leak_soma=rng.uniform(0.5, 1.5),
+                           r_apical=rng.uniform(2.0, 10.0),
+                           r_basal=rng.uniform(0.5, 2.0),
+                           g_leak_gain=rng.uniform(0.5, 1.5))
+    init = CircuitState(v=rng.standard_normal((2, n)),
+                        va=rng.standard_normal((2, n)),
+                        vb=rng.standard_normal((2, n)),
+                        a=rng.standard_normal(n), b=rng.standard_normal(n))
+    freqs = rng.uniform(0.01, 0.2, m)
+    phases = rng.uniform(0.0, 2.0 * np.pi, m)
+    return spec, params, init, lambda t: 1.5 * np.sin(freqs * t + phases)
+
+
+@pytest.mark.parametrize("seed, n, m, n_steps, stride", [
+    (0, 5, 3, 1030, 5),     # three blocks, the last one partial
+    (1, 1, 1, 512, 1),      # exactly one block
+    (2, 8, 4, 513, 1),      # one step into a second block
+    (3, 6, 2, 1536, 3),
+    (4, 3, 2, 0, 1),        # no step at all
+    (5, 4, 3, 1200, 600),   # a stride longer than a block
+])
+def test_block_path_matches_step_loop(seed, n, m, n_steps, stride):
+    spec, params, init, input_fn = _random_gated_case(seed, n, m)
+    t_start, dt = 20.0, 0.01
+    traj = simulate_circuit(spec, params, input_fn, t_start,
+                            t_start + n_steps * dt, dt, init=init,
+                            record_stride=stride)
+    ref = _reference_run(spec, params, input_fn, t_start, n_steps, dt, init,
+                         stride)
+    assert traj.n_samples == n_steps // stride + 1
+    for name in _FIELDS:
+        want = ref[name]
+        bound = 1e-12 * max(1.0, float(np.abs(want).max()))
+        assert np.abs(getattr(traj, name) - want).max() <= bound, name
+
+
+def _first_non_finite_time(spec, params, input_fn, dt):
+    """Time of the first step loop state with a non-finite entry."""
+    state = CircuitState.zeros(spec.n_neurons)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(100_000):
+            x = input_fn(i * dt)
+            y = rectify(state.v)
+            a, b = thalamic_step(spec, params, state, x, y[0], y[1], dt)
+            state = pfc_step(spec, params, state, x, dt)
+            state.a, state.b = a, b
+            if not all(np.all(np.isfinite(getattr(state, f))) for f in _FIELDS):
+                return (i + 1) * dt
+    raise AssertionError("the reference run stayed finite")
+
+
+@pytest.mark.parametrize("spec, params", [
+    # An unstable gain unit: a and b overflow first.
+    (NetworkSpec.build(1, 1, w_ax=np.array([[1e3]])), CircuitParams()),
+    # Stable gains, but dt/(C R_b) = 10 makes the basal coupling unstable.
+    (NetworkSpec.build(2, 1, w_zx=np.ones((2, 1))), CircuitParams(r_basal=1e-3)),
+])
+def test_block_path_names_first_non_finite_sample(spec, params):
+    input_fn = lambda t: np.ones(1)
+    dt = 0.01
+    with pytest.raises(DivergenceError, match="non-finite circuit state") as err:
+        simulate_circuit(spec, params, input_fn, 0.0, 20.0, dt=dt)
+    named = float(re.search(r"at t = (\S+) ms", str(err.value)).group(1))
+    # The run up to the sample before the named one is finite ...
+    traj = simulate_circuit(spec, params, input_fn, 0.0, named - dt, dt=dt)
+    assert all(np.all(np.isfinite(getattr(traj, f))) for f in _FIELDS)
+    # ... and the step loop overflows within a few steps of it (its
+    # intermediate products overflow slightly earlier than the block path's).
+    assert abs(named - _first_non_finite_time(spec, params, input_fn, dt)) <= 5 * dt
+
+
+def _never_called(t):
+    raise AssertionError("input_fn called before the weights were checked")
+
+
+@pytest.mark.parametrize("field", ["w_zx", "w_yy"])
+@pytest.mark.parametrize("reads_y", [False, True])
+def test_simulate_circuit_rejects_complex_weights(field, reads_y):
+    weights = {field: np.array([[0.5 + 0.5j]])}
+    if reads_y:
+        weights["w_ay"] = np.array([[0.5]])
+    spec = NetworkSpec.build(1, 1, **weights)
+    with pytest.raises(ValueError, match="real-valued"):
+        simulate_circuit(spec, CircuitParams(), _never_called, 0.0, 1.0, dt=0.01)
+
+
+def _raise_if_stepped(*args, **kwargs):
+    raise AssertionError("the step loop ran")
+
+
+def test_step_loop_runs_only_when_the_gains_read_y(monkeypatch):
+    monkeypatch.setattr(oscint.circuit, "pfc_step", _raise_if_stepped)
+    monkeypatch.setattr(oscint.circuit, "thalamic_step", _raise_if_stepped)
+    gated = NetworkSpec.build(2, 1, w_ax=np.ones((2, 1)))
+    traj = simulate_circuit(gated, CircuitParams(), lambda t: np.ones(1),
+                            0.0, 1.0, dt=0.01)
+    assert traj.n_samples == 101
+    reads_y = gated.replace(w_by=np.eye(2))
+    with pytest.raises(AssertionError, match="step loop ran"):
+        simulate_circuit(reads_y, CircuitParams(), lambda t: np.ones(1),
+                         0.0, 1.0, dt=0.01)
+
+
+def test_simulate_circuit_rejects_misshapen_init_and_input():
+    spec = NetworkSpec.build(2, 1)
+    init = CircuitState.zeros(2)
+    init.a = np.zeros(1)
+    with pytest.raises(ValueError, match=r"init\.a has shape \(1,\)"):
+        simulate_circuit(spec, CircuitParams(), lambda t: np.zeros(1),
+                         0.0, 1.0, dt=0.1, init=init)
+    for bad in (np.zeros(2), np.zeros(1, dtype=complex)):
+        with pytest.raises(ValueError, match=r"real samples of shape \(1,\)"):
+            simulate_circuit(spec, CircuitParams(), lambda t: bad,
+                             0.0, 1.0, dt=0.1)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oscint.circuit
 from oscint.scenarios import SCENARIO_NAMES, run_scenario
 
 
@@ -104,3 +105,25 @@ def test_fig3_passes_tau_scale_to_its_reference():
     assert np.all(result.extras["spec"].tau_y == 20.0)
     assert np.array_equal(result.extras["problem"].x_series,
                           result.extras["incremental"].x)
+
+
+def test_fig4_passes_under_tau_scale():
+    # The discharge coupling is calibrated at the scaled tau_y.
+    _assert_checks_pass(run_scenario("fig4", tau_scale=2.0))
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_bad_tau_scale_raises(value):
+    with pytest.raises(ValueError, match="tau_scale must be positive and finite"):
+        run_scenario("fig2", tau_scale=value)
+
+
+def test_fig9_runs_on_the_circuit_block_path(monkeypatch):
+    # fig9's gains never read y, so neither step function may be called.
+    def stepped(*args, **kwargs):
+        raise AssertionError("fig9 fell back to the circuit step loop")
+
+    monkeypatch.setattr(oscint.circuit, "pfc_step", stepped)
+    monkeypatch.setattr(oscint.circuit, "thalamic_step", stepped)
+    result = run_scenario("fig9", duration=50.0)
+    assert result.trajectory.n_samples == 51
