@@ -369,7 +369,7 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams,
     diag[:, 0] = keep[0]
     drive = np.empty((_BLOCK, 3, 2 * n))
     drive[:, 1] = c_yhat
-    scratch = np.empty((3, 2 * n))
+    product = np.empty((3, 2 * n))
     rates = np.empty(2 * n)
     for s0 in range(0, n_steps, _BLOCK):
         e = min(s0 + _BLOCK, n_steps)
@@ -396,8 +396,8 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams,
             drive[:k, 0, n:] = drive[:k, 2, :n] = -sz
             for c, c_next, dg, f in zip(cells, cells[1:k + 1], diag, drive):
                 np.dot(coupling, c, out=c_next)
-                np.multiply(dg, c, out=scratch)
-                c_next += scratch
+                np.multiply(dg, c, out=product)
+                c_next += product
                 c_next += f
                 np.maximum(c[0], 0.0, out=rates)
                 c_next[1] += w_rec.dot(rates)
