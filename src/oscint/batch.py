@@ -51,7 +51,8 @@ from .model import (
 
 
 class BatchDivergenceError(DivergenceError):
-    """Raised when the energy rises for many consecutive sweeps."""
+    """Raised when the sweep update keeps growing, or a value leaves the
+    finite range."""
 
 
 @dataclass
@@ -241,9 +242,11 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     arithmetic, with the series updated in place.
 
     Convergence: relative energy decrease below ``prob.tolerance``; the
-    returned series is the one whose energy met it.  Divergence (energy
-    rising for 10 consecutive sweeps, or non-finite) raises
-    :class:`BatchDivergenceError` with the iteration index.
+    returned series is the one whose energy met it.  Divergence raises
+    :class:`BatchDivergenceError` with the iteration index: a non-finite
+    energy, or an update ``|Δy|`` (the 2-norm over the whole series) larger
+    than the first sweep's for 10 consecutive sweeps.  The energy itself may
+    rise for many sweeps while the iterates converge, so it is not the test.
     """
     spec = prob.spec
     y = prob.zero_series() if y_init is None else np.array(y_init, dtype=np.complex128)
@@ -257,7 +260,8 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
 
     energies = []
     prev_energy = None
-    rises = 0
+    first_step = None
+    grown = 0
     iterations = 0
     converged = False
     for iteration in range(1, prob.max_iters + 1):
@@ -279,21 +283,24 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
         energies.append(e)
         iterations = iteration
         if prev_energy is not None:
-            if e > prev_energy:
-                rises += 1
-                if rises >= _DIVERGENCE_PATIENCE:
-                    raise BatchDivergenceError(
-                        f"energy rose for {rises} consecutive sweeps "
-                        f"(iteration {iteration}, energy {e:.6g})"
-                    )
-            else:
-                rises = 0
             scale = max(abs(prev_energy), 1e-30)
             if (prev_energy - e) / scale < prob.tolerance and e <= prev_energy:
                 converged = True
                 break
         prev_energy = e
-        y -= prob.rate * (beta * feed_res + one_minus_beta * recur_res)
+        step = beta * feed_res + one_minus_beta * recur_res
+        step *= prob.rate
+        step_size = np.sqrt(np.vdot(step, step).real)
+        if first_step is None:
+            first_step = step_size
+        grown = grown + 1 if step_size > first_step else 0
+        if grown >= _DIVERGENCE_PATIENCE:
+            raise BatchDivergenceError(
+                f"update size stayed above the first sweep's {first_step:.6g} "
+                f"for {grown} consecutive sweeps (iteration {iteration}, "
+                f"size {step_size:.6g})"
+            )
+        y -= step
 
     return BatchResult(
         y_series=y,

@@ -257,9 +257,9 @@ def simulate_circuit(
     ``_BLOCK`` steps (see the module docstring); otherwise it takes one
     :func:`thalamic_step` and one :func:`pfc_step` per step.  The two paths
     agree to rounding.  Complex ``w_zx`` or ``w_yy`` raise ValueError before
-    any step.  A non-finite state raises :class:`DivergenceError`: the block
-    path names the time of the first non-finite sample, the step loop checks
-    every 256th step and then the record.
+    any step.  A non-finite state raises :class:`DivergenceError` naming the
+    time of the first non-finite sample: the block path checks once per
+    block, the step loop after every step.
     """
     if dt <= 0 or record_stride < 1:
         raise ValueError("dt must be positive and record_stride >= 1")
@@ -306,15 +306,12 @@ def _advance_steps(spec: NetworkSpec, params: CircuitParams,
         a_new, b_new = thalamic_step(spec, params, state, x, y[0], y[1], dt)
         state = pfc_step(spec, params, state, x, dt)
         state.a, state.b = a_new, b_new
-        if i % 256 == 0 and not all(np.all(np.isfinite(getattr(state, f)))
-                                    for f in _STATE_FIELDS):
-            raise DivergenceError(f"non-finite circuit state at t = {t:.6g} ms")
+        if not all(np.isfinite(getattr(state, f)).all() for f in _STATE_FIELDS):
+            raise DivergenceError(f"non-finite circuit state at "
+                                  f"t = {t_start + (i + 1) * dt:.6g} ms")
         if (i + 1) % stride == 0:
             for name in _STATE_FIELDS:
                 getattr(traj, name)[(i + 1) // stride] = getattr(state, name)
-
-    if not all(np.all(np.isfinite(getattr(traj, f))) for f in _STATE_FIELDS):
-        raise DivergenceError("non-finite circuit state recorded")
 
 
 def _advance_blocks(spec: NetworkSpec, params: CircuitParams,

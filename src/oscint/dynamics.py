@@ -14,12 +14,24 @@ response update.
 :func:`simulate` takes one of two paths through the same recurrence.  When
 the gains do not read the response (``w_ay = w_by = 0``, true of every
 preset) the drive z and both gains are known before y is, so the run goes
-in blocks of ``_BLOCK`` steps: each block's inputs are evaluated, z and
-the two gain drives are one matmul each, the gains advance as one IIR
-filter (:func:`oscint.batch._gain_series`), and a loop advances y alone,
-one ``W_yy @ y`` per step.  Specs whose gains read y take one :func:`step`
-per sample; ``step`` is also the reference the block path is tested
-against.
+in blocks of ``_BLOCK`` steps: each block's inputs are evaluated, the two
+gain drives are one matmul each and the gains advance as one IIR filter
+(:func:`oscint.batch._gain_series`).  Then y advances over the block in
+one of two ways:
+
+* **scan** — when ``tau_y`` is uniform, the block's gate 1/(1+a+) is equal
+  across neurons and W_yy = V diag(lam) V⁻¹ has cond(V) at most
+  ``_MAX_EIG_COND``, the response decouples into W_yy's eigenmodes.  Each
+  mode is a scalar linear recurrence, solved for the whole block by a
+  cumulative product and a cumulative sum (a prefix scan), and y is written
+  back as u Vᵀ with one matmul.  Each block re-anchors at its recorded first
+  sample.
+* **loop** — otherwise, one ``W_yy @ y`` per step.  A block the scan turns
+  down (a running mode product out of range, or a non-finite result) is
+  re-run by the loop, so a divergence is named at the loop's time.
+
+Specs whose gains read y take one :func:`step` per sample.  ``step`` and
+the loop are the references the faster paths are tested against.
 """
 
 from __future__ import annotations
@@ -46,6 +58,17 @@ from .model import (
 # matmuls and filters cost little per step, short enough that the block's
 # temporaries stay small (a few (512, N) arrays).
 _BLOCK = 512
+
+# The scan (:func:`_scan_block`) runs only when W_yy's eigenvector matrix V
+# has cond(V) at most this.  The scan's rounding error against the loop grows
+# with cond(V), so only near-normal W_yy take it: the shared-gate presets'
+# have cond(V) 1.00 to 1.62, while non-normal motifs such as ``ei_pair``
+# (3.19) keep the loop.
+_MAX_EIG_COND = 2.0
+
+# Bounds on |M|, the running product of a mode's per-step factors within a
+# block; outside them the scan's q / M and M u lose range.
+_SCAN_RANGE = (1e-150, 1e150)
 
 
 @dataclass
@@ -124,9 +147,12 @@ def simulate(
 
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
     ``_BLOCK`` steps (see the module docstring); otherwise it takes one
-    :func:`step` per sample.  The two paths agree to rounding.  Either way a
-    non-finite y, a or b raises :class:`DivergenceError` naming the time of
-    the first non-finite sample.
+    :func:`step` per sample.  Within a block y advances by the eigenbasis
+    scan when ``tau_y`` is uniform, the gate 1/(1+a+) is equal across
+    neurons and cond(V) of W_yy's eigenvectors is at most ``_MAX_EIG_COND``;
+    otherwise, and for any block the scan turns down, by a per-step loop.
+    All paths agree to rounding.  Either way a non-finite y, a or b raises
+    :class:`DivergenceError` naming the time of the first non-finite sample.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -195,17 +221,87 @@ def _advance_steps(spec: NetworkSpec, input_fn: InputFunction,
             state = step(spec, state, StepInput(x=x, dt=dt))
 
 
+@dataclass(frozen=True)
+class _Eigenbasis:
+    """W_yy = V diag(lam) V⁻¹, with the drive weights projected by V⁻¹."""
+
+    lam: np.ndarray         # (N,) eigenvalues
+    v: np.ndarray           # (N, N) eigenvectors, one per column
+    v_inv: np.ndarray       # (N, N)
+    drive: np.ndarray       # (M + 2, N) rows: (V⁻¹ W_zx)ᵀ, V⁻¹ c_z, V⁻¹ c_yhat
+
+
+def _eigenbasis(spec: NetworkSpec) -> Optional[_Eigenbasis]:
+    """W_yy's eigenbasis for the scan, or None when the scan cannot be used:
+    ``tau_y`` differs across neurons, or cond(V) exceeds ``_MAX_EIG_COND``."""
+    if np.any(spec.tau_y != spec.tau_y[0]):
+        return None
+    lam, v = np.linalg.eig(spec.w_yy)
+    if not np.linalg.cond(v) <= _MAX_EIG_COND:
+        return None
+    v_inv = np.linalg.inv(v)
+    drive = np.vstack([spec.w_zx.T, spec.c_z, spec.c_yhat]) @ v_inv.T
+    return _Eigenbasis(lam=lam, v=v, v_inv=v_inv, drive=drive)
+
+
+def _push(spec: NetworkSpec, rate, recur: np.ndarray, b_plus: np.ndarray,
+          x: np.ndarray) -> np.ndarray:
+    """``(dt/tau_y) (beta z + c_yhat / (1+a+))`` for each step of a block."""
+    z = x @ spec.w_zx.T + spec.c_z
+    return rate * (b_plus / (1.0 + b_plus) * z[:-1] + spec.c_yhat * recur)
+
+
+def _scan_block(spec: NetworkSpec, basis: _Eigenbasis, rate: float,
+                recur: np.ndarray, b_plus: np.ndarray, x: np.ndarray,
+                y_rows: np.ndarray) -> bool:
+    """Advance y over one block as N scalar recurrences in W_yy's eigenbasis.
+
+    ``y_rows[0]`` is the block's first sample; rows 1.. are written.  The
+    gate g[i] = rate / (1+a+) must be shared by every neuron (the caller
+    checks).  Then u = V⁻¹ y follows ``u[i+1] = mu[i] u[i] + q[i]`` with
+    ``mu = 1 - rate + g lam`` and ``q = V⁻¹ push``, solved as
+    ``u = M (u[0] + cumsum(q / M))`` with ``M = cumprod(mu)``.  Returns
+    False, leaving the rows to the y loop, when some |M| leaves
+    ``_SCAN_RANGE`` or a written row is non-finite.
+    """
+    gate = rate * recur[:, 0]
+    m = np.multiply.outer(gate, basis.lam)
+    m += 1.0 - rate
+    np.cumprod(m, axis=0, out=m)
+    m_abs = np.abs(m)
+    if not (m_abs.min() >= _SCAN_RANGE[0] and m_abs.max() <= _SCAN_RANGE[1]):
+        return False
+    if np.all(b_plus == b_plus[:, :1]):
+        # V⁻¹ push = [rate beta x, rate beta, gate] @ drive: no N x N product.
+        b_col = b_plus[:, :1]
+        push_beta = rate * (b_col / (1.0 + b_col))
+        q = np.hstack([push_beta * x[:-1], push_beta, gate[:, None]]) @ basis.drive
+    else:
+        q = _push(spec, rate, recur, b_plus, x) @ basis.v_inv.T
+    u0 = basis.v_inv @ y_rows[0]
+    if np.any(q):
+        q /= m
+        np.cumsum(q, axis=0, out=q)
+        q += u0
+        m *= q
+    else:
+        m *= u0
+    np.matmul(m, basis.v.T, out=y_rows[1:])
+    return bool(np.isfinite(y_rows[1:]).all())
+
+
 def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
                     traj: Trajectory, x0: np.ndarray) -> None:
     """Fill ``traj`` past its first sample, ``_BLOCK`` steps at a time.
 
-    Valid only when the gains do not read y.  Block ``[s, e]`` forms x, z, a
-    and b for samples s..e at once (sample e's gains come from the drive
-    before it; z is the block's own and is not recorded), then runs y through
+    Valid only when the gains do not read y.  Block ``[s, e]`` forms x, a and
+    b for samples s..e at once (sample e's gains come from the drive before
+    it).  When the block's gate is equal across neurons and W_yy has a usable
+    eigenbasis (:func:`_eigenbasis`), :func:`_scan_block` advances y;
+    otherwise, or when the scan turns the block down, a loop runs
     ``y[i+1] = keep * y[i] + gate[i] * (W_yy @ y[i]) + push[i]`` with
-    ``keep = 1 - dt/tau_y``, ``gate = (dt/tau_y) / (1+a+)`` and
-    ``push = (dt/tau_y) (beta z + c_yhat / (1+a+))``.  Sample e starts the
-    next block.
+    ``keep = 1 - dt/tau_y``, ``gate = (dt/tau_y) / (1+a+)`` and ``push`` from
+    :func:`_push`.  Sample e starts the next block.
     """
     a_all, b_all, y_all = traj.a, traj.b, traj.y
     t_start, dt = float(traj.times[0]), traj.dt
@@ -213,6 +309,8 @@ def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
     rate = dt / spec.tau_y
     keep = 1.0 - rate
     m = spec.n_inputs
+    # W_yy's eigenbasis, formed at the first block whose gate is shared.
+    basis, formed = None, False
     x_last = x0
     # One pass even for a zero-step run, which still checks the first
     # sample's shape.
@@ -226,7 +324,6 @@ def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
         _input_record(traj, x)[s + 1:e + 1] = x[1:]
         x_last = x[-1]
         x_real = x.real
-        z = x @ spec.w_zx.T + spec.c_z
         a_all[s:e + 1] = _gain_series(x_real @ spec.w_ax.T + spec.c_a,
                                       spec.tau_a, dt, a_all[s])
         b_all[s:e + 1] = _gain_series(x_real @ spec.w_bx.T + spec.c_b,
@@ -237,16 +334,23 @@ def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
         with np.errstate(over="ignore", invalid="ignore"):
             recur = 1.0 / (1.0 + rectify(a_all[s:e]))
             b_plus = rectify(b_all[s:e])
-            gate = rate * recur
-            push = rate * (b_plus / (1.0 + b_plus) * z[:-1]
-                           + spec.c_yhat * recur)
-            y = y_all[s]
-            for y_next, g, p in zip(y_all[s + 1:e + 1], gate, push):
-                np.matmul(spec.w_yy, y, out=y_next)
-                y_next *= g
-                y_next += p
-                y_next += keep * y
-                y = y_next
+            shared = e > s and bool(np.all(recur == recur[:, :1]))
+            if shared and not formed:
+                basis, formed = _eigenbasis(spec), True
+            # A block the scan turns down, non-finite ones included, runs
+            # through the loop, so a divergence is named at the loop's time.
+            if not (shared and basis is not None
+                    and _scan_block(spec, basis, float(rate[0]), recur, b_plus,
+                                    x, y_all[s:e + 1])):
+                gate = rate * recur
+                push = _push(spec, rate, recur, b_plus, x)
+                y = y_all[s]
+                for y_next, g, p in zip(y_all[s + 1:e + 1], gate, push):
+                    np.matmul(spec.w_yy, y, out=y_next)
+                    y_next *= g
+                    y_next += p
+                    y_next += keep * y
+                    y = y_next
 
         finite = (np.isfinite(y_all[s + 1:e + 1]).all(axis=1)
                   & np.isfinite(a_all[s + 1:e + 1]).all(axis=1)

@@ -345,6 +345,20 @@ def test_solve_converges_to_closed_form_fixed_point():
     assert np.abs(result.y_series - oracle).max() <= 1e-9
 
 
+def test_solve_converges_while_the_energy_rises():
+    # Below rate 1 the energy of this problem rises for 40 sweeps in a row
+    # while the iterates contract onto the fixed point, so a divergence rule
+    # on the energy would stop a converging run.
+    prob = _random_problem(np.random.default_rng(31), "frozen", t_len=30)
+    prob.rate = 0.7
+    result = solve(prob)
+    assert result.converged
+    rising = np.diff(result.energy_history) > 0
+    assert np.lib.stride_tricks.sliding_window_view(rising, 10).all(axis=1).any()
+    oracle = _fixed_point_oracle(prob)
+    assert np.abs(result.y_series - oracle).max() <= 1e-12
+
+
 @pytest.mark.parametrize("field, value", [
     ("max_iters", 0), ("max_iters", -3), ("max_iters", 2.5), ("max_iters", True),
     ("tolerance", math.nan), ("tolerance", -1e-9), ("tolerance", math.inf),

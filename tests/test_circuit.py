@@ -385,6 +385,21 @@ def test_block_path_names_first_non_finite_sample(spec, params):
     assert abs(named - _first_non_finite_time(spec, params, input_fn, dt)) <= 5 * dt
 
 
+def test_step_loop_names_first_non_finite_sample():
+    # A tiny w_ay sends the unstable gain unit of the blow-up test through
+    # the step loop, which must name the step its state first goes
+    # non-finite, not a later one.
+    spec = NetworkSpec.build(1, 1, w_ax=np.array([[1e3]]),
+                             w_ay=np.array([[1e-9]]))
+    params, input_fn, dt = CircuitParams(), lambda t: np.ones(1), 0.01
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="non-finite circuit state") as err:
+            simulate_circuit(spec, params, input_fn, 0.0, 10.0, dt=dt)
+        first = _first_non_finite_time(spec, params, input_fn, dt)
+    named = float(re.search(r"at t = (\S+) ms", str(err.value)).group(1))
+    assert abs(named - first) <= dt
+
+
 def _never_called(t):
     raise AssertionError("input_fn called before the weights were checked")
 

@@ -5,9 +5,12 @@ import warnings
 import numpy as np
 import pytest
 
+import oscint.dynamics
+import oscint.scenarios
 from oscint.dynamics import _BLOCK, StepInput, simulate, step
 from oscint.model import DivergenceError, NetworkSpec, SimState
-from oscint.weights import center_surround, eigen_encoder
+from oscint.scenarios import run_scenario
+from oscint.weights import center_surround, ei_pair, eigen_encoder
 
 
 def test_step_hand_case():
@@ -288,3 +291,153 @@ def test_simulate_rejects_off_grid_span():
     spec = NetworkSpec.build(1, 1)
     with pytest.raises(ValueError, match="whole number of steps"):
         simulate(spec, lambda t: np.zeros(1), 0.0, 10.7, dt=1.0)
+
+
+# ---------------------------------------------------------------------------
+# The eigenbasis scan against the block loop it replaces.
+
+
+def _force_loop(monkeypatch):
+    """Every later ``simulate`` advances y through the block loop."""
+    monkeypatch.setattr(oscint.dynamics, "_eigenbasis", lambda spec: None)
+
+
+def _count_scans(monkeypatch):
+    """A list that records, per block, whether the scan advanced it."""
+    scanned, real = [], oscint.dynamics._scan_block
+
+    def scan(*args):
+        scanned.append(real(*args))
+        return scanned[-1]
+
+    monkeypatch.setattr(oscint.dynamics, "_scan_block", scan)
+    return scanned
+
+
+# Every preset that runs the rate engine (fig3's one rate run is fig2's), with
+# fig9's circuit at a coarse step: its rate run does not depend on it.
+@pytest.mark.parametrize("name, overrides", [
+    ("fig2", {}), ("fig4", {}), ("fig5", {}), ("fig6", {}), ("fig7", {}),
+    ("fig8", {}), ("fig9", {"dt": 0.05}),
+])
+def test_scan_matches_block_loop_on_every_rate_preset(monkeypatch, name,
+                                                      overrides):
+    calls, real = [], oscint.scenarios.simulate
+
+    def spy(*args, **kwargs):
+        traj = real(*args, **kwargs)
+        calls.append((args, kwargs, traj.y))
+        return traj
+
+    monkeypatch.setattr(oscint.scenarios, "simulate", spy)
+    scanned = _count_scans(monkeypatch)
+    assert run_scenario(name, **overrides).all_passed
+    assert calls
+    # fig7's pair has two time constants; every other preset shares its gate.
+    assert any(scanned) == (name != "fig7")
+
+    _force_loop(monkeypatch)
+    for args, kwargs, y in calls:
+        ref = simulate(*args, **kwargs).y
+        bound = 1e-10 * max(1.0, float(np.abs(ref).max()))
+        assert np.abs(y - ref).max() <= bound
+
+
+def _shared_gate_spec(rng, n, m, shared_b, **extra):
+    """Random spec the scan accepts: normal W_yy, one tau_y, and a gate
+    1/(1+a+) equal across neurons because every neuron's a-drive is the same
+    single input channel (so it is bit-equal whatever the summation order).
+    b is per neuron unless ``shared_b``; drive and offsets are complex."""
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q, _ = np.linalg.qr(cplx(n, n))
+    lam = rng.uniform(-0.5, 1.0, n) + 1j * rng.normal(0.0, 0.3, n)
+
+    def same_channel(k):
+        w = np.zeros((n, m))
+        w[:, k] = rng.standard_normal()
+        return w
+
+    fields = dict(
+        tau_y=rng.uniform(5.0, 20.0),
+        tau_a=rng.uniform(2.0, 20.0),
+        tau_b=rng.uniform(2.0, 20.0),
+        w_yy=(q * lam) @ q.conj().T, w_zx=cplx(n, m),
+        w_ax=same_channel(0), c_a=np.full(n, rng.standard_normal()),
+        w_bx=same_channel(1) if shared_b else rng.standard_normal((n, m)),
+        c_b=np.full(n, 0.5) if shared_b else rng.standard_normal(n),
+        c_z=cplx(n), c_yhat=0.1 * cplx(n),
+    )
+    fields.update(extra)
+    return NetworkSpec.build(n, m, **fields)
+
+
+def _shared_gate_init(rng, spec, t):
+    n = spec.n_neurons
+    b = np.full(n, 0.3) if np.all(spec.c_b == spec.c_b[0]) else rng.standard_normal(n)
+    return SimState(y=rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                    a=np.full(n, rng.standard_normal()), b=b, t=t)
+
+
+@pytest.mark.parametrize("n_steps", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1])
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("shared_b", [False, True])
+def test_scan_matches_block_loop_on_random_shared_gate_specs(
+        monkeypatch, shared_b, kind, n_steps):
+    rng = np.random.default_rng(40 + n_steps)
+    n, m, dt, t_start = 7, 3, 0.5, 4.0
+    spec = _shared_gate_spec(rng, n, m, shared_b)
+    input_fn = _random_input(rng, m, kind)
+    init = _shared_gate_init(rng, spec, t_start)
+    t_stop = t_start + n_steps * dt
+    scanned = _count_scans(monkeypatch)
+    traj = simulate(spec, input_fn, t_start, t_stop, dt=dt, init=init)
+    assert all(scanned) and len(scanned) == -(-n_steps // _BLOCK)
+    _force_loop(monkeypatch)
+    ref = simulate(spec, input_fn, t_start, t_stop, dt=dt, init=init)
+    assert np.array_equal(traj.a, ref.a) and np.array_equal(traj.b, ref.b)
+    bound = 1e-10 * max(1.0, float(np.abs(ref.y).max()))
+    assert np.abs(traj.y - ref.y).max() <= bound
+
+
+def _one_unit(w):
+    """One block of a one-unit spec (dt/tau_y = 0.1) whose mode factor
+    0.9 + 0.1 w takes |M| out of the scan's range, from y = 1e-150."""
+    spec = NetworkSpec.build(1, 1, w_yy=np.array([[w]]))
+    init = SimState(y=np.array([1e-150 + 0j]), a=np.zeros(1), b=np.zeros(1))
+    return spec, lambda t: np.zeros(1), init, _BLOCK, 1.0
+
+
+def _loop_case(case):
+    rng = np.random.default_rng(7)
+    if case == "growth beyond range":       # factor 2.1: 2.1^512 > 1e150
+        return _one_unit(12.0)
+    if case == "decay beyond range":        # factor 0.1: 0.1^512 underflows
+        return _one_unit(-8.0)
+    n, m = 6, 3
+    extra = {
+        "per-neuron tau_y": {"tau_y": rng.uniform(5.0, 20.0, n)},
+        "per-neuron gains": {"c_a": rng.standard_normal(n)},
+    }.get(case, {})
+    if case == "non-normal W":
+        n = 2
+        assert np.linalg.cond(np.linalg.eig(ei_pair())[1]) > oscint.dynamics._MAX_EIG_COND
+        extra = {"w_yy": ei_pair()}
+    spec = _shared_gate_spec(rng, n, m, shared_b=False, **extra)
+    return (spec, _random_input(rng, m), _shared_gate_init(rng, spec, 0.0),
+            2 * _BLOCK + 5, 0.5)
+
+
+@pytest.mark.parametrize("case", [
+    "per-neuron tau_y", "per-neuron gains", "non-normal W",
+    "growth beyond range", "decay beyond range",
+])
+def test_specs_outside_the_scan_take_the_block_loop(monkeypatch, case):
+    # The loop is the same code either way, so a run that never scans is
+    # bit-identical to one with the scan switched off.
+    spec, input_fn, init, n_steps, dt = _loop_case(case)
+    scanned = _count_scans(monkeypatch)
+    traj = simulate(spec, input_fn, 0.0, n_steps * dt, dt=dt, init=init)
+    assert not any(scanned)
+    _force_loop(monkeypatch)
+    ref = simulate(spec, input_fn, 0.0, n_steps * dt, dt=dt, init=init)
+    assert np.array_equal(traj.y, ref.y)
