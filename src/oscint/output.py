@@ -1,13 +1,19 @@
 """Trajectory export: CSV, SVG line plots, and plain-text reports.
 
 CSV values are written with repr-quality precision (%.17g) so that a
-write/read/write cycle is byte-identical.  SVG output is a minimal
+write/read/write cycle is byte-identical.  Rows stream to the file in
+blocks of about 2**16 cells, so the memory a write holds is bounded by one
+block, not by the record; the file is written beside its path and renamed
+onto it, so a write that fails leaves no truncated artifact and any file
+already at the path keeps its bytes.  SVG output is a minimal
 hand-assembled polyline plot — axes, ticks, legend — with no plotting
 dependency; the plots are presentation aids, nothing parses them back.
 """
 
 from __future__ import annotations
 
+import os
+import uuid
 from pathlib import Path
 from typing import Sequence
 
@@ -17,19 +23,25 @@ from .circuit import CircuitTrajectory
 from .model import Trajectory
 from .predict import PredictionResult
 
-_FMT = "%.17g"
-
-
-def _fmt(value: float) -> str:
-    return _FMT % value
+# Cells per streamed block: one block's floats and row strings are the
+# most a write holds at once (a few MB).
+_BLOCK_CELLS = 1 << 16
 
 
 def _write_rows(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    lines = [",".join(header)]
-    rows = len(columns[0])
-    for i in range(rows):
-        lines.append(",".join(_fmt(col[i]) for col in columns))
-    path.write_text("\n".join(lines) + "\n")
+    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    step = max(1, _BLOCK_CELLS // len(columns))
+    tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with open(tmp, "x") as f:
+            f.write(",".join(header) + "\n")
+            for start in range(0, len(columns[0]), step):
+                block = np.column_stack([c[start:start + step] for c in columns])
+                f.write("".join([line % tuple(row) for row in block.tolist()]))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
@@ -45,16 +57,17 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
 
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     """Parse a trajectory CSV back into named arrays (t, y, a, b)."""
-    text = Path(path).read_text().strip().splitlines()
-    header = text[0].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
     cols = {name: data[:, i] for i, name in enumerate(header)}
     n = (len(header) - 1) // 4
     y = np.empty((data.shape[0], n), dtype=np.complex128)
     a = np.empty((data.shape[0], n))
     b = np.empty((data.shape[0], n))
     for j in range(n):
-        y[:, j] = cols[f"re_y_{j}"] + 1j * cols[f"im_y_{j}"]
+        y.real[:, j] = cols[f"re_y_{j}"]
+        y.imag[:, j] = cols[f"im_y_{j}"]
         a[:, j] = cols[f"a_{j}"]
         b[:, j] = cols[f"b_{j}"]
     return {"t": cols["t"], "y": y, "a": a, "b": b}
@@ -77,6 +90,9 @@ def write_circuit_csv(path: str | Path, traj: CircuitTrajectory) -> None:
 def write_prediction_csv(path: str | Path, result: PredictionResult,
                          freqs_hz: Sequence[float]) -> None:
     """Trajectory layout with channels labeled by frequency."""
+    if len(freqs_hz) != result.y.shape[1]:
+        raise ValueError(f"{len(freqs_hz)} frequency labels for "
+                         f"{result.y.shape[1]} channels")
     header = ["t"]
     columns: list[np.ndarray] = [result.times]
     for j, f in enumerate(freqs_hz):

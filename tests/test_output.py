@@ -1,19 +1,27 @@
 """CSV and SVG export round-trips."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oscint.circuit import CircuitParams, simulate_circuit
+from oscint.circuit import CircuitParams, CircuitTrajectory, simulate_circuit
 from oscint.dynamics import simulate
-from oscint.model import NetworkSpec
+from oscint.model import NetworkSpec, Trajectory
 from oscint.output import (
+    _BLOCK_CELLS,
     read_trajectory_csv,
     write_circuit_csv,
     write_prediction_csv,
     write_svg_lines,
     write_trajectory_csv,
 )
-from oscint.predict import ModulatorSchedule, PredictorSpec, predict_series
+from oscint.predict import (
+    ModulatorSchedule,
+    PredictionResult,
+    PredictorSpec,
+    predict_series,
+)
 
 
 @pytest.fixture()
@@ -90,6 +98,194 @@ def test_prediction_csv_channel_labels(tmp_path):
     data = np.array([[float(v) for v in line.split(",")]
                      for line in path.read_text().splitlines()[1:]])
     assert np.array_equal(data[:, -2], result.readout)
+
+
+def test_prediction_csv_rejects_label_count_mismatch(tmp_path):
+    result = _prediction_record(4, n_channels=3)
+    path = tmp_path / "pred.csv"
+    with pytest.raises(ValueError, match="1 frequency labels for 3 channels"):
+        write_prediction_csv(path, result, (2.0,))
+    with pytest.raises(ValueError, match="4 frequency labels for 3 channels"):
+        write_prediction_csv(path, result, (2.0, 4.0, 8.0, 16.0))
+    assert list(tmp_path.iterdir()) == []
+
+
+# Values whose %.17g text is easy to get wrong: signed zero, non-finite,
+# the smallest subnormal, a value near the largest double.
+_SPECIAL = np.array([-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7e308, 0.1, -1.0 / 3.0])
+
+
+def _values(rng, shape):
+    """Random doubles over many magnitudes, with every special value present."""
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    flat = values.reshape(-1)
+    k = min(flat.size, _SPECIAL.size)
+    flat[:k] = rng.permutation(_SPECIAL)[:k]
+    return values
+
+
+def _complex_values(rng, shape):
+    values = np.empty(shape, dtype=np.complex128)
+    values.real = _values(rng, shape)
+    values.imag = _values(rng, shape)
+    return values
+
+
+def _times(rows):
+    return np.arange(rows) * 0.25 - 3.0
+
+
+def _trajectory_record(rows, n=2):
+    rng = np.random.default_rng(rows)
+    return Trajectory(dt=0.25, times=_times(rows), x=np.zeros((rows, 1)),
+                      a=_values(rng, (rows, n)), b=_values(rng, (rows, n)),
+                      y=_complex_values(rng, (rows, n)))
+
+
+def _circuit_record(rows, n=2):
+    rng = np.random.default_rng(rows + 1)
+    return CircuitTrajectory(dt=0.25, times=_times(rows),
+                             v=_values(rng, (rows, 2, n)), va=_values(rng, (rows, 2, n)),
+                             vb=_values(rng, (rows, 2, n)),
+                             a=_values(rng, (rows, n)), b=_values(rng, (rows, n)))
+
+
+def _prediction_record(rows, n_channels=2):
+    rng = np.random.default_rng(rows + 2)
+    return PredictionResult(dt=0.25, times=_times(rows),
+                            y=_complex_values(rng, (rows, n_channels)),
+                            readout=_values(rng, rows), quadrature=_values(rng, rows))
+
+
+def _reference_csv(header, columns):
+    """The CSV text formatted one cell at a time, independently of the writer."""
+    lines = [",".join(header)]
+    for i in range(len(columns[0])):
+        lines.append(",".join("%.17g" % float(col[i]) for col in columns))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _trajectory_expected(traj):
+    header, columns = ["t"], [traj.times]
+    for j in range(traj.y.shape[1]):
+        header += [f"re_y_{j}", f"im_y_{j}", f"a_{j}", f"b_{j}"]
+        columns += [traj.y[:, j].real, traj.y[:, j].imag, traj.a[:, j], traj.b[:, j]]
+    return _reference_csv(header, columns)
+
+
+def _circuit_expected(traj):
+    header, columns = ["t"], [traj.times]
+    for j in range(traj.a.shape[1]):
+        for name, stack in (("v", traj.v), ("va", traj.va), ("vb", traj.vb)):
+            header += [f"{name}_plus_{j}", f"{name}_minus_{j}"]
+            columns += [stack[:, 0, j], stack[:, 1, j]]
+        header += [f"a_{j}", f"b_{j}"]
+        columns += [traj.a[:, j], traj.b[:, j]]
+    return _reference_csv(header, columns)
+
+
+def _prediction_expected(result, freqs):
+    header, columns = ["t"], [result.times]
+    for j, f in enumerate(freqs):
+        header += [f"re_y_{f:g}hz", f"im_y_{f:g}hz"]
+        columns += [result.y[:, j].real, result.y[:, j].imag]
+    header += ["readout", "quadrature"]
+    columns += [result.readout, result.quadrature]
+    return _reference_csv(header, columns)
+
+
+_FREQS = (2.0, 8.5)
+_WRITERS = {
+    # name: (columns per row, record builder, writer, reference)
+    "trajectory": (9, _trajectory_record, write_trajectory_csv, _trajectory_expected),
+    "circuit": (17, _circuit_record, write_circuit_csv, _circuit_expected),
+    "prediction": (7, _prediction_record,
+                   lambda path, rec: write_prediction_csv(path, rec, _FREQS),
+                   lambda rec: _prediction_expected(rec, _FREQS)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+@pytest.mark.parametrize("rows_from_block", [
+    lambda block: 1,
+    lambda block: block - 1,
+    lambda block: block,
+    lambda block: block + 1,
+    lambda block: 3 * block + 5,
+], ids=["one", "block-1", "block", "block+1", "multi"])
+def test_streamed_csv_matches_per_cell_reference(tmp_path, kind, rows_from_block):
+    n_columns, build, write, expected = _WRITERS[kind]
+    rows = rows_from_block(max(1, _BLOCK_CELLS // n_columns))
+    record = build(rows)
+    path = tmp_path / f"{kind}.csv"
+    write(path, record)
+    text = path.read_bytes()
+    assert text.count(b"\n") == rows + 1
+    assert text.split(b"\n", 1)[0].count(b",") == n_columns - 1
+    assert text == expected(record)
+
+
+def test_reader_round_trips_special_values(tmp_path):
+    traj = _trajectory_record(40)
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, traj)
+    back = read_trajectory_csv(path)
+    pairs = [(back["t"], traj.times), (back["a"], traj.a), (back["b"], traj.b),
+             (back["y"].real, traj.y.real), (back["y"].imag, traj.y.imag)]
+    for got, want in pairs:
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+class _FailAfterFirstBlock(np.ndarray):
+    """Array whose row slices past the first block raise, as a full disk would."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice) and key.start:
+            raise OSError("no space left on device")
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_failed_write_keeps_existing_file_and_leaves_no_temporary(tmp_path, existing):
+    rows = 3 * (_BLOCK_CELLS // 9)
+    traj = _trajectory_record(rows)
+    traj.a = traj.a.view(_FailAfterFirstBlock)
+    path = tmp_path / "traj.csv"
+    if existing:
+        path.write_bytes(b"t\n0\n")
+    with pytest.raises(OSError, match="no space left"):
+        write_trajectory_csv(path, traj)
+    assert [p.name for p in tmp_path.iterdir()] == (["traj.csv"] if existing else [])
+    if existing:
+        assert path.read_bytes() == b"t\n0\n"
+
+
+def test_write_replaces_existing_file(tmp_path, small_trajectory):
+    path = tmp_path / "traj.csv"
+    path.write_text("stale\n" * 100_000)
+    write_trajectory_csv(path, small_trajectory)
+    assert path.read_bytes() == _trajectory_expected(small_trajectory)
+    assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
+
+
+def test_streamed_write_memory_is_bounded_by_a_block(tmp_path):
+    rng = np.random.default_rng(0)
+    rows, n = 20_000, 100  # 401 columns
+    traj = Trajectory(dt=0.25, times=_times(rows), x=np.zeros((rows, 1)),
+                      a=rng.standard_normal((rows, n)), b=rng.standard_normal((rows, n)),
+                      y=rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    path = tmp_path / "big.csv"
+    tracemalloc.start()
+    try:
+        write_trajectory_csv(path, traj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    written = path.stat().st_size
+    path.unlink()
+    assert written > 100e6
+    assert peak < written / 8, (peak, written)
 
 
 def test_svg_contains_polylines_and_labels(tmp_path):
