@@ -46,6 +46,7 @@ from .model import (
     NetworkSpec,
     Trajectory,
     _energy_terms,
+    predicted_series,
     rectify,
 )
 
@@ -164,13 +165,8 @@ def forward_pass(prob: BatchProblem, y_series: np.ndarray) -> ForwardOutputs:
         raise ValueError("y_series has wrong shape")
 
     z = x @ spec.w_zx.T + spec.c_z
-    yhat = np.empty_like(y)
-    yhat[0] = y[0] @ spec.w_yy.T + spec.c_yhat
-    if len(y) > 1:
-        yhat[1:] = y[:-1] @ spec.w_yy.T + spec.c_yhat
-
     alpha, b = _gain_pair(prob, y)
-    return ForwardOutputs(z=z, yhat=yhat, alpha=alpha, b=b)
+    return ForwardOutputs(z=z, yhat=predicted_series(spec, y), alpha=alpha, b=b)
 
 
 def _gain_pair(prob: BatchProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -34,8 +34,8 @@ networks can be realized (rates are real).
 :func:`simulate_circuit` takes one of two paths through the same Euler
 steps.  When the gains do not read the response (``w_ay = w_by = 0``, true
 of fig9 and its calibration probe) the gain units hear only the input, so
-the run goes in blocks of ``_BLOCK`` steps: each block's inputs are
-evaluated, z and both populations' g_e - g_i and g_e + g_i are one matmul
+the run goes in blocks of ``_BLOCK`` steps: for each block's rows of the
+input series, z and both populations' g_e - g_i and g_e + g_i are one matmul
 each, the gain units advance over the block, and a loop advances only the
 (3, 2N) compartment stack [v; va; vb], one W_yy matvec per step.  Specs
 whose gains read y take one :func:`thalamic_step` and one :func:`pfc_step`
@@ -45,7 +45,7 @@ per step; that loop is also the reference the block path is tested against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -240,7 +240,7 @@ _BLOCK = 512
 def simulate_circuit(
     spec: NetworkSpec,
     params: CircuitParams,
-    input_fn: Callable[[float], np.ndarray],
+    x: np.ndarray,
     t_start: float,
     t_stop: float,
     dt: float = 0.01,
@@ -248,6 +248,11 @@ def simulate_circuit(
     record_stride: int = 1,
 ) -> CircuitTrajectory:
     """Integrate the full circuit, recording every ``record_stride``-th step.
+
+    ``x`` is a real input series sampled as :func:`oscint.dynamics.simulate`
+    takes it, row ``i`` at ``t_start + i*dt``; row ``i`` drives the step from
+    sample ``i``, so the last row is unused.  Another shape, or a complex
+    series, raises ValueError.
 
     Gain units and compartment cells advance synchronously from the same
     pre-step state.  The compartment coupling is stiff (axial conductances up
@@ -269,6 +274,12 @@ def simulate_circuit(
     if n_steps % record_stride != 0:
         raise ValueError("record_stride must divide the step count")
     n_rec = n_steps // record_stride + 1
+    x = np.asarray(x)
+    if x.shape != (n_steps + 1, spec.n_inputs) or np.iscomplexobj(x):
+        raise ValueError(f"x must be a real series of shape "
+                         f"{(n_steps + 1, spec.n_inputs)}, got {x.dtype} "
+                         f"{x.shape}")
+    x = x.astype(np.float64, copy=False)
 
     n = spec.n_neurons
     state = init if init is not None else CircuitState.zeros(n, t=t_start)
@@ -285,23 +296,19 @@ def simulate_circuit(
     times = t_start + dt * record_stride * np.arange(n_rec)
     traj = CircuitTrajectory(dt=dt * record_stride, times=times, **rec)
     if spec._w_ay_zero and spec._w_by_zero:
-        _advance_blocks(spec, params, input_fn, traj, dt, record_stride)
+        _advance_blocks(spec, params, x, traj, dt, record_stride)
     else:
-        _advance_steps(spec, params, input_fn, traj, dt, record_stride, state)
+        _advance_steps(spec, params, x, traj, dt, record_stride, state)
     return traj
 
 
-def _advance_steps(spec: NetworkSpec, params: CircuitParams,
-                   input_fn: Callable[[float], np.ndarray],
+def _advance_steps(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
                    traj: CircuitTrajectory, dt: float, stride: int,
                    state: CircuitState) -> None:
     """Fill ``traj`` past its first sample with one :func:`thalamic_step`
     and one :func:`pfc_step` per step."""
     t_start = float(traj.times[0])
-    n_steps = (traj.n_samples - 1) * stride
-    for i in range(n_steps):
-        t = t_start + i * dt
-        x = np.asarray(input_fn(t))
+    for i, x in enumerate(xs[:-1]):
         y = rectify(state.v)
         a_new, b_new = thalamic_step(spec, params, state, x, y[0], y[1], dt)
         state = pfc_step(spec, params, state, x, dt)
@@ -314,13 +321,12 @@ def _advance_steps(spec: NetworkSpec, params: CircuitParams,
                 getattr(traj, name)[(i + 1) // stride] = getattr(state, name)
 
 
-def _advance_blocks(spec: NetworkSpec, params: CircuitParams,
-                    input_fn: Callable[[float], np.ndarray],
+def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
                     traj: CircuitTrajectory, dt: float, stride: int) -> None:
     """Fill ``traj`` past its first sample, ``_BLOCK`` steps at a time.
 
     Valid only when the gains do not read y.  With s = dt/C, block ``[s0, e)``
-    evaluates its inputs, then:
+    reads input rows s0..e-1, then:
 
     * the gain units, stacked [a; b] as 2N-vectors, follow
       ``g[i+1] = (1 - s (G_sum[i] + g_leak)) g[i] + s G_diff[i]``, where
@@ -340,9 +346,9 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams,
     ``stride`` selects are copied into ``traj``.  The last step of a block
     starts the next.
     """
-    n, m = spec.n_neurons, spec.n_inputs
+    n = spec.n_neurons
     t_start = float(traj.times[0])
-    n_steps = (traj.n_samples - 1) * stride
+    n_steps = len(xs) - 1
     s = dt / params.capacitance
     ga, gb = 1.0 / params.r_apical, 1.0 / params.r_basal
 
@@ -371,9 +377,7 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams,
     for s0 in range(0, n_steps, _BLOCK):
         e = min(s0 + _BLOCK, n_steps)
         k = e - s0
-        x = np.array([input_fn(t_start + i * dt) for i in range(s0, e)])
-        if x.shape != (k, m) or np.iscomplexobj(x):
-            raise ValueError(f"input_fn must return real samples of shape ({m},)")
+        x = xs[s0:e]
 
         # Past a blow-up the block runs on to its end; the check below
         # reports it, so the overflow warnings would only repeat it.

@@ -28,7 +28,7 @@ import numpy as np
 from . import config as config_mod
 from . import output
 from .dynamics import simulate
-from .model import DivergenceError
+from .model import DivergenceError, steps_in_span
 from .scenarios import SCENARIO_NAMES, ScenarioResult, run_scenario
 from .spectral import SpectralReport, analyze
 from .weights import (
@@ -232,7 +232,8 @@ def _run_spec_file(cfg: RunConfig) -> int:
         spec = spec.replace(tau_y=spec.tau_y * cfg.tau_scale)
     dt = cfg.dt if cfg.dt is not None else 1.0
     duration = cfg.duration if cfg.duration is not None else 1000.0
-    traj = simulate(spec, lambda t: np.zeros(spec.n_inputs), 0.0, duration, dt,
+    x = np.zeros((steps_in_span(duration, dt) + 1, spec.n_inputs))
+    traj = simulate(spec, x, 0.0, duration, dt,
                     record_readout=spec.n_readout > 0)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     name = Path(cfg.spec_path).stem
@@ -320,23 +321,29 @@ def _format_report(report: SpectralReport) -> list[str]:
 
 
 def cmd_analyze(cfg: RunConfig) -> int:
-    if cfg.spec_path:
-        spec = config_mod.load_spec(cfg.spec_path)
-        matrix, tau = spec.w_yy, spec.tau_y
-    elif cfg.constructor:
-        matrix = _constructor_matrix(cfg)
-        tau = np.broadcast_to(
-            np.asarray(cfg.tau, dtype=np.float64),
-            (matrix.shape[0],) if len(cfg.tau) == 1 else (len(cfg.tau),),
-        )
-        if len(tau) != matrix.shape[0]:
-            print(f"error: {len(tau)} tau values for a {matrix.shape[0]}-unit "
-                  f"matrix", file=sys.stderr)
-            return 2
-    else:
+    if not (cfg.spec_path or cfg.constructor):
         print("analyze: provide --constructor or --spec", file=sys.stderr)
         return 2
-    for line in _format_report(analyze(matrix, tau)):
+    # Bad input (an unreadable or malformed config, a size the constructor
+    # rejects, a tau list of the wrong length) exits 2 with one line.
+    try:
+        if cfg.spec_path:
+            spec = config_mod.load_spec(cfg.spec_path)
+            matrix, tau = spec.w_yy, spec.tau_y
+        else:
+            matrix = _constructor_matrix(cfg)
+            tau = np.broadcast_to(
+                np.asarray(cfg.tau, dtype=np.float64),
+                (matrix.shape[0],) if len(cfg.tau) == 1 else (len(cfg.tau),),
+            )
+            if len(tau) != matrix.shape[0]:
+                raise ValueError(f"{len(tau)} tau values for a "
+                                 f"{matrix.shape[0]}-unit matrix")
+        report = analyze(matrix, tau)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    for line in _format_report(report):
         print(line)
     return 0
 

@@ -14,10 +14,10 @@ response update.
 :func:`simulate` takes one of two paths through the same recurrence.  When
 the gains do not read the response (``w_ay = w_by = 0``, true of every
 preset) the drive z and both gains are known before y is, so the run goes
-in blocks of ``_BLOCK`` steps: each block's inputs are evaluated, the two
-gain drives are one matmul each and the gains advance as one IIR filter
-(:func:`oscint.batch._gain_series`).  Then y advances over the block in
-one of two ways:
+in blocks of ``_BLOCK`` steps: for each block's rows of the input series
+the two gain drives are one matmul each and the gains advance as one IIR
+filter (:func:`oscint.batch._gain_series`).  Then y advances over the block
+in one of two ways:
 
 * **scan** — when ``tau_y`` is uniform, the block's gate 1/(1+a+) is equal
   across neurons and W_yy = V diag(lam) V⁻¹ has cond(V) at most
@@ -44,14 +44,13 @@ import numpy as np
 from .batch import _gain_series
 from .model import (
     DivergenceError,
-    InputFunction,
     NetworkSpec,
     SimState,
     Trajectory,
     input_drive,
     recurrent_drive,
     rectify,
-    steps_in_span,
+    sample_times,
 )
 
 # Steps per block of the input-gated path: long enough that the per-block
@@ -129,7 +128,7 @@ def step(spec: NetworkSpec, state: SimState, inp: StepInput) -> SimState:
 
 def simulate(
     spec: NetworkSpec,
-    input_fn: InputFunction,
+    x: np.ndarray,
     t_start: float,
     t_stop: float,
     dt: float = 1.0,
@@ -138,12 +137,13 @@ def simulate(
 ) -> Trajectory:
     """Integrate from ``t_start`` to ``t_stop`` and record every sample.
 
-    ``input_fn(t)`` must return the length-M input vector at time ``t`` (ms).
-    The recorded sample at index ``i`` is the state at ``t_start + i*dt``
-    alongside the input evaluated there; the final sample at ``t_stop`` is
-    recorded without stepping past it.  ``traj.x`` is complex if any sample
-    is; the drive z is not recorded, as ``traj.x`` gives it.  Identical
-    arguments produce bit-identical trajectories.
+    ``x`` is the input series: row ``i`` is the length-M input at
+    ``t_start + i*dt``, one row per recorded sample (ValueError for any other
+    shape).  Sample ``i`` records the state at ``t_start + i*dt`` alongside
+    row ``i``; the final sample at ``t_stop`` is recorded without stepping
+    past it.  ``traj.x`` is a float64 or, for complex ``x``, complex128 copy
+    of ``x``; the drive z is not recorded, as ``traj.x`` gives it.
+    Identical arguments produce bit-identical trajectories.
 
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
     ``_BLOCK`` steps (see the module docstring); otherwise it takes one
@@ -163,9 +163,12 @@ def simulate(
             f"dt = {dt} exceeds min(tau_y)/10 = {float(np.min(spec.tau_y)) / 10.0}"
         )
 
-    n_steps = steps_in_span(t_stop - t_start, dt)
-    n_samples = n_steps + 1
-    n, m = spec.n_neurons, spec.n_inputs
+    times = sample_times(t_start, t_stop, dt)
+    n_samples, n = len(times), spec.n_neurons
+    x = np.asarray(x)
+    if x.shape != (n_samples, spec.n_inputs):
+        raise ValueError(f"x has shape {x.shape}, expected "
+                         f"{(n_samples, spec.n_inputs)}")
 
     state = init if init is not None else SimState.zeros(spec, t=t_start)
     for name in ("y", "a", "b"):
@@ -173,52 +176,33 @@ def simulate(
         if shape != (n,):
             raise ValueError(f"init.{name} has shape {shape}, expected {(n,)}")
 
-    x0 = np.asarray(input_fn(t_start))
-    x_dtype = np.complex128 if np.iscomplexobj(x0) else np.float64
-    xs = np.zeros((n_samples, m), dtype=x_dtype)
+    xs = np.array(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
     as_ = np.zeros((n_samples, n))
     bs = np.zeros((n_samples, n))
     ys = np.zeros((n_samples, n), dtype=np.complex128)
-    xs[0], ys[0], as_[0], bs[0] = x0, state.y, state.a, state.b
+    ys[0], as_[0], bs[0] = state.y, state.a, state.b
 
-    times = t_start + dt * np.arange(n_samples)
     traj = Trajectory(dt=dt, times=times, x=xs, a=as_, b=bs, y=ys)
     if spec._w_ay_zero and spec._w_by_zero:
-        _advance_blocks(spec, input_fn, traj, x0)
+        _advance_blocks(spec, traj)
     else:
-        _advance_steps(spec, input_fn, traj, x0, state)
+        _advance_steps(spec, traj)
     if record_readout and spec.n_readout > 0:
         traj.readout = ys @ spec.w_ry.T + spec.c_r
     return traj
 
 
-def _input_record(traj: Trajectory, x: np.ndarray) -> np.ndarray:
-    """``traj.x``, promoted once to complex128 if the samples ``x`` are complex.
-
-    The record is sized by the first sample's dtype; a later complex sample
-    would otherwise lose its imaginary part in the record while driving the
-    network with it.
-    """
-    if np.iscomplexobj(x) and not np.iscomplexobj(traj.x):
-        traj.x = traj.x.astype(np.complex128)
-    return traj.x
-
-
-def _advance_steps(spec: NetworkSpec, input_fn: InputFunction,
-                   traj: Trajectory, x0: np.ndarray, state: SimState) -> None:
-    """Fill ``traj`` with one :func:`step` per sample."""
-    t_start, dt = float(traj.times[0]), traj.dt
+def _advance_steps(spec: NetworkSpec, traj: Trajectory) -> None:
+    """Fill ``traj`` past its first sample with one :func:`step` per sample."""
     # The clock starts at t_start whatever init.t says, so a divergence is
     # reported at the same time as on the block path.
-    state = SimState(y=state.y, a=state.a, b=state.b, t=t_start)
-    for i in range(traj.n_samples):
-        x = x0 if i == 0 else np.asarray(input_fn(t_start + i * dt))
-        _input_record(traj, x)[i] = x
+    state = SimState(y=traj.y[0], a=traj.a[0], b=traj.b[0],
+                     t=float(traj.times[0]))
+    for i, x in enumerate(traj.x[:-1], start=1):
+        state = step(spec, state, StepInput(x=x, dt=traj.dt))
         traj.a[i] = state.a
         traj.b[i] = state.b
         traj.y[i] = state.y
-        if i < traj.n_samples - 1:
-            state = step(spec, state, StepInput(x=x, dt=dt))
 
 
 @dataclass(frozen=True)
@@ -290,51 +274,39 @@ def _scan_block(spec: NetworkSpec, basis: _Eigenbasis, rate: float,
     return bool(np.isfinite(y_rows[1:]).all())
 
 
-def _advance_blocks(spec: NetworkSpec, input_fn: InputFunction,
-                    traj: Trajectory, x0: np.ndarray) -> None:
+def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
     """Fill ``traj`` past its first sample, ``_BLOCK`` steps at a time.
 
-    Valid only when the gains do not read y.  Block ``[s, e]`` forms x, a and
-    b for samples s..e at once (sample e's gains come from the drive before
-    it).  When the block's gate is equal across neurons and W_yy has a usable
-    eigenbasis (:func:`_eigenbasis`), :func:`_scan_block` advances y;
+    Valid only when the gains do not read y.  Block ``[s, e]`` reads input
+    rows s..e and forms a and b for samples s..e at once (sample e's gains
+    come from the drive before it).  When the block's gate is equal across
+    neurons and W_yy has a usable eigenbasis (:func:`_eigenbasis`),
+    :func:`_scan_block` advances y;
     otherwise, or when the scan turns the block down, a loop runs
     ``y[i+1] = keep * y[i] + gate[i] * (W_yy @ y[i]) + push[i]`` with
     ``keep = 1 - dt/tau_y``, ``gate = (dt/tau_y) / (1+a+)`` and ``push`` from
     :func:`_push`.  Sample e starts the next block.
     """
     a_all, b_all, y_all = traj.a, traj.b, traj.y
-    t_start, dt = float(traj.times[0]), traj.dt
     n_steps = traj.n_samples - 1
-    rate = dt / spec.tau_y
+    rate = traj.dt / spec.tau_y
     keep = 1.0 - rate
-    m = spec.n_inputs
     # W_yy's eigenbasis, formed at the first block whose gate is shared.
     basis, formed = None, False
-    x_last = x0
-    # One pass even for a zero-step run, which still checks the first
-    # sample's shape.
-    for s in range(0, max(n_steps, 1), _BLOCK):
+    for s in range(0, n_steps, _BLOCK):
         e = min(s + _BLOCK, n_steps)
-        # Drives and gains read the samples as returned, as step() does.
-        rows = [x_last] + [input_fn(t_start + i * dt) for i in range(s + 1, e + 1)]
-        x = np.array(rows)
-        if x.shape != (e - s + 1, m):
-            raise ValueError(f"input_fn must return shape ({m},) samples")
-        _input_record(traj, x)[s + 1:e + 1] = x[1:]
-        x_last = x[-1]
-        x_real = x.real
-        a_all[s:e + 1] = _gain_series(x_real @ spec.w_ax.T + spec.c_a,
-                                      spec.tau_a, dt, a_all[s])
-        b_all[s:e + 1] = _gain_series(x_real @ spec.w_bx.T + spec.c_b,
-                                      spec.tau_b, dt, b_all[s])
+        x = traj.x[s:e + 1]
+        a_all[s:e + 1] = _gain_series(x.real @ spec.w_ax.T + spec.c_a,
+                                      spec.tau_a, traj.dt, a_all[s])
+        b_all[s:e + 1] = _gain_series(x.real @ spec.w_bx.T + spec.c_b,
+                                      spec.tau_b, traj.dt, b_all[s])
 
         # Past a blow-up the block runs on to its end; the check below
         # reports it, so the overflow warnings would only repeat it.
         with np.errstate(over="ignore", invalid="ignore"):
             recur = 1.0 / (1.0 + rectify(a_all[s:e]))
             b_plus = rectify(b_all[s:e])
-            shared = e > s and bool(np.all(recur == recur[:, :1]))
+            shared = bool(np.all(recur == recur[:, :1]))
             if shared and not formed:
                 basis, formed = _eigenbasis(spec), True
             # A block the scan turns down, non-finite ones included, runs

@@ -21,7 +21,7 @@ Shapes and units
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,6 +49,12 @@ def steps_in_span(span: float, dt: float) -> int:
         raise ValueError(f"span {span:g} is not a non-negative whole number "
                          f"of steps of dt = {dt:g}")
     return int(n_steps)
+
+
+def sample_times(t_start: float, t_stop: float, dt: float) -> np.ndarray:
+    """The grid ``t_start + i*dt`` for i = 0..n, where n = the number of
+    ``dt`` steps from ``t_start`` to ``t_stop`` (:func:`steps_in_span`)."""
+    return t_start + dt * np.arange(steps_in_span(t_stop - t_start, dt) + 1)
 
 
 def rectify(values: np.ndarray | float) -> np.ndarray | float:
@@ -332,6 +338,3 @@ def energy(spec: NetworkSpec, traj: Trajectory) -> float:
     yhat = predicted_series(spec, traj.y)
     terms = _energy_terms(traj.y, z, yhat, alpha_plus, b_plus)
     return float(0.5 * traj.dt * terms.sum())
-
-
-InputFunction = Callable[[float], np.ndarray]

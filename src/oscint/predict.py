@@ -173,6 +173,9 @@ def predict_series(
     magnitudes are then conserved to rounding when both gains are zero,
     regardless of channel frequency.  A free segment with positive
     feedforward gain (channels still coupled) falls back to Euler.
+
+    A schedule boundary inside the free phase must lie on the step grid;
+    one off it raises ValueError, as an off-grid ``horizon`` does.
     """
     x_arr = np.asarray(x_samples, dtype=np.float64)
     if x_arr.ndim != 1:
@@ -196,13 +199,15 @@ def predict_series(
 
     i = n_past
     while i < n_total:
-        t = times[i]
+        # A boundary that rounding puts just after the grid time counts as
+        # reached, so no segment below is shorter than one step.
+        t = times[i] + 1e-9 * dt
         a, b = schedule.at(t)
         # Extent of the current schedule segment, capped at the horizon.
         seg_end = n_total
         for start, _, _ in schedule.segments:
-            if start > t + 1e-12:
-                seg_end = min(seg_end, i + int(round((start - t) / dt)))
+            if start > t:
+                seg_end = i + steps_in_span(min(start, times[-1]) - times[i], dt)
                 break
         n_seg = seg_end - i
         if max(b, 0.0) == 0.0:

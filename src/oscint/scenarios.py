@@ -41,6 +41,7 @@ from .model import (
     SampledRecord,
     SimState,
     Trajectory,
+    sample_times,
     steps_in_span,
 )
 from .predict import ModulatorSchedule, PredictorSpec, predict_series
@@ -69,17 +70,16 @@ class Pulse:
     value: float
 
 
-def pulse_input(n_channels: int, pulses: list[Pulse]) -> Callable[[float], np.ndarray]:
-    """Input function summing rectangular pulses (instantaneous edges)."""
-
-    def x_of_t(t: float) -> np.ndarray:
-        x = np.zeros(n_channels)
-        for p in pulses:
-            if p.t_on <= t < p.t_off:
-                x[p.channel] += p.value
-        return x
-
-    return x_of_t
+def pulse_series(n_channels: int, pulses: list[Pulse], t_start: float,
+                 t_stop: float, dt: float) -> np.ndarray:
+    """Rectangular pulses (instantaneous edges) summed into the input series
+    the engines take: row ``i`` is the input at ``t_start + i*dt``, through
+    ``t_stop``.  ValueError unless the span is a whole number of steps."""
+    times = sample_times(t_start, t_stop, dt)
+    x = np.zeros((len(times), n_channels))
+    for p in pulses:
+        x[(p.t_on <= times) & (times < p.t_off), p.channel] += p.value
+    return x
 
 
 @dataclass
@@ -200,7 +200,8 @@ def _build_fig2(ov: Overrides) -> ScenarioResult:
     encoder = eigen_encoder(w, 2)
     spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
-    traj = simulate(spec, pulse_input(4, pulses), 0.0, t_stop, dt, record_readout=True)
+    traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop,
+                    dt, record_readout=True)
 
     def delay_readout(win):
         err = float(np.abs(traj.readout[win] - _UNIT_TARGET_2D).max())
@@ -363,8 +364,8 @@ def double_step_loop(
             pulses.append(Pulse(gate_channel, lo, hi, 1.0))
             pulses.append(Pulse(cd_channels[0], lo, hi, float(cd_value[0])))
             pulses.append(Pulse(cd_channels[1], lo, hi, float(cd_value[1])))
-        traj = simulate(spec, pulse_input(spec.n_inputs, pulses), lo, hi, dt,
-                        init=state)
+        traj = simulate(spec, pulse_series(spec.n_inputs, pulses, lo, hi, dt),
+                        lo, hi, dt, init=state)
         state = SimState(y=traj.y[-1].copy(), a=traj.a[-1].copy(),
                          b=traj.b[-1].copy(), t=float(traj.times[-1]))
         pieces.append(traj)
@@ -496,7 +497,8 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
     spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
 
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
-    traj = simulate(spec, pulse_input(4, pulses), 0.0, t_stop, dt, record_readout=True)
+    traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop,
+                    dt, record_readout=True)
 
     expected_hz = 1000.0 / (n * 10.0)   # one lap of the ring per n tau
 
@@ -567,8 +569,8 @@ def _build_fig6(ov: Overrides) -> ScenarioResult:
     rng = np.random.default_rng(req.seed + 1)
     target = rng.standard_normal(10)
     pulses = _memory_pulses(10, target, timing)
-    traj = simulate(spec, pulse_input(12, pulses), 0.0, t_stop, dt,
-                    record_readout=True)
+    traj = simulate(spec, pulse_series(12, pulses, 0.0, t_stop, dt), 0.0,
+                    t_stop, dt, record_readout=True)
 
     def constant(win):
         mag = np.abs(traj.y[win] @ encoder.conj())
@@ -628,8 +630,8 @@ def _build_fig7(ov: Overrides) -> ScenarioResult:
         Pulse(1, 0.0, 500.0, 1.0),
         Pulse(2, 3000.0, 3200.0, 1.0),
     ]
-    traj = simulate(spec, pulse_input(m_inputs, pulses), 0.0, t_stop, dt,
-                    record_readout=True)
+    traj = simulate(spec, pulse_series(m_inputs, pulses, 0.0, t_stop, dt),
+                    0.0, t_stop, dt, record_readout=True)
     report = analyze(w, tau_vec)
 
     def oscillates(win):
@@ -705,7 +707,8 @@ def _build_fig8(ov: Overrides) -> ScenarioResult:
     drive_both = [Pulse(0, 0.0, 1000.0, 1.0), Pulse(1, 0.0, 1000.0, 1.0)] + cue
 
     runs = {
-        label: simulate(spec, pulse_input(m_inputs, ps), 0.0, t_stop, dt)
+        label: simulate(spec, pulse_series(m_inputs, ps, 0.0, t_stop, dt),
+                        0.0, t_stop, dt)
         for label, ps in (("first", drive_a), ("second", drive_b),
                           ("combined", drive_both))
     }
@@ -762,7 +765,8 @@ def _calibrate_encode_scale(params: CircuitParams, timing: _MemoryTiming,
         Pulse(channel=1, t_on=0.0, t_off=timing.cue_off, value=1.0),
     ]
     stride = max(1, int(round(1.0 / dt)))
-    traj = simulate_circuit(probe, params, pulse_input(2, pulses),
+    traj = simulate_circuit(probe, params,
+                            pulse_series(2, pulses, 0.0, t_settle, dt),
                             0.0, t_settle, dt, record_stride=stride)
     held = float(traj.y_net[-1, 0])
     return 1.0 / held
@@ -792,14 +796,14 @@ def _build_fig9(ov: Overrides) -> ScenarioResult:
     plateau_ratio = encode_scale * (h / (1.0 + h)) / (g_v - 1.0 / (1.0 + h))
 
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
-    input_fn = pulse_input(4, pulses)
 
     dt_rate = 0.1
-    rate_traj = simulate(rate_spec, input_fn, 0.0, t_stop, dt_rate,
-                         record_readout=True)
+    rate_traj = simulate(rate_spec, pulse_series(4, pulses, 0.0, t_stop, dt_rate),
+                         0.0, t_stop, dt_rate, record_readout=True)
     stride = max(1, int(round(1.0 / dt_circuit)))
-    circ_traj = simulate_circuit(circuit_spec, params, input_fn, 0.0, t_stop,
-                                 dt_circuit, record_stride=stride)
+    circ_traj = simulate_circuit(
+        circuit_spec, params, pulse_series(4, pulses, 0.0, t_stop, dt_circuit),
+        0.0, t_stop, dt_circuit, record_stride=stride)
 
     def rate_gap(win, scale=1.0):
         # The rate run's samples at the circuit's recorded times.

@@ -21,12 +21,13 @@ failure) and asserts the same condition, so the suite doubles as a checklist:
 
 import numpy as np
 import pytest
+from sampling import sampled
 
 from oscint.circuit import CircuitParams, steady_state_vs, total_conductance
 from oscint.dynamics import StepInput, simulate, step
 from oscint.model import NetworkSpec, SimState
 from oscint.predict import PredictorSpec, prediction_step
-from oscint.scenarios import pulse_input, run_scenario
+from oscint.scenarios import pulse_series, run_scenario
 from oscint.spectral import dominant_frequency
 
 
@@ -120,7 +121,8 @@ def test_criterion_01_leaky_integrator_closed_form():
     )
     init = SimState(y=np.zeros(1, dtype=np.complex128),
                     a=np.ones(1), b=np.ones(1))
-    traj = simulate(spec, lambda t: np.ones(1), 0.0, 100.0, dt, init=init)
+    traj = simulate(spec, sampled(lambda t: np.ones(1), 0.0, 100.0, dt),
+                    0.0, 100.0, dt, init=init)
     tau_eff = tau * (1.0 + 1.0) / 1.0          # tau (1+b)/b at b = 1
     closed = 1.0 - np.exp(-traj.times / tau_eff)
     mask = closed > 0
@@ -265,7 +267,8 @@ def test_criterion_04_orthogonal_encoder_perturbation(fig2):
 
     w_zx = spec.w_zx.copy()
     w_zx[:, : encoder.shape[1]] += perp
-    perturbed = simulate(spec.replace(w_zx=w_zx), pulse_input(4, pulses),
+    perturbed = simulate(spec.replace(w_zx=w_zx),
+                         pulse_series(4, pulses, 0.0, timing.t_stop, 1.0),
                          0.0, timing.t_stop, 1.0, record_readout=True)
 
     lo = base.sample_index(timing.input_off + 500.0)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from sampling import sampled
 
 from oscint.batch import (
     BatchDivergenceError,
@@ -212,8 +213,9 @@ def test_batch_plateau_matches_incremental_steady_state():
 
     init = SimState(y=np.zeros(1, dtype=np.complex128),
                     a=np.ones(1), b=np.ones(1))
-    traj = simulate(spec, lambda t: np.array([1.2]), 0.0, float(t_len - 1),
-                    dt=1.0, init=init)
+    t_stop = float(t_len - 1)
+    traj = simulate(spec, sampled(lambda t: np.array([1.2]), 0.0, t_stop, 1.0),
+                    0.0, t_stop, dt=1.0, init=init)
     fixed_point = 0.5 * 1.2 / (1.0 - 0.5 * 0.4)
     assert traj.y[-1, 0].real == pytest.approx(fixed_point, abs=1e-6)
     assert result.y_series[-1, 0].real == pytest.approx(fixed_point, abs=1e-6)

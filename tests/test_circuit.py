@@ -4,6 +4,7 @@ import re
 
 import numpy as np
 import pytest
+from sampling import sampled
 
 import oscint.circuit
 from oscint.circuit import (
@@ -165,7 +166,7 @@ def test_on_off_pair_stays_antisymmetric():
     )
     traj = simulate_circuit(
         spec, CircuitParams(),
-        lambda t: np.array([np.sin(0.01 * t)]),
+        sampled(lambda t: np.array([np.sin(0.01 * t)]), 0.0, 50.0, 0.01),
         0.0, 50.0, dt=0.01,
     )
     assert np.abs(traj.v[:, 0] + traj.v[:, 1]).max() < 1e-12
@@ -177,15 +178,16 @@ def test_on_off_pair_stays_antisymmetric():
 
 def test_simulate_circuit_recording():
     spec = NetworkSpec.build(1, 1)
-    traj = simulate_circuit(spec, CircuitParams(), lambda t: np.zeros(1),
-                            0.0, 1.0, dt=0.1, record_stride=5)
+    x = sampled(lambda t: np.zeros(1), 0.0, 1.0, 0.1)
+    traj = simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
+                            record_stride=5)
     assert traj.n_samples == 3
     assert traj.dt == pytest.approx(0.5)
     assert np.allclose(traj.times, [0.0, 0.5, 1.0])
     assert traj.sample_index(0.5) == 1
     with pytest.raises(ValueError, match="record_stride"):
-        simulate_circuit(spec, CircuitParams(), lambda t: np.zeros(1),
-                         0.0, 1.0, dt=0.1, record_stride=3)
+        simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
+                         record_stride=3)
 
 
 def _paired_drive(w, x_pos, x_neg, c):
@@ -261,14 +263,15 @@ def test_simulate_circuit_raises_on_blow_up():
     spec = NetworkSpec.build(1, 1, w_ax=np.array([[1e3]]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="non-finite circuit state at t"):
-            simulate_circuit(spec, CircuitParams(), lambda t: np.ones(1),
+            simulate_circuit(spec, CircuitParams(),
+                             sampled(lambda t: np.ones(1), 0.0, 10.0, 0.01),
                              0.0, 10.0, dt=0.01)
 
 
 def test_simulate_circuit_rejects_off_grid_span():
     spec = NetworkSpec.build(1, 1)
     with pytest.raises(ValueError, match="whole number of steps"):
-        simulate_circuit(spec, CircuitParams(), lambda t: np.zeros(1),
+        simulate_circuit(spec, CircuitParams(), np.zeros((11, 1)),
                          0.0, 1.05, dt=0.1)
 
 
@@ -279,7 +282,8 @@ def test_simulate_circuit_step_loop_raises_on_blow_up():
                              w_ay=np.array([[0.5]]))
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="non-finite circuit state at t"):
-            simulate_circuit(spec, CircuitParams(), lambda t: np.ones(1),
+            simulate_circuit(spec, CircuitParams(),
+                             sampled(lambda t: np.ones(1), 0.0, 10.0, 0.01),
                              0.0, 10.0, dt=0.01)
 
 
@@ -338,9 +342,10 @@ def _random_gated_case(seed, n, m):
 def test_block_path_matches_step_loop(seed, n, m, n_steps, stride):
     spec, params, init, input_fn = _random_gated_case(seed, n, m)
     t_start, dt = 20.0, 0.01
-    traj = simulate_circuit(spec, params, input_fn, t_start,
-                            t_start + n_steps * dt, dt, init=init,
-                            record_stride=stride)
+    t_stop = t_start + n_steps * dt
+    traj = simulate_circuit(spec, params,
+                            sampled(input_fn, t_start, t_stop, dt), t_start,
+                            t_stop, dt, init=init, record_stride=stride)
     ref = _reference_run(spec, params, input_fn, t_start, n_steps, dt, init,
                          stride)
     assert traj.n_samples == n_steps // stride + 1
@@ -375,10 +380,13 @@ def test_block_path_names_first_non_finite_sample(spec, params):
     input_fn = lambda t: np.ones(1)
     dt = 0.01
     with pytest.raises(DivergenceError, match="non-finite circuit state") as err:
-        simulate_circuit(spec, params, input_fn, 0.0, 20.0, dt=dt)
+        simulate_circuit(spec, params, sampled(input_fn, 0.0, 20.0, dt),
+                         0.0, 20.0, dt=dt)
     named = float(re.search(r"at t = (\S+) ms", str(err.value)).group(1))
     # The run up to the sample before the named one is finite ...
-    traj = simulate_circuit(spec, params, input_fn, 0.0, named - dt, dt=dt)
+    traj = simulate_circuit(spec, params,
+                            sampled(input_fn, 0.0, named - dt, dt),
+                            0.0, named - dt, dt=dt)
     assert all(np.all(np.isfinite(getattr(traj, f))) for f in _FIELDS)
     # ... and the step loop overflows within a few steps of it (its
     # intermediate products overflow slightly earlier than the block path's).
@@ -394,25 +402,25 @@ def test_step_loop_names_first_non_finite_sample():
     params, input_fn, dt = CircuitParams(), lambda t: np.ones(1), 0.01
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError, match="non-finite circuit state") as err:
-            simulate_circuit(spec, params, input_fn, 0.0, 10.0, dt=dt)
+            simulate_circuit(spec, params, sampled(input_fn, 0.0, 10.0, dt),
+                             0.0, 10.0, dt=dt)
         first = _first_non_finite_time(spec, params, input_fn, dt)
     named = float(re.search(r"at t = (\S+) ms", str(err.value)).group(1))
     assert abs(named - first) <= dt
 
 
-def _never_called(t):
-    raise AssertionError("input_fn called before the weights were checked")
-
-
 @pytest.mark.parametrize("field", ["w_zx", "w_yy"])
 @pytest.mark.parametrize("reads_y", [False, True])
 def test_simulate_circuit_rejects_complex_weights(field, reads_y):
+    # The weights are checked first: the input series given here is
+    # misshapen and complex as well.
     weights = {field: np.array([[0.5 + 0.5j]])}
     if reads_y:
         weights["w_ay"] = np.array([[0.5]])
     spec = NetworkSpec.build(1, 1, **weights)
     with pytest.raises(ValueError, match="real-valued"):
-        simulate_circuit(spec, CircuitParams(), _never_called, 0.0, 1.0, dt=0.01)
+        simulate_circuit(spec, CircuitParams(), np.zeros(1, dtype=complex),
+                         0.0, 1.0, dt=0.01)
 
 
 def _raise_if_stepped(*args, **kwargs):
@@ -423,13 +431,12 @@ def test_step_loop_runs_only_when_the_gains_read_y(monkeypatch):
     monkeypatch.setattr(oscint.circuit, "pfc_step", _raise_if_stepped)
     monkeypatch.setattr(oscint.circuit, "thalamic_step", _raise_if_stepped)
     gated = NetworkSpec.build(2, 1, w_ax=np.ones((2, 1)))
-    traj = simulate_circuit(gated, CircuitParams(), lambda t: np.ones(1),
-                            0.0, 1.0, dt=0.01)
+    x = sampled(lambda t: np.ones(1), 0.0, 1.0, 0.01)
+    traj = simulate_circuit(gated, CircuitParams(), x, 0.0, 1.0, dt=0.01)
     assert traj.n_samples == 101
     reads_y = gated.replace(w_by=np.eye(2))
     with pytest.raises(AssertionError, match="step loop ran"):
-        simulate_circuit(reads_y, CircuitParams(), lambda t: np.ones(1),
-                         0.0, 1.0, dt=0.01)
+        simulate_circuit(reads_y, CircuitParams(), x, 0.0, 1.0, dt=0.01)
 
 
 def test_simulate_circuit_rejects_misshapen_init_and_input():
@@ -437,9 +444,14 @@ def test_simulate_circuit_rejects_misshapen_init_and_input():
     init = CircuitState.zeros(2)
     init.a = np.zeros(1)
     with pytest.raises(ValueError, match=r"init\.a has shape \(1,\)"):
-        simulate_circuit(spec, CircuitParams(), lambda t: np.zeros(1),
+        simulate_circuit(spec, CircuitParams(), np.zeros((11, 1)),
                          0.0, 1.0, dt=0.1, init=init)
-    for bad in (np.zeros(2), np.zeros(1, dtype=complex)):
-        with pytest.raises(ValueError, match=r"real samples of shape \(1,\)"):
-            simulate_circuit(spec, CircuitParams(), lambda t: bad,
-                             0.0, 1.0, dt=0.1)
+    # Ten steps take eleven real rows of one channel (the last row unused),
+    # on either path; anything else is turned down before a step is taken.
+    for either_path in (spec, spec.replace(w_ay=np.eye(2))):
+        for bad in (np.zeros((11, 2)), np.zeros((10, 1)), np.zeros((12, 1)),
+                    np.zeros(11), np.zeros((11, 1), dtype=complex)):
+            with pytest.raises(ValueError,
+                               match=r"real series of shape \(11, 1\)"):
+                simulate_circuit(either_path, CircuitParams(), bad, 0.0, 1.0,
+                                 dt=0.1)

@@ -1,11 +1,16 @@
 """Command-line interface: artifacts, exit codes, report text."""
 
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oscint
 from oscint import cli
 from oscint.batch import BatchDivergenceError
 from oscint.config import save_spec, spec_to_dict
@@ -106,6 +111,20 @@ def test_analyze_without_target_exits_2(capsys):
     assert "--constructor or --spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--spec", "/nonexistent/net.json"], "No such file"),
+    (["--constructor", "random-spectral", "--n", "4", "--d", "10"], "d must"),
+    (["--constructor", "center-surround", "--n", "0"], "n >= 3"),
+    (["--constructor", "synfire", "--n", "-3"], "n >= 2"),
+])
+def test_analyze_bad_input_exits_2(capsys, args, message):
+    code = cli.main(["analyze", *args])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_analyze_rejects_nonpositive_tau():
     with pytest.raises(SystemExit):
         cli.main(["analyze", "--constructor", "identity", "--tau", "10,-5"])
@@ -167,6 +186,21 @@ def test_run_off_grid_dt_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "whole number of steps" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_run_off_grid_schedule_boundary_exits_2(tmp_path):
+    # At dt 0.3 fig10's gain step (2500 ms) is off the step grid.  Run in a
+    # subprocess with a timeout, since the bank once looped forever here.
+    src = str(Path(oscint.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscint.cli", "--out", str(tmp_path), "run",
+         "--scenario", "fig10", "--dt", "0.3", "--no-plot"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "whole number of steps" in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
 
 
 def _spec_json(tmp_path, data) -> str:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from sampling import sampled
 
 import oscint.dynamics
 import oscint.scenarios
@@ -28,7 +29,8 @@ def test_step_hand_case():
 
 def test_zero_input_from_rest_stays_at_rest():
     spec = NetworkSpec.build(4, 2, w_yy=np.eye(4))
-    traj = simulate(spec, lambda t: np.zeros(2), 0.0, 50.0, dt=1.0)
+    traj = simulate(spec, sampled(lambda t: np.zeros(2), 0.0, 50.0, 1.0),
+                    0.0, 50.0, dt=1.0)
     assert np.all(traj.y == 0)
     assert np.all(traj.a == 0)
     assert np.all(traj.b == 0)
@@ -47,8 +49,8 @@ def test_simulate_is_deterministic():
     def drive(t):
         return np.array([np.sin(0.01 * t), 1.0])
 
-    t1 = simulate(spec, drive, 0.0, 200.0, dt=1.0)
-    t2 = simulate(spec, drive, 0.0, 200.0, dt=1.0)
+    t1 = simulate(spec, sampled(drive, 0.0, 200.0, 1.0), 0.0, 200.0, dt=1.0)
+    t2 = simulate(spec, sampled(drive, 0.0, 200.0, 1.0), 0.0, 200.0, dt=1.0)
     assert np.array_equal(t1.y, t2.y)
     assert np.array_equal(t1.a, t2.a)
     assert np.array_equal(t1.b, t2.b)
@@ -81,7 +83,8 @@ def _blow_up(channel):
 def test_divergence_raises():
     spec = NetworkSpec.build(1, 1, w_yy=np.array([[1e8]]), c_yhat=np.array([1e8]))
     with np.errstate(all="ignore"), pytest.raises(DivergenceError):
-        simulate(spec, lambda t: np.zeros(1), 0.0, 100.0, dt=1.0)
+        simulate(spec, sampled(lambda t: np.zeros(1), 0.0, 100.0, 1.0),
+                 0.0, 100.0, dt=1.0)
 
 
 @pytest.mark.parametrize("channel", ["y", "a", "b"])
@@ -93,7 +96,8 @@ def test_divergence_names_first_non_finite_sample(channel):
         with pytest.raises(DivergenceError) as reference:
             _step_loop(spec, input_fn, 0.0, 2000, 1.0, SimState.zeros(spec))
         with pytest.raises(DivergenceError) as blocked:
-            simulate(spec, input_fn, 0.0, 2000.0, dt=1.0)
+            simulate(spec, sampled(input_fn, 0.0, 2000.0, 1.0), 0.0, 2000.0,
+                     dt=1.0)
     assert str(blocked.value) == str(reference.value)
     t_bad = float(str(reference.value).split("t = ")[1].split()[0])
     assert t_bad % _BLOCK != 0
@@ -107,7 +111,8 @@ def test_divergence_time_counts_from_t_start(w_ay):
     spec = spec.replace(w_ay=np.array([[w_ay]]))
     init = SimState.zeros(spec, t=0.0)
     with np.errstate(all="ignore"), pytest.raises(DivergenceError) as info:
-        simulate(spec, input_fn, 500.0, 3000.0, dt=1.0, init=init)
+        simulate(spec, sampled(input_fn, 500.0, 3000.0, 1.0), 500.0, 3000.0,
+                 dt=1.0, init=init)
     assert str(info.value) == "non-finite state at t = 1607 ms"
 
 
@@ -147,7 +152,6 @@ def _random_init(rng, n, t):
                     a=rng.standard_normal(n), b=rng.standard_normal(n), t=t)
 
 
-@pytest.mark.filterwarnings("ignore::numpy.exceptions.ComplexWarning")
 @pytest.mark.parametrize("n_steps", [0, _BLOCK - 1, _BLOCK, _BLOCK + 1])
 @pytest.mark.parametrize("kind", ["real", "complex", "complex after real"])
 @pytest.mark.parametrize("seed", [0, 1])
@@ -157,8 +161,9 @@ def test_block_path_matches_step_loop(seed, kind, n_steps):
     spec = _gated_spec(rng, n, m)
     input_fn = _random_input(rng, m, kind, t_start)
     init = _random_init(rng, n, t_start)
-    traj = simulate(spec, input_fn, t_start, t_start + n_steps * dt, dt=dt,
-                    init=init)
+    t_stop = t_start + n_steps * dt
+    traj = simulate(spec, sampled(input_fn, t_start, t_stop, dt), t_start,
+                    t_stop, dt=dt, init=init)
     reference = _step_loop(spec, input_fn, t_start, n_steps, dt, init)
     for name, ref in zip("yab", reference):
         got = getattr(traj, name)
@@ -174,7 +179,8 @@ def test_gains_reading_y_take_the_step_loop_exactly():
     input_fn = _random_input(rng, m)
     init = _random_init(rng, n, 0.0)
     n_steps = _BLOCK + 1
-    traj = simulate(spec, input_fn, 0.0, n_steps * dt, dt=dt, init=init)
+    traj = simulate(spec, sampled(input_fn, 0.0, n_steps * dt, dt), 0.0,
+                    n_steps * dt, dt=dt, init=init)
     y, a, b = _step_loop(spec, input_fn, 0.0, n_steps, dt, init)
     assert np.array_equal(traj.y, y)
     assert np.array_equal(traj.a, a)
@@ -183,9 +189,9 @@ def test_gains_reading_y_take_the_step_loop_exactly():
 
 @pytest.mark.parametrize("w_ay", [0.0, 0.3])
 def test_complex_input_after_real_is_recorded_whole(w_ay):
-    # Both paths (w_ay = 0: blocks; w_ay != 0: steps) promote the input
-    # record to complex at the first complex sample, so replaying the
-    # recorded x through step() reproduces the recorded y.
+    # Both paths (w_ay = 0: blocks; w_ay != 0: steps) record a series whose
+    # first sample is real and the rest complex as complex, so replaying
+    # the recorded x through step() reproduces the recorded y.
     rng = np.random.default_rng(5)
     n, m, dt, t_start = 4, 2, 0.5, 3.0
     spec = _gated_spec(rng, n, m, w_ay=w_ay * rng.standard_normal((n, n)))
@@ -193,8 +199,9 @@ def test_complex_input_after_real_is_recorded_whole(w_ay):
     init = _random_init(rng, n, t_start)
     with warnings.catch_warnings():
         warnings.simplefilter("error", np.exceptions.ComplexWarning)
-        traj = simulate(spec, input_fn, t_start, t_start + (_BLOCK + 3) * dt,
-                        dt=dt, init=init)
+        t_stop = t_start + (_BLOCK + 3) * dt
+        traj = simulate(spec, sampled(input_fn, t_start, t_stop, dt), t_start,
+                        t_stop, dt=dt, init=init)
     assert traj.x.dtype == np.complex128
     assert np.abs(traj.x[1:].imag).min() > 0.0
     y, _, _ = _step_loop(spec, lambda t: traj.x[traj.sample_index(t)],
@@ -203,9 +210,12 @@ def test_complex_input_after_real_is_recorded_whole(w_ay):
 
 
 def test_simulate_rejects_wrong_shaped_input():
+    # Three steps take four rows of two channels: any other shape is turned
+    # down before a step is taken.
     spec = NetworkSpec.build(2, 2)
-    with pytest.raises(ValueError, match=r"shape \(2,\)"):
-        simulate(spec, lambda t: np.ones(1), 0.0, 3.0, dt=1.0)
+    for shape in [(4, 1), (3, 2), (5, 2), (4,), (4, 2, 1)]:
+        with pytest.raises(ValueError, match=r"expected \(4, 2\)"):
+            simulate(spec, np.ones(shape), 0.0, 3.0, dt=1.0)
 
 
 @pytest.mark.parametrize("field", ["y", "a", "b"])
@@ -214,7 +224,7 @@ def test_simulate_rejects_wrong_shaped_init(field):
     init = SimState.zeros(spec)
     setattr(init, field, np.zeros(1, dtype=getattr(init, field).dtype))
     with pytest.raises(ValueError, match=f"init.{field}"):
-        simulate(spec, lambda t: np.zeros(1), 0.0, 3.0, dt=1.0, init=init)
+        simulate(spec, np.zeros((4, 1)), 0.0, 3.0, dt=1.0, init=init)
 
 
 def test_superposition_at_held_gains():
@@ -233,7 +243,8 @@ def test_superposition_at_held_gains():
                     a=np.ones(n), b=np.ones(n))
 
     def run(fn):
-        return simulate(spec, fn, 0.0, 300.0, dt=1.0, init=init).y
+        return simulate(spec, sampled(fn, 0.0, 300.0, 1.0), 0.0, 300.0,
+                        dt=1.0, init=init).y
 
     f1 = lambda t: np.array([1.0, 0.0]) * (t < 150.0)
     f2 = lambda t: np.array([0.0, np.sin(0.02 * t)])
@@ -251,7 +262,8 @@ def test_sustained_projection_conserved_step_by_step():
     rng = np.random.default_rng(2)
     p0 = rng.standard_normal(2) + 1j * rng.standard_normal(2)
     init = SimState(y=v @ p0, a=np.zeros(8), b=np.zeros(8))
-    traj = simulate(spec, lambda t: np.zeros(1), 0.0, 200.0, dt=1.0, init=init)
+    traj = simulate(spec, sampled(lambda t: np.zeros(1), 0.0, 200.0, 1.0),
+                    0.0, 200.0, dt=1.0, init=init)
     proj = traj.y @ v.conj()
     drift = np.abs(proj - p0).max()
     assert drift < 1e-12
@@ -260,7 +272,8 @@ def test_sustained_projection_conserved_step_by_step():
 def test_dt_guard():
     spec = NetworkSpec.build(2, 1, tau_y=10.0)
     with pytest.raises(ValueError):
-        simulate(spec, lambda t: np.zeros(1), 0.0, 10.0, dt=2.0)
+        simulate(spec, sampled(lambda t: np.zeros(1), 0.0, 10.0, 2.0),
+                 0.0, 10.0, dt=2.0)
 
 
 def test_readout_recording():
@@ -270,8 +283,8 @@ def test_readout_recording():
         c_r=np.array([0.5]),
         c_yhat=np.array([1.0, 0.0]),
     )
-    traj = simulate(spec, lambda t: np.zeros(1), 0.0, 20.0, dt=1.0,
-                    record_readout=True)
+    traj = simulate(spec, sampled(lambda t: np.zeros(1), 0.0, 20.0, 1.0),
+                    0.0, 20.0, dt=1.0, record_readout=True)
     assert traj.readout is not None
     assert traj.readout.shape == (traj.n_samples, 1)
     expected = traj.y @ np.array([[1.0, -1.0]]).T + 0.5
@@ -280,7 +293,8 @@ def test_readout_recording():
 
 def test_recorded_samples_are_pre_step_states():
     spec = NetworkSpec.build(1, 1, w_zx=np.array([[1.0]]), c_b=np.array([1.0]))
-    traj = simulate(spec, lambda t: np.ones(1), 0.0, 5.0, dt=1.0)
+    traj = simulate(spec, sampled(lambda t: np.ones(1), 0.0, 5.0, 1.0),
+                    0.0, 5.0, dt=1.0)
     # Sample 0 is the initial condition, untouched by the first update.
     assert traj.y[0, 0] == 0j
     assert traj.times[0] == 0.0
@@ -290,7 +304,7 @@ def test_recorded_samples_are_pre_step_states():
 def test_simulate_rejects_off_grid_span():
     spec = NetworkSpec.build(1, 1)
     with pytest.raises(ValueError, match="whole number of steps"):
-        simulate(spec, lambda t: np.zeros(1), 0.0, 10.7, dt=1.0)
+        simulate(spec, np.zeros((11, 1)), 0.0, 10.7, dt=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +404,11 @@ def test_scan_matches_block_loop_on_random_shared_gate_specs(
     init = _shared_gate_init(rng, spec, t_start)
     t_stop = t_start + n_steps * dt
     scanned = _count_scans(monkeypatch)
-    traj = simulate(spec, input_fn, t_start, t_stop, dt=dt, init=init)
+    x = sampled(input_fn, t_start, t_stop, dt)
+    traj = simulate(spec, x, t_start, t_stop, dt=dt, init=init)
     assert all(scanned) and len(scanned) == -(-n_steps // _BLOCK)
     _force_loop(monkeypatch)
-    ref = simulate(spec, input_fn, t_start, t_stop, dt=dt, init=init)
+    ref = simulate(spec, x, t_start, t_stop, dt=dt, init=init)
     assert np.array_equal(traj.a, ref.a) and np.array_equal(traj.b, ref.b)
     bound = 1e-10 * max(1.0, float(np.abs(ref.y).max()))
     assert np.abs(traj.y - ref.y).max() <= bound
@@ -436,8 +451,9 @@ def test_specs_outside_the_scan_take_the_block_loop(monkeypatch, case):
     # bit-identical to one with the scan switched off.
     spec, input_fn, init, n_steps, dt = _loop_case(case)
     scanned = _count_scans(monkeypatch)
-    traj = simulate(spec, input_fn, 0.0, n_steps * dt, dt=dt, init=init)
+    x = sampled(input_fn, 0.0, n_steps * dt, dt)
+    traj = simulate(spec, x, 0.0, n_steps * dt, dt=dt, init=init)
     assert not any(scanned)
     _force_loop(monkeypatch)
-    ref = simulate(spec, input_fn, 0.0, n_steps * dt, dt=dt, init=init)
+    ref = simulate(spec, x, 0.0, n_steps * dt, dt=dt, init=init)
     assert np.array_equal(traj.y, ref.y)

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from sampling import sampled
 
 from oscint.circuit import CircuitParams, CircuitTrajectory, simulate_circuit
 from oscint.dynamics import simulate
@@ -33,7 +34,8 @@ def small_trajectory():
         w_zx=rng.standard_normal((2, 1)),
         w_ax=np.ones((2, 1)), w_bx=np.ones((2, 1)),
     )
-    return simulate(spec, lambda t: np.array([np.sin(0.7 * t)]), 0.0, 30.0, dt=0.5)
+    x = sampled(lambda t: np.array([np.sin(0.7 * t)]), 0.0, 30.0, 0.5)
+    return simulate(spec, x, 0.0, 30.0, dt=0.5)
 
 
 def test_trajectory_csv_round_trip_is_exact(tmp_path, small_trajectory):
@@ -71,7 +73,8 @@ def test_trajectory_csv_header_layout(tmp_path, small_trajectory):
 def test_circuit_csv_layout_and_values(tmp_path):
     spec = NetworkSpec.build(1, 1, w_zx=np.array([[1.0]]),
                              w_ax=np.ones((1, 1)), w_bx=np.ones((1, 1)))
-    traj = simulate_circuit(spec, CircuitParams(), lambda t: np.array([1.0]),
+    traj = simulate_circuit(spec, CircuitParams(),
+                            sampled(lambda t: np.array([1.0]), 0.0, 2.0, 0.01),
                             0.0, 2.0, dt=0.01, record_stride=10)
     path = tmp_path / "circuit.csv"
     write_circuit_csv(path, traj)

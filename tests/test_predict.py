@@ -1,5 +1,7 @@
 """Frequency-channel bank: stepping, schedules, continuation runs."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -157,3 +159,57 @@ def test_bank_rejects_off_grid_horizon():
         predict_series(pspec, np.zeros(10), sched, horizon=1.05, dt=0.1)
     with pytest.raises(ValueError, match="whole number of steps"):
         predictive_basis(pspec, 0, horizon=1.05, dt=0.1)
+
+
+def _timed_out(signum, frame):
+    raise TimeoutError("predict_series did not return")
+
+
+def _within_seconds(seconds, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, or TimeoutError once ``seconds`` pass."""
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(seconds)
+    try:
+        return fn(*args, **kwargs)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("start", [0.04, 0.07])
+def test_bank_rejects_off_grid_schedule_boundary(start):
+    # A free-phase segment that starts less than half a step after the grid
+    # time gave a zero-step segment, and the segment loop never advanced;
+    # one past half a step was silently rounded to a whole step.
+    pspec = PredictorSpec((1.0, 2.0))
+    sched = ModulatorSchedule(((-1.0, 0.0, 0.0), (start, 1.0, 0.0)))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        _within_seconds(20, predict_series, pspec, np.zeros(10), sched,
+                        horizon=1.0, dt=0.1)
+
+
+def test_bank_starts_a_segment_at_the_grid_time_rounding_puts_before_it():
+    # At dt 0.3 from t = -3 the grid time nearest 8192.7 ms is
+    # 8192.699999999999, 1.8e-12 short of it.  The segment that starts there
+    # must take over at that sample: the lookup once kept the previous
+    # segment's gains to the horizon, and a boundary a little further past
+    # the grid time made a zero-step segment that never advanced.
+    pspec = PredictorSpec((1.0,))
+    sched = ModulatorSchedule(((-3.0, 0.1, 0.1), (0.0, 0.0, 0.0),
+                               (8192.7, 1.0, 0.0)))
+    result = _within_seconds(20, predict_series, pspec, np.ones(10), sched,
+                             horizon=8250.0, dt=0.3)
+    k = result.sample_index(8192.7)
+    assert result.times[k] < 8192.7
+    mags = np.abs(result.y[result.sample_index(0.0):, 0])
+    held, damped = mags[:k - 9], mags[k - 10:]
+    assert np.abs(held - held[0]).max() < 1e-12 * held[0]
+    assert np.all(np.diff(damped) < 0)
+
+
+def test_bank_ignores_boundaries_past_the_horizon():
+    pspec = PredictorSpec((1.0,))
+    sched = ModulatorSchedule(((-1.0, 0.1, 0.1), (0.0, 0.0, 0.0),
+                               (5.04, 1.0, 0.0)))
+    result = predict_series(pspec, np.ones(10), sched, horizon=1.0, dt=0.1)
+    assert len(result.times) == 21

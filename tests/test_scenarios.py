@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oscint.circuit
-from oscint.scenarios import SCENARIO_NAMES, run_scenario
+from oscint.scenarios import SCENARIO_NAMES, Pulse, pulse_series, run_scenario
 
 
 def _assert_checks_pass(result):
@@ -12,6 +12,55 @@ def _assert_checks_pass(result):
     assert ran, "every check was skipped"
     failed = [c for c in ran if not c.passed]
     assert not failed, "; ".join(f"{c.name}: {c.detail}" for c in failed)
+
+
+def _pulse_reference(n_channels, pulses, t_start, n_steps, dt):
+    """The pulses summed one sample at a time, at t = t_start + i*dt."""
+    rows = []
+    for i in range(n_steps + 1):
+        t = t_start + i * dt
+        x = np.zeros(n_channels)
+        for p in pulses:
+            if p.t_on <= t < p.t_off:
+                x[p.channel] += p.value
+        rows.append(x)
+    return np.array(rows)
+
+
+_PULSES = [
+    Pulse(0, 1.0, 3.0, 2.5),
+    Pulse(1, 0.5, 2.5, 1.0),        # overlaps the next on channel 1
+    Pulse(1, 1.5, 4.0, -0.75),
+    Pulse(2, -5.0, 0.0, 3.0),       # starts before the series
+    Pulse(2, 9.0, 12.0, 1.0),       # lies past it
+    Pulse(0, 2.0, 2.0, 7.0),        # empty
+]
+
+
+@pytest.mark.parametrize("t_start, t_stop, dt", [
+    (-1.0, 4.0, 0.5), (0.0, 5.0, 0.1), (0.3, 4.0, 0.02), (-2.0, 6.0, 0.01),
+])
+def test_pulse_series_matches_per_sample_sum(t_start, t_stop, dt):
+    n_steps = int(round((t_stop - t_start) / dt))
+    want = _pulse_reference(3, _PULSES, t_start, n_steps, dt)
+    got = pulse_series(3, _PULSES, t_start, t_stop, dt)
+    assert got.shape == (n_steps + 1, 3) and got.dtype == np.float64
+    assert np.array_equal(got, want)
+
+
+def test_pulse_series_edges_and_overlap():
+    x = pulse_series(3, _PULSES, -1.0, 4.0, 0.5)     # t = -1, -0.5, ..., 4
+    # t == t_on is inside a pulse, t == t_off is not.
+    assert x[4, 0] == 2.5 and x[3, 0] == 0.0        # t = 1 on, 0.5 off
+    assert x[8, 0] == 0.0 and x[7, 0] == 2.5        # t = 3 off, 2.5 on
+    # Overlapping pulses on one channel add, negative values included.
+    assert x[5, 1] == 1.0 - 0.75 and x[7, 1] == -0.75 and x[2, 1] == 0.0
+    assert np.array_equal(x[:, 2], [3.0, 3.0] + [0.0] * 9)
+
+
+def test_pulse_series_rejects_off_grid_span():
+    with pytest.raises(ValueError, match="whole number of steps"):
+        pulse_series(2, _PULSES, 0.0, 1.05, 0.1)
 
 
 def test_catalog_lists_every_preset():
