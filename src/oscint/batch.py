@@ -47,6 +47,7 @@ from .model import (
     Trajectory,
     _energy_terms,
     predicted_series,
+    readout_series,
     rectify,
 )
 
@@ -313,6 +314,7 @@ def trajectory_from_result(
 
     The gain columns carry the solver's (alpha, b) pair rather than the
     integrator's (a, b); the conversion is (1+a+) = (1+b+)(1+alpha+).
+    ``readout`` follows :func:`oscint.dynamics.simulate`'s rule.
     """
     fwd = forward_pass(prob, result.y_series)
     times = t_start + prob.dt * np.arange(prob.n_samples)
@@ -324,4 +326,5 @@ def trajectory_from_result(
         a=a_equiv,
         b=fwd.b,
         y=result.y_series,
+        readout=readout_series(prob.spec, result.y_series),
     )

@@ -8,9 +8,13 @@ Three subcommands:
 * ``analyze``  — print the spectral report of a constructor or config file;
 * ``sweep``    — run several scenarios, optionally in parallel workers.
 
-The default output directory comes from ``OSCINT_OUT`` (falling back to
-``./out``).  A single ``--seed`` flag covers every random choice a command
-makes.
+Each command reads argparse's namespace as it is.  ``run`` and ``analyze``
+take exactly one target; a run writes its record's artifacts through
+:func:`oscint.output.write_csv` and :func:`oscint.output.plot_series`,
+whether the record came from a preset or a ``--spec`` file.  Bad input
+exits 2 with one ``error:`` line.  The default output directory comes from
+``OSCINT_OUT`` (falling back to ``./out``).  A single ``--seed`` flag covers
+every random choice a command makes.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,7 +31,7 @@ import numpy as np
 from . import config as config_mod
 from . import output
 from .dynamics import simulate
-from .model import DivergenceError, steps_in_span
+from .model import DivergenceError, SampledRecord, steps_in_span
 from .scenarios import SCENARIO_NAMES, ScenarioResult, run_scenario
 from .spectral import SpectralReport, analyze
 from .weights import (
@@ -40,28 +43,6 @@ from .weights import (
 )
 
 _ENV_OUT = "OSCINT_OUT"
-
-
-@dataclass
-class RunConfig:
-    """Parsed command line, normalized."""
-
-    subcommand: str
-    scenario: Optional[str] = None
-    spec_path: Optional[str] = None
-    constructor: Optional[str] = None
-    n: int = 8
-    d: int = 2
-    imag_std: float = 0.05
-    tau: tuple = (10.0,)
-    dt: Optional[float] = None
-    duration: Optional[float] = None
-    out_dir: Path = Path("out")
-    seed: Optional[int] = None
-    tau_scale: Optional[float] = None
-    plot: bool = True
-    scenarios: tuple = ()
-    workers: int = 1
 
 
 def _positive_float(text: str) -> float:
@@ -81,6 +62,12 @@ def _tau_list(text: str) -> tuple:
     return values
 
 
+def _scenario_list(text: str) -> tuple[str, ...]:
+    if text == "all":
+        return SCENARIO_NAMES
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oscint",
@@ -88,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     default_out = os.environ.get(_ENV_OUT, "out")
     parser.add_argument(
-        "--out", default=default_out, metavar="DIR",
+        "--out", type=Path, dest="out_dir", default=default_out, metavar="DIR",
         help=f"output directory (default: ${_ENV_OUT} or ./out)",
     )
     parser.add_argument("--seed", type=int, default=None,
@@ -105,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run length in ms")
     p_run.add_argument("--tau-scale", type=_positive_float, default=None,
                        help="multiply every response time constant")
-    p_run.add_argument("--no-plot", action="store_true",
+    p_run.add_argument("--no-plot", dest="plot", action="store_false",
                        help="skip SVG output")
 
     p_an = sub.add_parser("analyze", help="spectral report of a matrix")
@@ -125,43 +112,14 @@ def build_parser() -> argparse.ArgumentParser:
                            "(single value broadcasts)")
 
     p_sw = sub.add_parser("sweep", help="run several scenarios")
-    p_sw.add_argument("--scenarios", default="all",
+    p_sw.add_argument("--scenarios", type=_scenario_list, default="all",
                       help="comma list of presets, or 'all'")
     p_sw.add_argument("--workers", type=int, default=1,
-                      help="parallel worker processes")
+                      help="parallel worker processes (at least 1)")
     p_sw.add_argument("--dt", type=_positive_float, default=None)
     p_sw.add_argument("--tau-scale", type=_positive_float, default=None)
-    p_sw.add_argument("--no-plot", action="store_true")
+    p_sw.add_argument("--no-plot", dest="plot", action="store_false")
     return parser
-
-
-def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(subcommand=ns.subcommand, out_dir=Path(ns.out), seed=ns.seed)
-    if ns.subcommand == "run":
-        cfg.scenario = ns.scenario
-        cfg.spec_path = ns.spec_path
-        cfg.dt = ns.dt
-        cfg.duration = ns.duration
-        cfg.tau_scale = ns.tau_scale
-        cfg.plot = not ns.no_plot
-    elif ns.subcommand == "analyze":
-        cfg.constructor = ns.constructor
-        cfg.spec_path = ns.spec_path
-        cfg.n = ns.n
-        cfg.d = ns.d
-        cfg.imag_std = ns.imag_std
-        cfg.tau = ns.tau
-    else:
-        cfg.scenarios = (
-            SCENARIO_NAMES if ns.scenarios == "all"
-            else tuple(s.strip() for s in ns.scenarios.split(",") if s.strip())
-        )
-        cfg.workers = max(1, ns.workers)
-        cfg.dt = ns.dt
-        cfg.tau_scale = ns.tau_scale
-        cfg.plot = not ns.no_plot
-    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -179,92 +137,59 @@ def _report_lines(result: ScenarioResult) -> list[str]:
     return lines
 
 
-def _svg_series(result: ScenarioResult, max_traces: int = 8) -> dict[str, np.ndarray]:
-    kind = result.kind
-    traj = result.trajectory
-    if kind == "circuit":
-        y = traj.y_net
-        labels = [f"y_net_{j}" for j in range(y.shape[1])]
-    elif kind == "prediction":
-        freqs = result.extras["freqs_hz"]
-        return {f"re_y_{f:g}hz": traj.y[:, j].real for j, f in enumerate(freqs)} | {
-            "readout": traj.readout
-        }
-    else:
-        y = traj.y.real
-        labels = [f"re_y_{j}" for j in range(y.shape[1])]
-    step = max(1, y.shape[1] // max_traces)
-    return {labels[j]: y[:, j] for j in range(0, y.shape[1], step)}
-
-
-def _write_artifacts(result: ScenarioResult, out_dir: Path, plot: bool) -> list[Path]:
+def _write_artifacts(out_dir: Path, name: str, record: SampledRecord, title: str,
+                     plot: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    csv_path = out_dir / f"{result.name}_trajectory.csv"
-    if result.kind == "circuit":
-        output.write_circuit_csv(csv_path, result.trajectory)
-    elif result.kind == "prediction":
-        output.write_prediction_csv(csv_path, result.trajectory,
-                                    result.extras["freqs_hz"])
-    else:
-        output.write_trajectory_csv(csv_path, result.trajectory)
-    written.append(csv_path)
-
-    report_path = out_dir / f"{result.name}_report.txt"
-    report_path.write_text("\n".join(_report_lines(result)) + "\n")
-    written.append(report_path)
-
+    output.write_csv(out_dir / f"{name}_trajectory.csv", record)
     if plot:
-        svg_path = out_dir / f"{result.name}_y.svg"
-        series = _svg_series(result)
-        output.write_svg_lines(
-            svg_path, result.trajectory.times, series,
-            title=f"{result.name}: {result.description}",
-            y_label="response",
-        )
-        written.append(svg_path)
-    return written
+        output.write_svg_lines(out_dir / f"{name}_y.svg", record.times,
+                               output.plot_series(record), title=title,
+                               y_label="response")
 
 
-def _run_spec_file(cfg: RunConfig) -> int:
-    spec = config_mod.load_spec(cfg.spec_path)
-    if cfg.tau_scale:
-        spec = spec.replace(tau_y=spec.tau_y * cfg.tau_scale)
-    dt = cfg.dt if cfg.dt is not None else 1.0
-    duration = cfg.duration if cfg.duration is not None else 1000.0
+def _write_scenario(out_dir: Path, result: ScenarioResult, plot: bool) -> None:
+    _write_artifacts(out_dir, result.name, result.trajectory,
+                     f"{result.name}: {result.description}", plot)
+    (out_dir / f"{result.name}_report.txt").write_text(
+        "\n".join(_report_lines(result)) + "\n")
+
+
+def _run_spec_file(ns: argparse.Namespace) -> int:
+    spec = config_mod.load_spec(ns.spec_path)
+    if ns.tau_scale:
+        spec = spec.replace(tau_y=spec.tau_y * ns.tau_scale)
+    dt = ns.dt if ns.dt is not None else 1.0
+    duration = ns.duration if ns.duration is not None else 1000.0
     x = np.zeros((steps_in_span(duration, dt) + 1, spec.n_inputs))
-    traj = simulate(spec, x, 0.0, duration, dt,
-                    record_readout=spec.n_readout > 0)
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    name = Path(cfg.spec_path).stem
-    output.write_trajectory_csv(cfg.out_dir / f"{name}_trajectory.csv", traj)
-    if cfg.plot:
-        series = {f"re_y_{j}": traj.y[:, j].real
-                  for j in range(min(traj.y.shape[1], 8))}
-        output.write_svg_lines(cfg.out_dir / f"{name}_y.svg", traj.times, series,
-                               title=name, y_label="response")
-    print(f"simulated {name}: {traj.n_samples} samples -> {cfg.out_dir}")
+    traj = simulate(spec, x, 0.0, duration, dt)
+    name = Path(ns.spec_path).stem
+    _write_artifacts(ns.out_dir, name, traj, name, ns.plot)
+    print(f"simulated {name}: {traj.n_samples} samples -> {ns.out_dir}")
     return 0
 
 
-def cmd_run(cfg: RunConfig) -> int:
-    if not (cfg.scenario or cfg.spec_path):
-        print("run: provide --scenario or --spec", file=sys.stderr)
-        return 2
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def cmd_run(ns: argparse.Namespace) -> int:
+    if bool(ns.scenario) == bool(ns.spec_path):
+        return _usage_error("run: provide exactly one of --scenario or --spec")
     # Bad input (an unreadable or malformed config, an off-grid span, an
     # unwritable output directory) exits 2; a run that diverges exits 1.
     # Either way the message is one line.
     try:
-        if not cfg.scenario:
-            return _run_spec_file(cfg)
+        if ns.spec_path:
+            return _run_spec_file(ns)
         result = run_scenario(
-            cfg.scenario,
-            dt=cfg.dt,
-            duration=cfg.duration,
-            seed=cfg.seed,
-            tau_scale=cfg.tau_scale,
+            ns.scenario,
+            dt=ns.dt,
+            duration=ns.duration,
+            seed=ns.seed,
+            tau_scale=ns.tau_scale,
         )
-        _write_artifacts(result, cfg.out_dir, cfg.plot)
+        _write_scenario(ns.out_dir, result, ns.plot)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -280,20 +205,20 @@ def cmd_run(cfg: RunConfig) -> int:
 # analyze
 
 
-def _constructor_matrix(cfg: RunConfig) -> np.ndarray:
-    name = cfg.constructor
+def _constructor_matrix(ns: argparse.Namespace) -> np.ndarray:
+    name = ns.constructor
     if name == "center-surround":
-        return center_surround(cfg.n)
+        return center_surround(ns.n)
     if name == "synfire":
-        return synfire(cfg.n)
+        return synfire(ns.n)
     if name == "random-spectral":
-        seed = cfg.seed if cfg.seed is not None else 0
-        return random_spectral(SpectrumRequest(n=cfg.n, d=cfg.d,
-                                               imag_std=cfg.imag_std, seed=seed))
+        seed = ns.seed if ns.seed is not None else 0
+        return random_spectral(SpectrumRequest(n=ns.n, d=ns.d,
+                                               imag_std=ns.imag_std, seed=seed))
     if name == "ei-pair":
         return ei_pair()
     if name == "identity":
-        return np.eye(cfg.n)
+        return np.eye(ns.n)
     raise ValueError(f"unknown constructor {name!r}")
 
 
@@ -320,21 +245,20 @@ def _format_report(report: SpectralReport) -> list[str]:
     return lines
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
-    if not (cfg.spec_path or cfg.constructor):
-        print("analyze: provide --constructor or --spec", file=sys.stderr)
-        return 2
+def cmd_analyze(ns: argparse.Namespace) -> int:
+    if bool(ns.constructor) == bool(ns.spec_path):
+        return _usage_error("analyze: provide exactly one of --constructor or --spec")
     # Bad input (an unreadable or malformed config, a size the constructor
     # rejects, a tau list of the wrong length) exits 2 with one line.
     try:
-        if cfg.spec_path:
-            spec = config_mod.load_spec(cfg.spec_path)
+        if ns.spec_path:
+            spec = config_mod.load_spec(ns.spec_path)
             matrix, tau = spec.w_yy, spec.tau_y
         else:
-            matrix = _constructor_matrix(cfg)
+            matrix = _constructor_matrix(ns)
             tau = np.broadcast_to(
-                np.asarray(cfg.tau, dtype=np.float64),
-                (matrix.shape[0],) if len(cfg.tau) == 1 else (len(cfg.tau),),
+                np.asarray(ns.tau, dtype=np.float64),
+                (matrix.shape[0],) if len(ns.tau) == 1 else (len(ns.tau),),
             )
             if len(tau) != matrix.shape[0]:
                 raise ValueError(f"{len(tau)} tau values for a "
@@ -352,14 +276,14 @@ def cmd_analyze(cfg: RunConfig) -> int:
 # sweep
 
 
-def _sweep_one(name: str, out_dir: str, dt: Optional[float],
+def _sweep_one(name: str, out_dir: Path, dt: Optional[float],
                tau_scale: Optional[float], seed: Optional[int],
                plot: bool) -> tuple[str, bool, str]:
     # Bad input, an unwritable output directory and a divergence each end
     # this scenario in one FAIL line; the other scenarios still run.
     try:
         result = run_scenario(name, dt=dt, seed=seed, tau_scale=tau_scale)
-        _write_artifacts(result, Path(out_dir), plot)
+        _write_scenario(out_dir, result, plot)
     except (OSError, ValueError, DivergenceError) as exc:
         return name, False, str(exc)
     failed = [a.name for a in result.assertions if not (a.passed or a.skipped)]
@@ -367,16 +291,19 @@ def _sweep_one(name: str, out_dir: str, dt: Optional[float],
     return name, result.all_passed, detail
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    unknown = [s for s in cfg.scenarios if s not in SCENARIO_NAMES]
+def cmd_sweep(ns: argparse.Namespace) -> int:
+    unknown = [s for s in ns.scenarios if s not in SCENARIO_NAMES]
     if unknown:
-        print(f"error: unknown scenario {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    args = [(name, str(cfg.out_dir), cfg.dt, cfg.tau_scale, cfg.seed, cfg.plot)
-            for name in cfg.scenarios]
+        return _usage_error(f"unknown scenario {', '.join(unknown)}")
+    if not ns.scenarios:
+        return _usage_error("sweep: --scenarios names no scenario")
+    if ns.workers < 1:
+        return _usage_error(f"sweep: --workers must be at least 1, got {ns.workers}")
+    args = [(name, ns.out_dir, ns.dt, ns.tau_scale, ns.seed, ns.plot)
+            for name in ns.scenarios]
     # The pool starts all its workers up front, so never ask for more than
     # there are scenarios to run or cores to run them on.
-    workers = min(cfg.workers, len(args), os.cpu_count() or 1)
+    workers = min(ns.workers, len(args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(workers) as pool:
             futures = [pool.submit(_sweep_one, *a) for a in args]
@@ -391,12 +318,9 @@ def cmd_sweep(cfg: RunConfig) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    cfg = parse_args(argv)
-    if cfg.subcommand == "run":
-        return cmd_run(cfg)
-    if cfg.subcommand == "analyze":
-        return cmd_analyze(cfg)
-    return cmd_sweep(cfg)
+    ns = build_parser().parse_args(argv)
+    commands = {"run": cmd_run, "analyze": cmd_analyze, "sweep": cmd_sweep}
+    return commands[ns.subcommand](ns)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,9 @@ import numpy as np
 from .model import NetworkSpec
 
 _SCALAR_FIELDS = ("n_neurons", "n_inputs", "n_readout", "tau_a", "tau_b")
-_COMPLEX_FIELDS = ("w_zx", "w_yy", "w_ry", "c_z", "c_yhat", "c_r")
-_REAL_FIELDS = ("w_ax", "w_bx", "w_ay", "w_by", "c_a", "c_b", "tau_y")
+_DTYPES = {name: dtype for name, (_, dtype) in NetworkSpec.layout(0, 0, 0).items()}
+_COMPLEX_FIELDS = tuple(name for name, t in _DTYPES.items() if t == np.complex128)
+_REAL_FIELDS = tuple(name for name, t in _DTYPES.items() if t == np.float64)
 
 
 def _encode_array(arr: np.ndarray) -> list:
@@ -39,8 +40,7 @@ def _decode_entry(entry) -> complex | float:
     return float(entry)
 
 
-def _decode_array(data: list, shape: tuple, complex_valued: bool) -> np.ndarray:
-    dtype = np.complex128 if complex_valued else np.float64
+def _decode_array(data: list, shape: tuple, dtype) -> np.ndarray:
     if len(shape) == 2:
         entries = [_decode_entry(e) for row in data for e in row]
     else:
@@ -80,12 +80,7 @@ def spec_from_dict(data: dict) -> NetworkSpec:
             raise ValueError(f"network config key {name!r}: {exc}") from exc
 
     n, m, k = (decode(name, int) for name in ("n_neurons", "n_inputs", "n_readout"))
-    shapes = {
-        "w_zx": (n, m), "w_yy": (n, n), "w_ry": (k, n),
-        "w_ax": (n, m), "w_bx": (n, m), "w_ay": (n, n), "w_by": (n, n),
-        "c_z": (n,), "c_yhat": (n,), "c_a": (n,), "c_b": (n,), "c_r": (k,),
-        "tau_y": (n,),
-    }
+    layout = NetworkSpec.layout(n, m, k)
     kwargs = {
         "n_neurons": n,
         "n_inputs": m,
@@ -94,8 +89,8 @@ def spec_from_dict(data: dict) -> NetworkSpec:
         "tau_b": decode("tau_b", float),
     }
     for name in _COMPLEX_FIELDS + _REAL_FIELDS:
-        kwargs[name] = decode(name, _decode_array, shapes[name],
-                              name in _COMPLEX_FIELDS)
+        shape, dtype = layout[name]
+        kwargs[name] = decode(name, _decode_array, shape, dtype)
     return NetworkSpec(**kwargs)
 
 

@@ -49,6 +49,7 @@ from .model import (
     Trajectory,
     input_drive,
     recurrent_drive,
+    readout_series,
     rectify,
     sample_times,
 )
@@ -133,7 +134,6 @@ def simulate(
     t_stop: float,
     dt: float = 1.0,
     init: Optional[SimState] = None,
-    record_readout: bool = False,
 ) -> Trajectory:
     """Integrate from ``t_start`` to ``t_stop`` and record every sample.
 
@@ -143,6 +143,8 @@ def simulate(
     row ``i``; the final sample at ``t_stop`` is recorded without stepping
     past it.  ``traj.x`` is a float64 or, for complex ``x``, complex128 copy
     of ``x``; the drive z is not recorded, as ``traj.x`` gives it.
+    ``traj.readout`` is the linear readout of every sample when the spec has
+    readout rows (:func:`oscint.model.readout_series`), None otherwise.
     Identical arguments produce bit-identical trajectories.
 
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
@@ -187,8 +189,7 @@ def simulate(
         _advance_blocks(spec, traj)
     else:
         _advance_steps(spec, traj)
-    if record_readout and spec.n_readout > 0:
-        traj.readout = ys @ spec.w_ry.T + spec.c_r
+    traj.readout = readout_series(spec, ys)
     return traj
 
 

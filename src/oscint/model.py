@@ -70,6 +70,25 @@ def _coerce(value, shape: tuple, dtype, name: str) -> np.ndarray:
     return out
 
 
+# Each array field of a NetworkSpec: its shape over the sizes n (neurons),
+# m (inputs) and k (readout rows), and its dtype.
+_ARRAY_FIELDS = {
+    "w_zx": ("nm", np.complex128),
+    "w_yy": ("nn", np.complex128),
+    "w_ry": ("kn", np.complex128),
+    "w_ax": ("nm", np.float64),
+    "w_bx": ("nm", np.float64),
+    "w_ay": ("nn", np.float64),
+    "w_by": ("nn", np.float64),
+    "c_z": ("n", np.complex128),
+    "c_yhat": ("n", np.complex128),
+    "c_a": ("n", np.float64),
+    "c_b": ("n", np.float64),
+    "c_r": ("k", np.complex128),
+    "tau_y": ("n", np.float64),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class NetworkSpec:
     """Immutable description of one network.
@@ -99,28 +118,19 @@ class NetworkSpec:
     tau_a: float            # ms
     tau_b: float            # ms
 
+    @staticmethod
+    def layout(n: int, m: int, k: int) -> dict[str, tuple[tuple[int, ...], type]]:
+        """Shape and dtype of each array field for N = n, M = m, K = k."""
+        sizes = {"n": n, "m": m, "k": k}
+        return {name: (tuple(sizes[d] for d in dims), dtype)
+                for name, (dims, dtype) in _ARRAY_FIELDS.items()}
+
     def __post_init__(self) -> None:
         n, m, k = self.n_neurons, self.n_inputs, self.n_readout
         if n < 1 or m < 0 or k < 0:
             raise ValueError("n_neurons must be >= 1 and channel counts >= 0")
-        c128, f64 = np.complex128, np.float64
-        layout = {
-            "w_zx": ((n, m), c128),
-            "w_yy": ((n, n), c128),
-            "w_ry": ((k, n), c128),
-            "w_ax": ((n, m), f64),
-            "w_bx": ((n, m), f64),
-            "w_ay": ((n, n), f64),
-            "w_by": ((n, n), f64),
-            "c_z": ((n,), c128),
-            "c_yhat": ((n,), c128),
-            "c_a": ((n,), f64),
-            "c_b": ((n,), f64),
-            "c_r": ((k,), c128),
-            "tau_y": ((n,), f64),
-        }
         coerced = {name: _coerce(getattr(self, name), shape, dtype, name)
-                   for name, (shape, dtype) in layout.items()}
+                   for name, (shape, dtype) in self.layout(n, m, k).items()}
         for name, arr in coerced.items():
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains non-finite entries")
@@ -153,20 +163,9 @@ class NetworkSpec:
     ) -> "NetworkSpec":
         """Create a spec with zero defaults for every pathway not supplied."""
         n, m, k = n_neurons, n_inputs, n_readout
-        values = {
-            "w_zx": np.zeros((n, m), dtype=np.complex128),
-            "w_yy": np.zeros((n, n), dtype=np.complex128),
-            "w_ry": np.zeros((k, n), dtype=np.complex128),
-            "w_ax": np.zeros((n, m)),
-            "w_bx": np.zeros((n, m)),
-            "w_ay": np.zeros((n, n)),
-            "w_by": np.zeros((n, n)),
-            "c_z": np.zeros(n, dtype=np.complex128),
-            "c_yhat": np.zeros(n, dtype=np.complex128),
-            "c_a": np.zeros(n),
-            "c_b": np.zeros(n),
-            "c_r": np.zeros(k, dtype=np.complex128),
-        }
+        values = {name: np.zeros(shape, dtype)
+                  for name, (shape, dtype) in cls.layout(n, m, k).items()
+                  if name != "tau_y"}
         unknown = set(overrides) - set(values)
         if unknown:
             raise TypeError(f"unknown NetworkSpec fields: {sorted(unknown)}")
@@ -272,8 +271,9 @@ class Trajectory(SampledRecord):
     Sample ``i`` holds the state *at* ``times[i]`` together with the input
     evaluated at that instant (the value that advances the state to sample
     ``i + 1``).  The feedforward drive is not stored; it is
-    ``x @ w_zx.T + c_z``.  ``readout`` is filled by callers that attach a
-    linear readout; it is not produced by the integrator itself.
+    ``x @ w_zx.T + c_z``.  ``readout`` is the linear readout
+    ``y @ w_ry.T + c_r`` (:func:`readout_series`) when the spec has readout
+    rows, None when it has none.
     """
 
     x: np.ndarray           # (T, M)
@@ -281,6 +281,12 @@ class Trajectory(SampledRecord):
     b: np.ndarray           # (T, N) real, unrectified
     y: np.ndarray           # (T, N) complex
     readout: Optional[np.ndarray] = None    # (T, K) complex, optional
+
+
+def readout_series(spec: NetworkSpec, y_series: np.ndarray) -> Optional[np.ndarray]:
+    """Linear readout ``y @ w_ry.T + c_r`` of every sample of a response
+    series, or None when the spec has no readout rows."""
+    return y_series @ spec.w_ry.T + spec.c_r if spec.n_readout > 0 else None
 
 
 def predicted_series(spec: NetworkSpec, y_series: np.ndarray) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Trajectory export: CSV, SVG line plots, and plain-text reports.
+"""Record export: CSV tables and SVG line plots.
+
+:func:`write_csv` writes any record in its type's column layout (rate
+:class:`~oscint.model.Trajectory`, :class:`~oscint.circuit.CircuitTrajectory`
+or :class:`~oscint.predict.PredictionResult`), and :func:`plot_series` picks
+the traces an SVG of it draws, so a caller needs nothing but the record.
 
 CSV values are written with repr-quality precision (%.17g) so that a
 write/read/write cycle is byte-identical.  Rows stream to the file in
@@ -15,12 +20,11 @@ from __future__ import annotations
 import os
 import uuid
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .circuit import CircuitTrajectory
-from .model import Trajectory
+from .model import SampledRecord, Trajectory
 from .predict import PredictionResult
 
 # Cells per streamed block: one block's floats and row strings are the
@@ -44,15 +48,23 @@ def _write_rows(path: Path, header: list[str], columns: list[np.ndarray]) -> Non
         raise
 
 
+def _per_unit(times: np.ndarray, tags, named: list[tuple[str, np.ndarray]]
+              ) -> tuple[list[str], list[np.ndarray]]:
+    """Header and columns: ``t``, then unit by unit a ``{name}_{tag}`` column
+    for each (name, (T, N) array) pair."""
+    header, columns = ["t"], [times]
+    for j, tag in enumerate(tags):
+        for name, values in named:
+            header.append(f"{name}_{tag}")
+            columns.append(values[:, j])
+    return header, columns
+
+
 def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
     """Columns: t, then re_y_j, im_y_j, a_j, b_j grouped per neuron."""
-    n = traj.y.shape[1]
-    header = ["t"]
-    columns: list[np.ndarray] = [traj.times]
-    for j in range(n):
-        header += [f"re_y_{j}", f"im_y_{j}", f"a_{j}", f"b_{j}"]
-        columns += [traj.y[:, j].real, traj.y[:, j].imag, traj.a[:, j], traj.b[:, j]]
-    _write_rows(Path(path), header, columns)
+    _write_rows(Path(path), *_per_unit(
+        traj.times, range(traj.y.shape[1]),
+        [("re_y", traj.y.real), ("im_y", traj.y.imag), ("a", traj.a), ("b", traj.b)]))
 
 
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -74,34 +86,52 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
 
 
 def write_circuit_csv(path: str | Path, traj: CircuitTrajectory) -> None:
-    """Same layout with per-compartment potential columns per neuron."""
-    n = traj.a.shape[1]
-    header = ["t"]
-    columns: list[np.ndarray] = [traj.times]
-    for j in range(n):
-        for stack in ("v", "va", "vb"):
-            header += [f"{stack}_plus_{j}", f"{stack}_minus_{j}"]
-            columns += [getattr(traj, stack)[:, 0, j], getattr(traj, stack)[:, 1, j]]
-        header += [f"a_{j}", f"b_{j}"]
-        columns += [traj.a[:, j], traj.b[:, j]]
-    _write_rows(Path(path), header, columns)
+    """Same layout with per-compartment potential columns per neuron:
+    v_plus_j, v_minus_j, va_plus_j, va_minus_j, vb_plus_j, vb_minus_j, a_j, b_j."""
+    named = [(f"{stack}_{sign}", getattr(traj, stack)[:, side])
+             for stack in ("v", "va", "vb")
+             for side, sign in enumerate(("plus", "minus"))]
+    _write_rows(Path(path), *_per_unit(traj.times, range(traj.a.shape[1]),
+                                       named + [("a", traj.a), ("b", traj.b)]))
 
 
-def write_prediction_csv(path: str | Path, result: PredictionResult,
-                         freqs_hz: Sequence[float]) -> None:
-    """Trajectory layout with channels labeled by frequency."""
-    if len(freqs_hz) != result.y.shape[1]:
-        raise ValueError(f"{len(freqs_hz)} frequency labels for "
-                         f"{result.y.shape[1]} channels")
-    header = ["t"]
-    columns: list[np.ndarray] = [result.times]
-    for j, f in enumerate(freqs_hz):
-        tag = f"{f:g}hz"
-        header += [f"re_y_{tag}", f"im_y_{tag}"]
-        columns += [result.y[:, j].real, result.y[:, j].imag]
-    header += ["readout", "quadrature"]
-    columns += [result.readout, result.quadrature]
-    _write_rows(Path(path), header, columns)
+def write_prediction_csv(path: str | Path, result: PredictionResult) -> None:
+    """Trajectory layout with channels labeled by frequency (re_y_2hz, ...),
+    then the readout and quadrature columns."""
+    header, columns = _per_unit(result.times, [f"{f:g}hz" for f in result.freqs_hz],
+                                [("re_y", result.y.real), ("im_y", result.y.imag)])
+    _write_rows(Path(path), header + ["readout", "quadrature"],
+                columns + [result.readout, result.quadrature])
+
+
+def write_csv(path: str | Path, record: SampledRecord) -> None:
+    """Write ``record`` in its type's column layout (the writers above)."""
+    if isinstance(record, CircuitTrajectory):
+        write_circuit_csv(path, record)
+    elif isinstance(record, PredictionResult):
+        write_prediction_csv(path, record)
+    elif isinstance(record, Trajectory):
+        write_trajectory_csv(path, record)
+    else:
+        raise TypeError(f"no CSV layout for {type(record).__name__}")
+
+
+def plot_series(record: SampledRecord) -> dict[str, np.ndarray]:
+    """The traces an SVG of ``record`` draws, by label.
+
+    A bank draws Re(y) of each channel and its readout.  A rate or circuit
+    record draws the response (Re(y), or the circuit's y_net) of every k-th
+    unit, k = max(1, N // 8).
+    """
+    if isinstance(record, PredictionResult):
+        return {f"re_y_{f:g}hz": record.y[:, j].real
+                for j, f in enumerate(record.freqs_hz)} | {"readout": record.readout}
+    if isinstance(record, CircuitTrajectory):
+        name, y = "y_net", record.y_net
+    else:
+        name, y = "re_y", record.y.real
+    step = max(1, y.shape[1] // 8)
+    return {f"{name}_{j}": y[:, j] for j in range(0, y.shape[1], step)}
 
 
 _PALETTE = (

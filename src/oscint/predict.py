@@ -146,11 +146,19 @@ def predictive_basis(
 
 @dataclass
 class PredictionResult(SampledRecord):
-    """Recorded bank run: channel states plus in-phase/quadrature readouts."""
+    """Recorded bank run: channel states plus in-phase/quadrature readouts,
+    with each channel's frequency (ValueError unless one per channel)."""
 
     y: np.ndarray               # (T, n_channels) complex
     readout: np.ndarray         # (T,) sum of Re(y_j)
     quadrature: np.ndarray      # (T,) sum of Im(y_j)
+    freqs_hz: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if len(self.freqs_hz) != self.y.shape[1]:
+            raise ValueError(f"{len(self.freqs_hz)} frequency labels for "
+                             f"{self.y.shape[1]} channels")
 
 
 def predict_series(
@@ -228,4 +236,5 @@ def predict_series(
         y=ys,
         readout=ys.real.sum(axis=1),
         quadrature=ys.imag.sum(axis=1),
+        freqs_hz=pspec.freqs_hz,
     )

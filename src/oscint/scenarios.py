@@ -94,8 +94,7 @@ class AssertionOutcome:
 class ScenarioResult:
     name: str
     description: str
-    kind: str                       # rate | batch | circuit | prediction
-    trajectory: object              # Trajectory / CircuitTrajectory / PredictionResult
+    trajectory: SampledRecord       # Trajectory / CircuitTrajectory / PredictionResult
     assertions: list[AssertionOutcome]
     extras: dict = field(default_factory=dict)
 
@@ -200,8 +199,7 @@ def _build_fig2(ov: Overrides) -> ScenarioResult:
     encoder = eigen_encoder(w, 2)
     spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
-    traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop,
-                    dt, record_readout=True)
+    traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop, dt)
 
     def delay_readout(win):
         err = float(np.abs(traj.readout[win] - _UNIT_TARGET_2D).max())
@@ -224,7 +222,6 @@ def _build_fig2(ov: Overrides) -> ScenarioResult:
     return ScenarioResult(
         name="fig2",
         description="8-unit ring stores a 2-d cue across a 2 s delay, then resets",
-        kind="rate",
         trajectory=traj,
         assertions=checks,
         extras={"spec": spec, "encoder": encoder, "target": _UNIT_TARGET_2D,
@@ -266,7 +263,6 @@ def _build_fig3(ov: Overrides) -> ScenarioResult:
     )
     result = batch_mod.solve(prob)
     traj = batch_mod.trajectory_from_result(prob, result)
-    traj.readout = traj.y @ spec.w_ry.T + spec.c_r
 
     hist = result.energy_history
     n_rises = int((np.diff(hist) > 0).sum())
@@ -298,7 +294,6 @@ def _build_fig3(ov: Overrides) -> ScenarioResult:
     return ScenarioResult(
         name="fig3",
         description="delay-memory trial recovered by whole-trajectory energy descent",
-        kind="batch",
         trajectory=traj,
         assertions=checks,
         extras={"spec": spec, "problem": prob, "result": result,
@@ -370,20 +365,14 @@ def double_step_loop(
                          b=traj.b[-1].copy(), t=float(traj.times[-1]))
         pieces.append(traj)
 
-    def cat(select):
-        parts = [select(pieces[0])]
-        parts += [select(p)[1:] for p in pieces[1:]]
-        return np.concatenate(parts, axis=0)
+    def cat(name):
+        parts = [getattr(p, name) for p in pieces]
+        if parts[0] is None:
+            return None
+        return np.concatenate([parts[0]] + [part[1:] for part in parts[1:]])
 
-    full = Trajectory(
-        dt=dt,
-        times=cat(lambda p: p.times),
-        x=cat(lambda p: p.x),
-        a=cat(lambda p: p.a),
-        b=cat(lambda p: p.b),
-        y=cat(lambda p: p.y),
-    )
-    full.readout = full.y @ spec.w_ry.T + spec.c_r
+    full = Trajectory(dt=dt, **{name: cat(name) for name in
+                                ("times", "x", "a", "b", "y", "readout")})
     return full, discharges
 
 
@@ -471,7 +460,6 @@ def _build_fig4(ov: Overrides) -> ScenarioResult:
         name="fig4",
         description="two stored maps remapped across two movements by "
                     "gain-gated discharge pulses",
-        kind="rate",
         trajectory=traj,
         assertions=checks,
         extras={"spec": spec, "discharges": discharges, "kappa": kappa,
@@ -497,8 +485,7 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
     spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
 
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
-    traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop,
-                    dt, record_readout=True)
+    traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop, dt)
 
     expected_hz = 1000.0 / (n * 10.0)   # one lap of the ring per n tau
 
@@ -536,7 +523,6 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
         name="fig5",
         description="100-unit shift ring holds a rotating 2-d pattern "
                     "(~1 Hz traveling wave)",
-        kind="rate",
         trajectory=traj,
         assertions=checks,
         extras={"spec": spec, "encoder": encoder, "timing": timing,
@@ -570,7 +556,7 @@ def _build_fig6(ov: Overrides) -> ScenarioResult:
     target = rng.standard_normal(10)
     pulses = _memory_pulses(10, target, timing)
     traj = simulate(spec, pulse_series(12, pulses, 0.0, t_stop, dt), 0.0,
-                    t_stop, dt, record_readout=True)
+                    t_stop, dt)
 
     def constant(win):
         mag = np.abs(traj.y[win] @ encoder.conj())
@@ -593,7 +579,6 @@ def _build_fig6(ov: Overrides) -> ScenarioResult:
         name="fig6",
         description="random 100-unit network holds a 10-d pattern as "
                     "slowly rotating mode amplitudes",
-        kind="rate",
         trajectory=traj,
         assertions=checks,
         extras={"spec": spec, "encoder": encoder, "target": target,
@@ -631,7 +616,7 @@ def _build_fig7(ov: Overrides) -> ScenarioResult:
         Pulse(2, 3000.0, 3200.0, 1.0),
     ]
     traj = simulate(spec, pulse_series(m_inputs, pulses, 0.0, t_stop, dt),
-                    0.0, t_stop, dt, record_readout=True)
+                    0.0, t_stop, dt)
     report = analyze(w, tau_vec)
 
     def oscillates(win):
@@ -667,7 +652,6 @@ def _build_fig7(ov: Overrides) -> ScenarioResult:
         name="fig7",
         description="excitatory/inhibitory pair: oscillation frequency and "
                     "stability set purely by the two time constants",
-        kind="rate",
         trajectory=traj,
         assertions=checks,
         extras={"spec": spec, "report": report, "tau": tuple(tau_vec)},
@@ -726,7 +710,6 @@ def _build_fig8(ov: Overrides) -> ScenarioResult:
         name="fig8",
         description="two eigenmode drives stored simultaneously: the combined "
                     "response is the exact sum of the separate ones",
-        kind="rate",
         trajectory=runs["combined"],
         assertions=checks,
         extras={"spec": spec, "runs": runs, "encoder": encoder, "columns": cols},
@@ -799,7 +782,7 @@ def _build_fig9(ov: Overrides) -> ScenarioResult:
 
     dt_rate = 0.1
     rate_traj = simulate(rate_spec, pulse_series(4, pulses, 0.0, t_stop, dt_rate),
-                         0.0, t_stop, dt_rate, record_readout=True)
+                         0.0, t_stop, dt_rate)
     stride = max(1, int(round(1.0 / dt_circuit)))
     circ_traj = simulate_circuit(
         circuit_spec, params, pulse_series(4, pulses, 0.0, t_stop, dt_circuit),
@@ -846,7 +829,6 @@ def _build_fig9(ov: Overrides) -> ScenarioResult:
         name="fig9",
         description="three-compartment ON/OFF circuit reproduces the "
                     "rate-model memory trial",
-        kind="circuit",
         trajectory=circ_traj,
         assertions=checks,
         extras={"rate_spec": rate_spec, "circuit_spec": circuit_spec,
@@ -919,11 +901,9 @@ def _build_fig10(ov: Overrides) -> ScenarioResult:
         name="fig10",
         description="six-frequency bank locks onto a two-tone signal and "
                     "extrapolates it after input stops",
-        kind="prediction",
         trajectory=result,
         assertions=checks,
-        extras={"pspec": pspec, "schedule": schedule, "x_past": x_past,
-                "freqs_hz": _FIG10_FREQS},
+        extras={"pspec": pspec, "schedule": schedule, "x_past": x_past},
     )
 
 

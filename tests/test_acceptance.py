@@ -269,7 +269,7 @@ def test_criterion_04_orthogonal_encoder_perturbation(fig2):
     w_zx[:, : encoder.shape[1]] += perp
     perturbed = simulate(spec.replace(w_zx=w_zx),
                          pulse_series(4, pulses, 0.0, timing.t_stop, 1.0),
-                         0.0, timing.t_stop, 1.0, record_readout=True)
+                         0.0, timing.t_stop, 1.0)
 
     lo = base.sample_index(timing.input_off + 500.0)
     hi = base.sample_index(timing.end_cue_on)

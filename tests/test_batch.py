@@ -1,5 +1,6 @@
 """Whole-trajectory energy descent: forward/backward passes and solve."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -240,6 +241,18 @@ def test_trajectory_from_result_round_trip():
     # alpha = 0 throughout, so the equivalent a-gain equals b
     assert np.abs(traj.a - traj.b).max() < 1e-13
     assert np.isfinite(energy(prob.spec, traj))
+
+
+def test_trajectory_from_result_records_readout_by_the_spec():
+    rng = np.random.default_rng(9)
+    prob = _frozen_gain_problem(rng, t_len=25)
+    result = solve(prob)
+    assert trajectory_from_result(prob, result).readout is None
+    w_ry = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+    c_r = np.array([0.5, -1.0j])
+    spec = prob.spec.replace(n_readout=2, w_ry=w_ry, c_r=c_r)
+    traj = trajectory_from_result(dataclasses.replace(prob, spec=spec), result)
+    assert np.array_equal(traj.readout, result.y_series @ w_ry.T + c_r)
 
 
 def _reference_solve(prob, y_init=None):

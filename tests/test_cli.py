@@ -74,6 +74,26 @@ def test_run_spec_file(tmp_path):
     assert (tmp_path / "net_y.svg").exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["run", "--scenario", "fig2", "--spec", "{spec}"], "--scenario or --spec"),
+    (["analyze", "--constructor", "synfire", "--spec", "{spec}"],
+     "--constructor or --spec"),
+    (["sweep", "--scenarios", ""], "names no scenario"),
+    (["sweep", "--scenarios", "fig4", "--workers", "-3"], "at least 1"),
+], ids=["run-both", "analyze-both", "sweep-empty", "sweep-negative-workers"])
+def test_contradictory_or_empty_target_exits_2(tmp_path, capsys, args, message):
+    spec_path = tmp_path / "net.json"
+    save_spec(NetworkSpec.build(2, 1), spec_path)
+    out = tmp_path / "out"
+    code = cli.main(["--out", str(out)]
+                    + [arg.format(spec=spec_path) for arg in args])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert captured.out == "" and not out.exists()
+
+
 def test_analyze_damped_pair_reports_frequency(capsys):
     code = cli.main(["analyze", "--constructor", "ei-pair",
                      "--tau", "10,12.5"])

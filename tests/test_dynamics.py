@@ -284,7 +284,7 @@ def test_readout_recording():
         c_yhat=np.array([1.0, 0.0]),
     )
     traj = simulate(spec, sampled(lambda t: np.zeros(1), 0.0, 20.0, 1.0),
-                    0.0, 20.0, dt=1.0, record_readout=True)
+                    0.0, 20.0, dt=1.0)
     assert traj.readout is not None
     assert traj.readout.shape == (traj.n_samples, 1)
     expected = traj.y @ np.array([[1.0, -1.0]]).T + 0.5

@@ -216,7 +216,8 @@ def _records(n=9, dt=0.5, t0=-1.0):
                           a=np.zeros((n, 2)), b=np.zeros((n, 2))),
         PredictionResult(dt=dt, times=times,
                          y=np.zeros((n, 3), dtype=np.complex128),
-                         readout=np.zeros(n), quadrature=np.zeros(n)),
+                         readout=np.zeros(n), quadrature=np.zeros(n),
+                         freqs_hz=(2.0, 4.0, 8.0)),
     ]
 
 

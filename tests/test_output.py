@@ -11,8 +11,10 @@ from oscint.dynamics import simulate
 from oscint.model import NetworkSpec, Trajectory
 from oscint.output import (
     _BLOCK_CELLS,
+    plot_series,
     read_trajectory_csv,
     write_circuit_csv,
+    write_csv,
     write_prediction_csv,
     write_svg_lines,
     write_trajectory_csv,
@@ -94,7 +96,7 @@ def test_prediction_csv_channel_labels(tmp_path):
     sched = ModulatorSchedule(((-10.0, 0.1, 0.1), (0.0, 0.0, 0.0)))
     result = predict_series(pspec, np.ones(20), sched, horizon=5.0, dt=0.5)
     path = tmp_path / "pred.csv"
-    write_prediction_csv(path, result, pspec.freqs_hz)
+    write_prediction_csv(path, result)
     header = path.read_text().splitlines()[0].split(",")
     assert header == ["t", "re_y_2hz", "im_y_2hz", "re_y_8hz", "im_y_8hz",
                       "readout", "quadrature"]
@@ -103,14 +105,13 @@ def test_prediction_csv_channel_labels(tmp_path):
     assert np.array_equal(data[:, -2], result.readout)
 
 
-def test_prediction_csv_rejects_label_count_mismatch(tmp_path):
-    result = _prediction_record(4, n_channels=3)
-    path = tmp_path / "pred.csv"
+def test_prediction_csv_rejects_label_count_mismatch():
+    # A bank record carries its channel labels, so a mismatch is refused
+    # when the record is built, before any CSV could be written.
     with pytest.raises(ValueError, match="1 frequency labels for 3 channels"):
-        write_prediction_csv(path, result, (2.0,))
+        _prediction_record(4, n_channels=3, freqs=(2.0,))
     with pytest.raises(ValueError, match="4 frequency labels for 3 channels"):
-        write_prediction_csv(path, result, (2.0, 4.0, 8.0, 16.0))
-    assert list(tmp_path.iterdir()) == []
+        _prediction_record(4, n_channels=3, freqs=(2.0, 4.0, 8.0, 16.0))
 
 
 # Values whose %.17g text is easy to get wrong: signed zero, non-finite,
@@ -153,11 +154,12 @@ def _circuit_record(rows, n=2):
                              a=_values(rng, (rows, n)), b=_values(rng, (rows, n)))
 
 
-def _prediction_record(rows, n_channels=2):
+def _prediction_record(rows, n_channels=2, freqs=(2.0, 8.5)):
     rng = np.random.default_rng(rows + 2)
     return PredictionResult(dt=0.25, times=_times(rows),
                             y=_complex_values(rng, (rows, n_channels)),
-                            readout=_values(rng, rows), quadrature=_values(rng, rows))
+                            readout=_values(rng, rows), quadrature=_values(rng, rows),
+                            freqs_hz=freqs)
 
 
 def _reference_csv(header, columns):
@@ -187,9 +189,9 @@ def _circuit_expected(traj):
     return _reference_csv(header, columns)
 
 
-def _prediction_expected(result, freqs):
+def _prediction_expected(result):
     header, columns = ["t"], [result.times]
-    for j, f in enumerate(freqs):
+    for j, f in enumerate(result.freqs_hz):
         header += [f"re_y_{f:g}hz", f"im_y_{f:g}hz"]
         columns += [result.y[:, j].real, result.y[:, j].imag]
     header += ["readout", "quadrature"]
@@ -197,15 +199,15 @@ def _prediction_expected(result, freqs):
     return _reference_csv(header, columns)
 
 
-_FREQS = (2.0, 8.5)
 _WRITERS = {
     # name: (columns per row, record builder, writer, reference)
     "trajectory": (9, _trajectory_record, write_trajectory_csv, _trajectory_expected),
     "circuit": (17, _circuit_record, write_circuit_csv, _circuit_expected),
-    "prediction": (7, _prediction_record,
-                   lambda path, rec: write_prediction_csv(path, rec, _FREQS),
-                   lambda rec: _prediction_expected(rec, _FREQS)),
+    "prediction": (7, _prediction_record, write_prediction_csv, _prediction_expected),
 }
+# write_csv picks the same layout from the record's type.
+_WRITERS |= {f"write_csv-{kind}": (n_columns, build, write_csv, expected)
+             for kind, (n_columns, build, _, expected) in _WRITERS.items()}
 
 
 @pytest.mark.parametrize("kind", sorted(_WRITERS))
@@ -274,7 +276,7 @@ def test_write_replaces_existing_file(tmp_path, small_trajectory):
 
 def test_streamed_write_memory_is_bounded_by_a_block(tmp_path):
     rng = np.random.default_rng(0)
-    rows, n = 20_000, 100  # 401 columns
+    rows, n = 8_000, 100  # 401 columns, 50 blocks
     traj = Trajectory(dt=0.25, times=_times(rows), x=np.zeros((rows, 1)),
                       a=rng.standard_normal((rows, n)), b=rng.standard_normal((rows, n)),
                       y=rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
@@ -287,8 +289,28 @@ def test_streamed_write_memory_is_bounded_by_a_block(tmp_path):
         tracemalloc.stop()
     written = path.stat().st_size
     path.unlink()
-    assert written > 100e6
+    assert written > 50e6
     assert peak < written / 8, (peak, written)
+
+
+@pytest.mark.parametrize("n, labels", [
+    (100, [f"re_y_{j}" for j in range(0, 100, 12)]),  # every 12th unit: 9 traces
+    (16, [f"re_y_{j}" for j in range(0, 16, 2)]),     # every 2nd unit: 8 traces
+])
+def test_plot_series_draws_every_kth_unit(n, labels):
+    traj = _trajectory_record(5, n=n)
+    series = plot_series(traj)
+    assert list(series) == labels
+    for label, values in series.items():
+        assert np.array_equal(values, traj.y[:, int(label[5:])].real, equal_nan=True)
+
+
+def test_plot_series_draws_bank_channels_and_readout():
+    result = _prediction_record(5)
+    series = plot_series(result)
+    assert list(series) == ["re_y_2hz", "re_y_8.5hz", "readout"]
+    assert np.array_equal(series["re_y_8.5hz"], result.y[:, 1].real, equal_nan=True)
+    assert np.array_equal(series["readout"], result.readout, equal_nan=True)
 
 
 def test_svg_contains_polylines_and_labels(tmp_path):

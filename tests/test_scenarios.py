@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import oscint.circuit
+from oscint.model import Trajectory
+from oscint.predict import PredictionResult
 from oscint.scenarios import SCENARIO_NAMES, Pulse, pulse_series, run_scenario
 
 
@@ -83,7 +85,7 @@ def test_fig2_passes_and_is_deterministic():
     first = run_scenario("fig2")
     second = run_scenario("fig2")
     _assert_checks_pass(first)
-    assert first.kind == "rate"
+    assert isinstance(first.trajectory, Trajectory)
     assert first.description
     assert np.array_equal(first.trajectory.y, second.trajectory.y)
     assert np.array_equal(first.trajectory.readout, second.trajectory.readout)
@@ -134,7 +136,7 @@ def test_fig9_circuit_passes_at_coarser_step():
 def test_fig10_continuation_passes():
     result = run_scenario("fig10")
     _assert_checks_pass(result)
-    assert result.kind == "prediction"
+    assert isinstance(result.trajectory, PredictionResult)
 
 
 @pytest.mark.parametrize("name, override", [
