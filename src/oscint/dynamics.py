@@ -30,6 +30,11 @@ in one of two ways:
   down (a running mode product out of range, or a non-finite result) is
   re-run by the loop, so a divergence is named at the loop's time.
 
+When the gains are also shared — every row of ``w_ax``, ``w_bx``, ``c_a`` and
+``c_b`` equals the first, as the presets' cue-driven modulators do — and the
+initial gains are constant, a and b are filtered and stored as one column,
+which the record shows as (T, N) read-only views.
+
 Specs whose gains read y take one :func:`step` per sample.  ``step`` and
 the loop are the references the faster paths are tested against.
 """
@@ -155,6 +160,15 @@ def simulate(
     otherwise, and for any block the scan turns down, by a per-step loop.
     All paths agree to rounding.  Either way a non-finite y, a or b raises
     :class:`DivergenceError` naming the time of the first non-finite sample.
+
+    When the spec's gains are shared by every neuron (``w_ay = w_by = 0`` and
+    every row of ``w_ax``, ``w_bx``, ``c_a`` and ``c_b`` equal) and ``init.a``
+    and ``init.b`` are each constant, a and b are computed once and stored as
+    one column: ``traj.a`` and ``traj.b`` are then read-only
+    ``np.broadcast_to`` views of shape (T, N), so a caller copies them before
+    writing.  They match the per-neuron values bit for bit when each gain
+    drive ``x @ w.T + c`` sums exactly (every preset's does), and otherwise
+    to the rounding of that sum.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -178,17 +192,24 @@ def simulate(
         if shape != (n,):
             raise ValueError(f"init.{name} has shape {shape}, expected {(n,)}")
 
+    # Gains every neuron shares are formed and stored as one column.
+    shared = (spec._gains_shared and bool(np.all(state.a == state.a[0]))
+              and bool(np.all(state.b == state.b[0])))
+    cols = 1 if shared else n
     xs = np.array(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
-    as_ = np.zeros((n_samples, n))
-    bs = np.zeros((n_samples, n))
+    as_ = np.zeros((n_samples, cols))
+    bs = np.zeros((n_samples, cols))
     ys = np.zeros((n_samples, n), dtype=np.complex128)
-    ys[0], as_[0], bs[0] = state.y, state.a, state.b
+    ys[0], as_[0], bs[0] = state.y, state.a[:cols], state.b[:cols]
 
     traj = Trajectory(dt=dt, times=times, x=xs, a=as_, b=bs, y=ys)
     if spec._w_ay_zero and spec._w_by_zero:
         _advance_blocks(spec, traj)
     else:
         _advance_steps(spec, traj)
+    if shared:
+        traj.a = np.broadcast_to(as_, (n_samples, n))
+        traj.b = np.broadcast_to(bs, (n_samples, n))
     traj.readout = readout_series(spec, ys)
     return traj
 
@@ -280,15 +301,17 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
 
     Valid only when the gains do not read y.  Block ``[s, e]`` reads input
     rows s..e and forms a and b for samples s..e at once (sample e's gains
-    come from the drive before it).  When the block's gate is equal across
-    neurons and W_yy has a usable eigenbasis (:func:`_eigenbasis`),
-    :func:`_scan_block` advances y;
+    come from the drive before it); when ``traj.a`` and ``traj.b`` hold one
+    column, the shared gains are formed from the first gain row alone.  When
+    the block's gate is equal across neurons and W_yy has a usable eigenbasis
+    (:func:`_eigenbasis`), :func:`_scan_block` advances y;
     otherwise, or when the scan turns the block down, a loop runs
     ``y[i+1] = keep * y[i] + gate[i] * (W_yy @ y[i]) + push[i]`` with
     ``keep = 1 - dt/tau_y``, ``gate = (dt/tau_y) / (1+a+)`` and ``push`` from
     :func:`_push`.  Sample e starts the next block.
     """
     a_all, b_all, y_all = traj.a, traj.b, traj.y
+    cols = a_all.shape[1]
     n_steps = traj.n_samples - 1
     rate = traj.dt / spec.tau_y
     keep = 1.0 - rate
@@ -297,10 +320,12 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
     for s in range(0, n_steps, _BLOCK):
         e = min(s + _BLOCK, n_steps)
         x = traj.x[s:e + 1]
-        a_all[s:e + 1] = _gain_series(x.real @ spec.w_ax.T + spec.c_a,
-                                      spec.tau_a, traj.dt, a_all[s])
-        b_all[s:e + 1] = _gain_series(x.real @ spec.w_bx.T + spec.c_b,
-                                      spec.tau_b, traj.dt, b_all[s])
+        a_all[s:e + 1] = _gain_series(
+            x.real @ spec.w_ax[:cols].T + spec.c_a[:cols],
+            spec.tau_a, traj.dt, a_all[s])
+        b_all[s:e + 1] = _gain_series(
+            x.real @ spec.w_bx[:cols].T + spec.c_b[:cols],
+            spec.tau_b, traj.dt, b_all[s])
 
         # Past a blow-up the block runs on to its end; the check below
         # reports it, so the overflow warnings would only repeat it.

@@ -148,6 +148,12 @@ class NetworkSpec:
         object.__setattr__(self, "_w_by_zero", not np.any(coerced["w_by"]))
         object.__setattr__(self, "_w_ax_zero", not np.any(coerced["w_ax"]))
         object.__setattr__(self, "_w_bx_zero", not np.any(coerced["w_bx"]))
+        # Every neuron's gains follow the same drive: they do not read y, and
+        # each row of w_ax, w_bx, c_a and c_b equals the first.
+        object.__setattr__(self, "_gains_shared", bool(
+            self._w_ay_zero and self._w_by_zero
+            and all(np.all(coerced[name] == coerced[name][:1])
+                    for name in ("w_ax", "w_bx", "c_a", "c_b"))))
 
     @classmethod
     def build(
@@ -273,7 +279,9 @@ class Trajectory(SampledRecord):
     ``i + 1``).  The feedforward drive is not stored; it is
     ``x @ w_zx.T + c_z``.  ``readout`` is the linear readout
     ``y @ w_ry.T + c_r`` (:func:`readout_series`) when the spec has readout
-    rows, None when it has none.
+    rows, None when it has none.  ``a`` and ``b`` may be read-only
+    ``np.broadcast_to`` views of one column when every neuron shares its
+    gains (:func:`oscint.dynamics.simulate`); copy them before writing.
     """
 
     x: np.ndarray           # (T, M)

@@ -116,28 +116,33 @@ def write_csv(path: str | Path, record: SampledRecord) -> None:
         raise TypeError(f"no CSV layout for {type(record).__name__}")
 
 
-def plot_series(record: SampledRecord) -> dict[str, np.ndarray]:
-    """The traces an SVG of ``record`` draws, by label.
-
-    A bank draws Re(y) of each channel and its readout.  A rate or circuit
-    record draws the response (Re(y), or the circuit's y_net) of every k-th
-    unit, k = max(1, N // 8).
-    """
-    if isinstance(record, PredictionResult):
-        return {f"re_y_{f:g}hz": record.y[:, j].real
-                for j, f in enumerate(record.freqs_hz)} | {"readout": record.readout}
-    if isinstance(record, CircuitTrajectory):
-        name, y = "y_net", record.y_net
-    else:
-        name, y = "re_y", record.y.real
-    step = max(1, y.shape[1] // 8)
-    return {f"{name}_{j}": y[:, j] for j in range(0, y.shape[1], step)}
-
-
 _PALETTE = (
     "#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
     "#8c564b", "#17becf", "#7f7f7f", "#bcbd22", "#e377c2",
 )
+
+
+def plot_series(record: SampledRecord) -> dict[str, np.ndarray]:
+    """The traces an SVG of ``record`` draws, by label: at most
+    ``len(_PALETTE)``, so no two share a colour.
+
+    A bank draws Re(y) of every k-th channel, k = ceil(C / 9), and its
+    readout.  A rate or circuit record draws the response (Re(y), or the
+    circuit's y_net) of every k-th unit, k = max(1, N // 8, ceil(N / 10)).
+    """
+    limit = len(_PALETTE)
+    if isinstance(record, PredictionResult):
+        freqs = record.freqs_hz
+        step = max(1, -(-len(freqs) // (limit - 1)))
+        return {f"re_y_{freqs[j]:g}hz": record.y[:, j].real
+                for j in range(0, len(freqs), step)} | {"readout": record.readout}
+    if isinstance(record, CircuitTrajectory):
+        name, y = "y_net", record.y_net
+    else:
+        name, y = "re_y", record.y.real
+    n = y.shape[1]
+    step = max(1, n // 8, -(-n // limit))
+    return {f"{name}_{j}": y[:, j] for j in range(0, n, step)}
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from concurrent.futures import Future
@@ -56,6 +57,22 @@ def test_out_env_variable_sets_default_dir(tmp_path, monkeypatch):
     code = cli.main(["run", "--scenario", "fig4", "--no-plot"])
     assert code == 0
     assert (tmp_path / "env_out" / "fig4_trajectory.csv").exists()
+
+
+def test_spec_svg_gives_every_trace_its_own_colour(tmp_path):
+    # 12 units would draw 12 traces, two more than the palette's colours.
+    rng = np.random.default_rng(5)
+    spec = NetworkSpec.build(12, 1, w_yy=0.5 * np.eye(12),
+                             c_z=rng.standard_normal(12), c_b=np.ones(12))
+    path = tmp_path / "twelve.json"
+    save_spec(spec, path)
+    code = cli.main(["--out", str(tmp_path), "run", "--spec", str(path),
+                     "--duration", "20", "--dt", "0.5"])
+    assert code == 0
+    strokes = re.findall(r'<polyline fill="none" stroke="([^"]+)"',
+                         (tmp_path / "twelve_y.svg").read_text())
+    assert 0 < len(strokes) <= 10
+    assert len(set(strokes)) == len(strokes)
 
 
 def test_run_spec_file(tmp_path):

@@ -11,7 +11,7 @@ import oscint.scenarios
 from oscint.dynamics import _BLOCK, StepInput, simulate, step
 from oscint.model import DivergenceError, NetworkSpec, SimState
 from oscint.scenarios import run_scenario
-from oscint.weights import center_surround, ei_pair, eigen_encoder
+from oscint.weights import center_surround, ei_pair, eigen_encoder, synfire
 
 
 def test_step_hand_case():
@@ -457,3 +457,108 @@ def test_specs_outside_the_scan_take_the_block_loop(monkeypatch, case):
     _force_loop(monkeypatch)
     ref = simulate(spec, x, 0.0, n_steps * dt, dt=dt, init=init)
     assert np.array_equal(traj.y, ref.y)
+
+
+# ---------------------------------------------------------------------------
+# Gains every neuron shares: one filtered column behind read-only views.
+
+
+def _per_neuron(spec):
+    """A copy of ``spec`` whose gains ``simulate`` filters neuron by neuron."""
+    copy = spec.replace()
+    object.__setattr__(copy, "_gains_shared", False)
+    return copy
+
+
+def _fig5_ring():
+    """fig5's 100-unit shift ring and cue series, at a coarser step."""
+    n, dt, t_stop = 100, 0.1, 1200.0
+    w = synfire(n) / np.cos(2.0 * np.pi / n)
+    encoder = eigen_encoder(w, 3)[:, 1:3]
+    spec = oscint.scenarios._memory_spec(w, encoder)
+    pulses = oscint.scenarios._memory_pulses(
+        2, oscint.scenarios._UNIT_TARGET_2D, oscint.scenarios._MemoryTiming())
+    x = oscint.scenarios.pulse_series(4, pulses, 0.0, t_stop, dt)
+    return spec, x, t_stop, dt, None
+
+
+def _random_shared_gains(channels=1):
+    """Random spec whose gain rows are all equal, each gain reading
+    ``channels`` input channels, with a non-normal W_yy (so y advances
+    through the block loop) and constant initial gains."""
+    rng = np.random.default_rng(12)
+    n, m, dt, n_steps = 6, 3, 0.5, 2 * _BLOCK + 5
+    cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    w_yy = cplx(n, n)
+    w_yy *= 0.9 / np.abs(np.linalg.eigvals(w_yy)).max()
+    assert np.linalg.cond(np.linalg.eig(w_yy)[1]) > oscint.dynamics._MAX_EIG_COND
+
+    def rows():
+        w = np.zeros(m)
+        w[rng.permutation(m)[:channels]] = rng.standard_normal(channels)
+        return np.tile(w, (n, 1))
+
+    spec = NetworkSpec.build(
+        n, m, tau_y=rng.uniform(5.0, 20.0), tau_a=3.0, tau_b=7.0,
+        w_yy=w_yy, w_zx=cplx(n, m), w_ax=rows(), w_bx=rows(),
+        c_a=np.full(n, -0.2), c_b=np.full(n, 0.4),
+        c_z=cplx(n), c_yhat=0.1 * cplx(n))
+    init = SimState(y=cplx(n), a=np.full(n, 0.7), b=np.full(n, -0.1))
+    x = sampled(_random_input(rng, m), 0.0, n_steps * dt, dt)
+    return spec, x, n_steps * dt, dt, init
+
+
+@pytest.mark.parametrize("case", [_fig5_ring, _random_shared_gains],
+                         ids=["fig5 ring", "random non-normal, one channel"])
+def test_shared_gains_match_the_per_neuron_path_exactly(monkeypatch, case):
+    spec, x, t_stop, dt, init = case()
+    assert spec._gains_shared
+    scanned = _count_scans(monkeypatch)
+    traj = simulate(spec, x, 0.0, t_stop, dt=dt, init=init)
+    if case is _fig5_ring:
+        assert scanned and all(scanned)
+    else:
+        assert not any(scanned)         # non-normal W: the block loop
+    ref = simulate(_per_neuron(spec), x, 0.0, t_stop, dt=dt, init=init)
+    assert ref.a.flags.writeable and not traj.a.flags.writeable
+    for name in "yab":
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+
+def test_shared_gains_of_several_channels_match_to_rounding():
+    # The one-column drive x @ w[0] may add its channels in another order
+    # than the N-column product does.
+    spec, x, t_stop, dt, init = _random_shared_gains(channels=3)
+    assert spec._gains_shared
+    traj = simulate(spec, x, 0.0, t_stop, dt=dt, init=init)
+    ref = simulate(_per_neuron(spec), x, 0.0, t_stop, dt=dt, init=init)
+    assert not traj.a.flags.writeable
+    for name, rel in (("a", 1e-14), ("b", 1e-14), ("y", 1e-12)):
+        got, want = getattr(traj, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= rel * max(1.0, float(np.abs(want).max()))
+
+
+def test_gains_that_differ_are_filtered_per_neuron():
+    spec, x, t_stop, dt, init = _random_shared_gains()
+    c_a = spec.c_a.copy()
+    c_a[-1] += 1e-3
+    differ = spec.replace(c_a=c_a)
+    assert not differ._gains_shared
+    assert simulate(differ, x, 0.0, t_stop, dt=dt, init=init).a.flags.writeable
+    init.a[0] += 1e-3
+    traj = simulate(spec, x, 0.0, t_stop, dt=dt, init=init)
+    assert traj.a.flags.writeable and traj.a[0, 0] != traj.a[0, 1]
+
+
+def test_shared_gains_are_read_only_views():
+    spec, x, t_stop, dt, init = _random_shared_gains()
+    traj = simulate(spec, x, 0.0, t_stop, dt=dt, init=init)
+    for gains in (traj.a, traj.b):
+        assert gains.shape == (traj.n_samples, spec.n_neurons)
+        assert not gains.flags.writeable
+        with pytest.raises(ValueError):
+            gains[1, 0] = 0.0
+    # fig4's closed loop concatenates its pieces' views into whole arrays.
+    full = run_scenario("fig4").trajectory
+    assert full.a.flags.writeable and full.b.flags.writeable
+    assert full.a.shape == full.b.shape == full.y.shape

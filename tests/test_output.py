@@ -296,6 +296,8 @@ def test_streamed_write_memory_is_bounded_by_a_block(tmp_path):
 @pytest.mark.parametrize("n, labels", [
     (100, [f"re_y_{j}" for j in range(0, 100, 12)]),  # every 12th unit: 9 traces
     (16, [f"re_y_{j}" for j in range(0, 16, 2)]),     # every 2nd unit: 8 traces
+    (12, [f"re_y_{j}" for j in range(0, 12, 2)]),     # 12 > 10 colours: 6 traces
+    (22, [f"re_y_{j}" for j in range(0, 22, 3)]),     # 11 > 10 colours: 8 traces
 ])
 def test_plot_series_draws_every_kth_unit(n, labels):
     traj = _trajectory_record(5, n=n)
@@ -311,6 +313,13 @@ def test_plot_series_draws_bank_channels_and_readout():
     assert list(series) == ["re_y_2hz", "re_y_8.5hz", "readout"]
     assert np.array_equal(series["re_y_8.5hz"], result.y[:, 1].real, equal_nan=True)
     assert np.array_equal(series["readout"], result.readout, equal_nan=True)
+
+
+def test_plot_series_draws_every_kth_of_many_bank_channels():
+    # 12 channels and the readout would need 13 colours: every 2nd channel.
+    freqs = tuple(float(f) for f in range(1, 13))
+    series = plot_series(_prediction_record(5, n_channels=12, freqs=freqs))
+    assert list(series) == [f"re_y_{f:g}hz" for f in freqs[::2]] + ["readout"]
 
 
 def test_svg_contains_polylines_and_labels(tmp_path):
