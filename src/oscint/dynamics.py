@@ -30,10 +30,8 @@ in one of two ways:
   down (a running mode product out of range, or a non-finite result) is
   re-run by the loop, so a divergence is named at the loop's time.
 
-When the gains are also shared — every row of ``w_ax``, ``w_bx``, ``c_a`` and
-``c_b`` equals the first, as the presets' cue-driven modulators do — and the
-initial gains are constant, a and b are filtered and stored as one column,
-which the record shows as (T, N) read-only views.
+Gains every neuron shares, as the presets' cue-driven modulators are, are
+filtered and stored once, as one column (see :func:`simulate`).
 
 Specs whose gains read y take one :func:`step` per sample.  ``step`` and
 the loop are the references the faster paths are tested against.
