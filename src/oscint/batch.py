@@ -39,16 +39,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .model import (
     DivergenceError,
     NetworkSpec,
     Trajectory,
-    _energy_terms,
+    first_order,
     predicted_series,
     readout_series,
     rectify,
+    residual_energy,
 )
 
 
@@ -136,19 +136,13 @@ def _gain_series(
 ) -> np.ndarray:
     """First-order Euler recursion g[i+1] = g[i] + (dt/tau)(drive[i] - g[i]).
 
-    Vectorized across samples as an IIR filter along the time axis.  ``init``
-    is g[0]: one value, or one per column.  The rate integrator's block path
-    advances its gains with this same filter.
+    Stepped as g[i+1] = (1 - dt/tau) g[i] + (dt/tau) drive[i] by
+    :func:`oscint.model.first_order`.  ``init`` is g[0]: one value, or one
+    per column.  The rate integrator's block path advances its gains with
+    this same recursion.
     """
-    t_samples = drive.shape[0]
-    out = np.empty_like(drive)
-    out[0] = init
-    if t_samples == 1:
-        return out
     k = dt / tau
-    zi = (1.0 - k) * np.full((1, drive.shape[1]), init)
-    out[1:] = lfilter([k], [1.0, -(1.0 - k)], drive[:-1], axis=0, zi=zi)[0]
-    return out
+    return first_order(1.0 - k, k * drive[:-1], init)
 
 
 def forward_pass(prob: BatchProblem, y_series: np.ndarray) -> ForwardOutputs:
@@ -198,10 +192,10 @@ def backward_pass(
 
 
 def _series_energy(prob: BatchProblem, y: np.ndarray, fwd: ForwardOutputs) -> float:
-    terms = _energy_terms(
-        y, fwd.z, fwd.yhat, rectify(fwd.alpha), rectify(fwd.b)
-    )
-    return float(0.5 * prob.dt * terms.sum())
+    b_plus = rectify(fwd.b)
+    return residual_energy(prob.dt, b_plus / (1.0 + b_plus), y - fwd.z,
+                           1.0 / (1.0 + b_plus),
+                           y - fwd.yhat / (1.0 + rectify(fwd.alpha)))
 
 
 @dataclass
@@ -271,8 +265,7 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
         feed_res = y - z
         recur_res = y - yhat * recur_scale
 
-        e = float(0.5 * prob.dt * (beta * np.abs(feed_res) ** 2
-                                   + recur_weight * np.abs(recur_res) ** 2).sum())
+        e = residual_energy(prob.dt, beta, feed_res, recur_weight, recur_res)
         if not np.isfinite(e):
             raise BatchDivergenceError(
                 f"energy became non-finite at iteration {iteration}"

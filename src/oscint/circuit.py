@@ -53,6 +53,7 @@ from .model import (
     DivergenceError,
     NetworkSpec,
     SampledRecord,
+    first_order,
     rectify,
     steps_in_span,
 )
@@ -331,7 +332,7 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
     * the gain units, stacked [a; b] as 2N-vectors, follow
       ``g[i+1] = (1 - s (G_sum[i] + g_leak)) g[i] + s G_diff[i]``, where
       G_diff = X W_gᵀ + c_g and G_sum = |X| |W_g|ᵀ + |c_g| are one matmul
-      each over the block;
+      each over the block (the recursion is :func:`oscint.model.first_order`);
     * their rectified values give each step's dendritic leaks
       rect(a)/R_a and rect(b)/R_b;
     * the (3, 2N) compartment stack [v; va; vb] (ON half, then OFF half)
@@ -364,8 +365,7 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
     leak = s * np.repeat([ga, gb], n)
     c_yhat = (s * _ON_OFF * spec.c_yhat.real).ravel()
 
-    gains = np.empty((_BLOCK + 1, 2 * n))
-    gains[0] = np.concatenate([traj.a[0], traj.b[0]])
+    gains_end = np.concatenate([traj.a[0], traj.b[0]])
     cells = np.empty((_BLOCK + 1, 3, 2 * n))
     cells[0] = np.stack([traj.v[0], traj.va[0], traj.vb[0]]).reshape(3, 2 * n)
     diag = np.empty((_BLOCK, 3, 2 * n))
@@ -384,10 +384,7 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             decay = 1.0 - s * (np.abs(x) @ w_g_abs.T + c_g_abs
                                + params.g_leak_gain)
-            push = s * (x @ w_g.T + c_g)
-            for g, g_next, d, p in zip(gains, gains[1:k + 1], decay, push):
-                np.multiply(d, g, out=g_next)
-                g_next += p
+            gains = first_order(decay, s * (x @ w_g.T + c_g), gains_end)
 
             leaks = leak * rectify(gains[:k])
             diag[:k, 1, :n] = diag[:k, 1, n:] = keep[1] - leaks[:, :n]
@@ -420,5 +417,5 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
         traj.v[lo:hi] = compartments[:, 0]
         traj.va[lo:hi] = compartments[:, 1]
         traj.vb[lo:hi] = compartments[:, 2]
-        gains[0] = gains[k]
+        gains_end = gains[k]
         cells[0] = cells[k]

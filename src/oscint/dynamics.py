@@ -15,9 +15,10 @@ response update.
 the gains do not read the response (``w_ay = w_by = 0``, true of every
 preset) the drive z and both gains are known before y is, so the run goes
 in blocks of ``_BLOCK`` steps: for each block's rows of the input series
-the two gain drives are one matmul each and the gains advance as one IIR
-filter (:func:`oscint.batch._gain_series`).  Then y advances over the block
-in one of two ways:
+the two gain drives are one matmul each and the gains advance by the
+first-order recursion every engine shares (:func:`oscint.batch._gain_series`
+over :func:`oscint.model.first_order`).  Then y advances over the block in
+one of two ways:
 
 * **scan** — when ``tau_y`` is uniform, the block's gate 1/(1+a+) is equal
   across neurons and W_yy = V diag(lam) V⁻¹ has cond(V) at most
@@ -74,23 +75,13 @@ _MAX_EIG_COND = 2.0
 _SCAN_RANGE = (1e-150, 1e150)
 
 
-@dataclass
-class StepInput:
-    """Input sample consumed by one step."""
+def step(spec: NetworkSpec, state: SimState, x: np.ndarray, dt: float) -> SimState:
+    """Advance the full state by one step of length ``dt`` under input ``x``.
 
-    x: np.ndarray
-    dt: float
-
-
-def step(spec: NetworkSpec, state: SimState, inp: StepInput) -> SimState:
-    """Advance the full state by one step of length ``inp.dt``.
-
-    Returns a fresh state at ``state.t + inp.dt``; the argument is not
-    modified.  Raises :class:`DivergenceError` if any component leaves the
-    finite range.
+    Returns a fresh state at ``state.t + dt``; the argument is not modified.
+    Raises :class:`DivergenceError` if any component leaves the finite range.
     """
-    x = np.asarray(inp.x)
-    dt = inp.dt
+    x = np.asarray(x)
     if dt <= 0.0:
         raise ValueError("dt must be positive")
 
@@ -219,7 +210,7 @@ def _advance_steps(spec: NetworkSpec, traj: Trajectory) -> None:
     state = SimState(y=traj.y[0], a=traj.a[0], b=traj.b[0],
                      t=float(traj.times[0]))
     for i, x in enumerate(traj.x[:-1], start=1):
-        state = step(spec, state, StepInput(x=x, dt=traj.dt))
+        state = step(spec, state, x, traj.dt)
         traj.a[i] = state.a
         traj.b[i] = state.b
         traj.y[i] = state.y

@@ -62,6 +62,40 @@ def rectify(values: np.ndarray | float) -> np.ndarray | float:
     return np.maximum(values, 0.0)
 
 
+# Recursions of at most this many columns step each column as Python floats,
+# wider ones one NumPy row at a time.  Column vs row stepping over 512 rows,
+# in µs, on a 2-core x86-64 VM (Python 3.11, NumPy 2.4): 1 column 61 vs 1456,
+# 8 columns 494 vs 1134, 12 columns 803 vs 1177 (with a per-row keep 1055 vs
+# 1067), 16 columns 1110 vs 1188 (1399 vs 1060).
+_COLUMN_STEPPED_MAX = 12
+
+
+def first_order(keep, push: np.ndarray, init) -> np.ndarray:
+    """g[0] = init, g[i+1] = keep[i] g[i] + push[i]: the leaky first-order
+    integrator that advances every gain in the model.
+
+    ``push`` is (T, C), ``keep`` a scalar or ``push``'s shape and ``init``
+    one value or one per column; returns the (T + 1, C) float64 series.
+    Each column steps in order, so every value has a plain step loop's bits.
+    """
+    out = np.empty((len(push) + 1, push.shape[1]))
+    out[0] = init
+    if push.shape[1] > _COLUMN_STEPPED_MAX:
+        keeps = np.broadcast_to(keep, push.shape)
+        for g, g_next, k, p in zip(out, out[1:], keeps, push):
+            np.multiply(k, g, out=g_next)
+            g_next += p
+    elif np.ndim(keep) == 0:
+        k = float(keep)
+        for j, g in enumerate(out[0].tolist()):
+            out[1:, j] = [g := k * g + p for p in push[:, j].tolist()]
+    else:
+        for j, g in enumerate(out[0].tolist()):
+            out[1:, j] = [g := k * g + p
+                          for k, p in zip(keep[:, j].tolist(), push[:, j].tolist())]
+    return out
+
+
 def _coerce(value, shape: tuple, dtype, name: str) -> np.ndarray:
     """A fresh ``dtype`` copy of ``value``; ValueError unless it has ``shape``."""
     out = np.array(value, dtype=dtype, copy=True)
@@ -319,18 +353,14 @@ def mismatch_gain(a_plus: np.ndarray, b_plus: np.ndarray) -> np.ndarray:
     return np.maximum((1.0 + a_plus) / (1.0 + b_plus) - 1.0, 0.0)
 
 
-def _energy_terms(
-    y: np.ndarray,
-    z: np.ndarray,
-    yhat: np.ndarray,
-    alpha_plus: np.ndarray,
-    b_plus: np.ndarray,
-) -> np.ndarray:
-    """Per-sample, per-neuron energy summands (before the dt/2 factor)."""
-    beta = b_plus / (1.0 + b_plus)
-    feed = beta * np.abs(y - z) ** 2
-    recur = (1.0 / (1.0 + b_plus)) * np.abs(y - yhat / (1.0 + alpha_plus)) ** 2
-    return feed + recur
+def residual_energy(dt: float, beta: np.ndarray, feed_res: np.ndarray,
+                    recur_weight: np.ndarray, recur_res: np.ndarray) -> float:
+    """0.5 dt sum(beta |y - z|^2 + (1/(1+b+)) |y - yhat/(1+alpha+)|^2): the
+    trajectory energy from its two residuals and their weights, with
+    ``beta`` = b+/(1+b+) and ``recur_weight`` = 1/(1+b+)."""
+    return float(0.5 * dt * (beta * np.abs(feed_res) ** 2
+                             + recur_weight * np.abs(recur_res) ** 2).sum())
+
 
 def energy(spec: NetworkSpec, traj: Trajectory) -> float:
     """Total trajectory energy.
@@ -345,10 +375,9 @@ def energy(spec: NetworkSpec, traj: Trajectory) -> float:
     for name in ("y", "x", "a", "b"):
         if not np.all(np.isfinite(getattr(traj, name))):
             raise ValueError(f"trajectory field {name} contains non-finite values")
-    a_plus = rectify(traj.a)
     b_plus = rectify(traj.b)
-    alpha_plus = mismatch_gain(a_plus, b_plus)
+    alpha_plus = mismatch_gain(rectify(traj.a), b_plus)
     z = traj.x @ spec.w_zx.T + spec.c_z
     yhat = predicted_series(spec, traj.y)
-    terms = _energy_terms(traj.y, z, yhat, alpha_plus, b_plus)
-    return float(0.5 * traj.dt * terms.sum())
+    return residual_energy(traj.dt, b_plus / (1.0 + b_plus), traj.y - z,
+                           1.0 / (1.0 + b_plus), traj.y - yhat / (1.0 + alpha_plus))

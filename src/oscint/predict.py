@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SampledRecord, steps_in_span
+from .model import DivergenceError, SampledRecord, steps_in_span
 from .weights import diagonal_oscillators
 
 
@@ -183,7 +183,8 @@ def predict_series(
     feedforward gain (channels still coupled) falls back to Euler.
 
     A schedule boundary inside the free phase must lie on the step grid;
-    one off it raises ValueError, as an off-grid ``horizon`` does.
+    one off it raises ValueError, as an off-grid ``horizon`` does.  A
+    non-finite state raises :class:`DivergenceError` naming its first time.
     """
     x_arr = np.asarray(x_samples, dtype=np.float64)
     if x_arr.ndim != 1:
@@ -197,38 +198,45 @@ def predict_series(
     times = t_start + dt * np.arange(n_total + 1)
     ys = np.zeros((n_total + 1, pspec.n_channels), dtype=np.complex128)
 
-    y = np.zeros(pspec.n_channels, dtype=np.complex128)
-    ys[0] = y
-    for i in range(n_past):
-        t = times[i]
-        a, b = schedule.at(t)
-        y = prediction_step(pspec, y, x_arr[i], a, b, dt, real_input=True)
-        ys[i + 1] = y
+    # Past a blow-up the run goes on to the horizon; the check below
+    # reports it, so the overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = np.zeros(pspec.n_channels, dtype=np.complex128)
+        ys[0] = y
+        for i in range(n_past):
+            t = times[i]
+            a, b = schedule.at(t)
+            y = prediction_step(pspec, y, x_arr[i], a, b, dt, real_input=True)
+            ys[i + 1] = y
 
-    i = n_past
-    while i < n_total:
-        # A boundary that rounding puts just after the grid time counts as
-        # reached, so no segment below is shorter than one step.
-        t = times[i] + 1e-9 * dt
-        a, b = schedule.at(t)
-        # Extent of the current schedule segment, capped at the horizon.
-        seg_end = n_total
-        for start, _, _ in schedule.segments:
-            if start > t:
-                seg_end = i + steps_in_span(min(start, times[-1]) - times[i], dt)
-                break
-        n_seg = seg_end - i
-        if max(b, 0.0) == 0.0:
-            w_eff = pspec.w_diag / (1.0 + max(a, 0.0)) - 1.0
-            multiplier = np.exp(w_eff * dt / pspec.tau_y)
-            powers = multiplier[None, :] ** np.arange(1, n_seg + 1)[:, None]
-            ys[i + 1 : seg_end + 1] = y[None, :] * powers
-            y = ys[seg_end]
-        else:
-            for j in range(n_seg):
-                y = prediction_step(pspec, y, 0.0, a, b, dt, real_input=True)
-                ys[i + 1 + j] = y
-        i = seg_end
+        i = n_past
+        while i < n_total:
+            # A boundary that rounding puts just after the grid time counts as
+            # reached, so no segment below is shorter than one step.
+            t = times[i] + 1e-9 * dt
+            a, b = schedule.at(t)
+            # Extent of the current schedule segment, capped at the horizon.
+            seg_end = n_total
+            for start, _, _ in schedule.segments:
+                if start > t:
+                    seg_end = i + steps_in_span(min(start, times[-1]) - times[i], dt)
+                    break
+            n_seg = seg_end - i
+            if max(b, 0.0) == 0.0:
+                w_eff = pspec.w_diag / (1.0 + max(a, 0.0)) - 1.0
+                multiplier = np.exp(w_eff * dt / pspec.tau_y)
+                powers = multiplier[None, :] ** np.arange(1, n_seg + 1)[:, None]
+                ys[i + 1 : seg_end + 1] = y[None, :] * powers
+                y = ys[seg_end]
+            else:
+                for j in range(n_seg):
+                    y = prediction_step(pspec, y, 0.0, a, b, dt, real_input=True)
+                    ys[i + 1 + j] = y
+            i = seg_end
+
+    finite = np.isfinite(ys).all(axis=1)
+    if not finite.all():
+        raise DivergenceError(f"non-finite state at t = {times[np.argmin(finite)]:.6g} ms")
 
     return PredictionResult(
         dt=dt,

@@ -74,10 +74,13 @@ def pulse_series(n_channels: int, pulses: list[Pulse], t_start: float,
                  t_stop: float, dt: float) -> np.ndarray:
     """Rectangular pulses (instantaneous edges) summed into the input series
     the engines take: row ``i`` is the input at ``t_start + i*dt``, through
-    ``t_stop``.  ValueError unless the span is a whole number of steps."""
+    ``t_stop``.  ValueError unless the span is a whole number of steps and
+    every pulse's channel is in [0, n_channels)."""
     times = sample_times(t_start, t_stop, dt)
     x = np.zeros((len(times), n_channels))
     for p in pulses:
+        if not 0 <= p.channel < n_channels:
+            raise ValueError(f"pulse channel {p.channel} is outside [0, {n_channels})")
         x[(p.t_on <= times) & (times < p.t_off), p.channel] += p.value
     return x
 

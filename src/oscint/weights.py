@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import circulant
 
 
 def center_surround(
@@ -33,8 +32,8 @@ def center_surround(
     first_col[0] = self_w
     first_col[1] = flank_w
     first_col[-1] = flank_w
-    w = circulant(first_col)
-    return rescale_spectrum(w)
+    i = np.arange(n)
+    return rescale_spectrum(first_col[(i[:, None] - i[None, :]) % n])
 
 
 def synfire(n: int) -> np.ndarray:
@@ -122,8 +121,8 @@ def diagonal_oscillators(freqs_hz, tau_y: float) -> np.ndarray:
     freqs = np.asarray(freqs_hz, dtype=np.float64)
     if freqs.ndim != 1 or len(freqs) == 0:
         raise ValueError("freqs_hz must be a non-empty 1-d sequence")
-    if tau_y <= 0:
-        raise ValueError("tau_y must be positive")
+    if not (np.isfinite(tau_y) and tau_y > 0):
+        raise ValueError("tau_y must be positive and finite")
     cycles_per_ms = freqs / 1000.0
     return np.diag(1.0 + 1j * 2.0 * np.pi * cycles_per_ms * tau_y)
 

@@ -24,7 +24,7 @@ import pytest
 from sampling import sampled
 
 from oscint.circuit import CircuitParams, steady_state_vs, total_conductance
-from oscint.dynamics import StepInput, simulate, step
+from oscint.dynamics import simulate, step
 from oscint.model import NetworkSpec, SimState
 from oscint.predict import PredictorSpec, prediction_step
 from oscint.scenarios import pulse_series, run_scenario
@@ -165,7 +165,7 @@ def _integrator_gradient_error(rng) -> float:
         return 0.5 * dt * float(np.sum(beta * np.abs(y - z) ** 2 + recur))
 
     state = SimState(y=y0.astype(np.complex128), a=a.copy(), b=b.copy())
-    y_next = step(spec, state, StepInput(x=x, dt=dt)).y
+    y_next = step(spec, state, x, dt).y
     grad_rhs = -tau * (y_next.real - y0)
 
     h = 1e-4

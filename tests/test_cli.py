@@ -240,6 +240,19 @@ def test_run_off_grid_schedule_boundary_exits_2(tmp_path):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
+def test_package_imports_without_scipy():
+    src = str(Path(oscint.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, oscint, oscint.cli; print(sorted("
+         "m for m, mod in sys.modules.items() "
+         "if mod is not None and m.split('.')[0] == 'scipy'))"],
+        capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _spec_json(tmp_path, data) -> str:
     path = tmp_path / "net.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))

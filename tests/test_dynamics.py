@@ -8,7 +8,7 @@ from sampling import sampled
 
 import oscint.dynamics
 import oscint.scenarios
-from oscint.dynamics import _BLOCK, StepInput, simulate, step
+from oscint.dynamics import _BLOCK, simulate, step
 from oscint.model import DivergenceError, NetworkSpec, SimState
 from oscint.scenarios import run_scenario
 from oscint.weights import center_surround, ei_pair, eigen_encoder, synfire
@@ -19,7 +19,7 @@ def test_step_hand_case():
     # From y = 0 with z = 1 and no recurrence: y' = 0.1 * 0.5 = 0.05.
     spec = NetworkSpec.build(1, 1, w_zx=np.array([[1.0]]))
     state = SimState(y=np.array([0j]), a=np.array([1.0]), b=np.array([1.0]))
-    out = step(spec, state, StepInput(x=np.array([1.0]), dt=1.0))
+    out = step(spec, state, np.array([1.0]), 1.0)
     assert out.y[0] == pytest.approx(0.05 + 0j, abs=1e-15)
     # gains decay toward their (zero) drive with tau = 10
     assert out.a[0] == pytest.approx(0.9, abs=1e-15)
@@ -61,7 +61,7 @@ def _step_loop(spec, input_fn, t_start, n_steps, dt, init):
     state, rows = init, [init]
     for i in range(n_steps):
         x = np.asarray(input_fn(t_start + i * dt))
-        state = step(spec, state, StepInput(x=x, dt=dt))
+        state = step(spec, state, x, dt)
         rows.append(state)
     return tuple(np.array([getattr(r, f) for r in rows]) for f in "yab")
 

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from oscint.circuit import CircuitTrajectory
 from oscint.config import load_spec, save_spec, spec_from_dict, spec_to_dict
 from oscint.model import (
+    _COLUMN_STEPPED_MAX,
     NetworkSpec,
     Trajectory,
     energy,
+    first_order,
     input_drive,
     mismatch_gain,
     predicted_series,
@@ -76,6 +78,39 @@ def _single_sample_traj(y_val, x_val, a_val, b_val):
         b=np.array([[b_val]]),
         y=np.array([[y_val]], dtype=np.complex128),
     )
+
+
+def _first_order_loop(keep, push, init):
+    """Reference: g[0] = init, g[i+1] = keep[i] g[i] + push[i], one Python
+    float at a time."""
+    keep = np.broadcast_to(keep, push.shape)
+    init = np.broadcast_to(init, push.shape[1:])
+    out = np.empty((len(push) + 1, push.shape[1]))
+    for j in range(push.shape[1]):
+        g = out[0, j] = float(init[j])
+        for i in range(len(push)):
+            g = out[i + 1, j] = float(keep[i, j]) * g + float(push[i, j])
+    return out
+
+
+@pytest.mark.parametrize("cols", [1, _COLUMN_STEPPED_MAX, _COLUMN_STEPPED_MAX + 1, 40])
+@pytest.mark.parametrize("rows", [1, 2, 513])
+@pytest.mark.parametrize("per_row_keep", [False, True])
+@pytest.mark.parametrize("per_column_init", [False, True])
+def test_first_order_matches_step_loop_bit_for_bit(cols, rows, per_row_keep,
+                                                   per_column_init):
+    # Both strategies, either side of the crossover, must give the bits of a
+    # plain step loop, including a last column that overflows to inf.
+    rng = np.random.default_rng(cols * 1000 + rows)
+    push = rng.standard_normal((rows, cols))
+    push[:, -1] = 1e308
+    keep = rng.uniform(0.8, 1.0, (rows, cols)) if per_row_keep else 0.9
+    init = rng.standard_normal(cols) if per_column_init else -0.25
+    with np.errstate(over="ignore"):
+        got = first_order(keep, push, init)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, _first_order_loop(keep, push, init))
+    assert np.isinf(got[-1, -1]) == (rows > 1)
 
 
 def test_energy_hand_case():

@@ -5,6 +5,7 @@ import signal
 import numpy as np
 import pytest
 
+from oscint.model import DivergenceError
 from oscint.predict import (
     ModulatorSchedule,
     PredictorSpec,
@@ -24,6 +25,12 @@ def test_spec_validation_and_rotator_entries():
         PredictorSpec((-1.0,))
     with pytest.raises(ValueError):
         pspec.w_diag[0] = 0.0
+
+
+@pytest.mark.parametrize("tau_y", [float("nan"), float("inf"), 0.0])
+def test_spec_rejects_a_tau_y_that_is_not_positive_and_finite(tau_y):
+    with pytest.raises(ValueError, match="tau_y must be positive and finite"):
+        PredictorSpec((1.0,), tau_y=tau_y)
 
 
 def test_prediction_step_single_channel_hand_case():
@@ -159,6 +166,15 @@ def test_bank_rejects_off_grid_horizon():
         predict_series(pspec, np.zeros(10), sched, horizon=1.05, dt=0.1)
     with pytest.raises(ValueError, match="whole number of steps"):
         predictive_basis(pspec, 0, horizon=1.05, dt=0.1)
+
+
+def test_bank_names_the_first_non_finite_sample():
+    # A feedforward gain of 50 at dt/tau = 0.5 makes the driven Euler phase
+    # blow up: the state is first non-finite at t = -1105 ms.
+    pspec = PredictorSpec((1.0, 2.0, 4.0))
+    sched = ModulatorSchedule(((-1e4, 0.0, 50.0), (0.0, 0.0, 50.0)))
+    with pytest.raises(DivergenceError, match=r"non-finite state at t = -1105 ms"):
+        predict_series(pspec, np.ones(2000), sched, horizon=2000.0, dt=5.0)
 
 
 def _timed_out(signum, frame):

@@ -65,6 +65,13 @@ def test_pulse_series_rejects_off_grid_span():
         pulse_series(2, _PULSES, 0.0, 1.05, 0.1)
 
 
+@pytest.mark.parametrize("channel", [-1, 5])
+def test_pulse_series_rejects_a_channel_outside_the_series(channel):
+    # NumPy indexing would send -1 to the last channel and 5 to an IndexError.
+    with pytest.raises(ValueError, match=f"pulse channel {channel} is outside"):
+        pulse_series(2, [Pulse(channel, 0.0, 1.0, 1.0)], 0.0, 2.0, 0.5)
+
+
 def test_catalog_lists_every_preset():
     assert SCENARIO_NAMES == (
         "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10",
