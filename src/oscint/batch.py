@@ -44,7 +44,7 @@ from .model import (
     DivergenceError,
     NetworkSpec,
     Trajectory,
-    first_order,
+    _gain_series,
     predicted_series,
     readout_series,
     rectify,
@@ -129,20 +129,6 @@ class ForwardOutputs:
     yhat: np.ndarray        # (T, N) complex shifted recurrent prediction
     alpha: np.ndarray       # (T, N) real excess gain, unrectified
     b: np.ndarray           # (T, N) real feedforward gain, unrectified
-
-
-def _gain_series(
-    drive: np.ndarray, tau: float, dt: float, init: float | np.ndarray
-) -> np.ndarray:
-    """First-order Euler recursion g[i+1] = g[i] + (dt/tau)(drive[i] - g[i]).
-
-    Stepped as g[i+1] = (1 - dt/tau) g[i] + (dt/tau) drive[i] by
-    :func:`oscint.model.first_order`.  ``init`` is g[0]: one value, or one
-    per column.  The rate integrator's block path advances its gains with
-    this same recursion.
-    """
-    k = dt / tau
-    return first_order(1.0 - k, k * drive[:-1], init)
 
 
 def forward_pass(prob: BatchProblem, y_series: np.ndarray) -> ForwardOutputs:

@@ -50,9 +50,10 @@ from typing import Optional
 import numpy as np
 
 from .model import (
-    DivergenceError,
+    _BLOCK,
     NetworkSpec,
     SampledRecord,
+    check_finite,
     first_order,
     rectify,
     steps_in_span,
@@ -73,9 +74,6 @@ class CircuitParams:
     r_apical: float = 10.0
     r_basal: float = 1.0
     g_leak_gain: float = 1.0
-    e_leak: float = 0.0
-    e_exc: float = 1.0
-    e_inh: float = -1.0
 
     def __post_init__(self) -> None:
         if min(self.capacitance, self.g_leak_soma, self.r_apical,
@@ -232,11 +230,6 @@ class CircuitTrajectory(SampledRecord):
 
 _STATE_FIELDS = ("v", "va", "vb", "a", "b")
 
-# Steps per block of the input-gated path, as in :mod:`oscint.dynamics`: the
-# per-block matmuls cost little per step and the block's buffers stay small
-# (a few (512, 6N) arrays).
-_BLOCK = 512
-
 
 def simulate_circuit(
     spec: NetworkSpec,
@@ -252,8 +245,8 @@ def simulate_circuit(
 
     ``x`` is a real input series sampled as :func:`oscint.dynamics.simulate`
     takes it, row ``i`` at ``t_start + i*dt``; row ``i`` drives the step from
-    sample ``i``, so the last row is unused.  Another shape, or a complex
-    series, raises ValueError.
+    sample ``i``, so the last row is unused.  Another shape, a complex
+    series or a non-finite entry raises ValueError.
 
     Gain units and compartment cells advance synchronously from the same
     pre-step state.  The compartment coupling is stiff (axial conductances up
@@ -280,6 +273,8 @@ def simulate_circuit(
         raise ValueError(f"x must be a real series of shape "
                          f"{(n_steps + 1, spec.n_inputs)}, got {x.dtype} "
                          f"{x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
     x = x.astype(np.float64, copy=False)
 
     n = spec.n_neurons
@@ -308,15 +303,14 @@ def _advance_steps(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
                    state: CircuitState) -> None:
     """Fill ``traj`` past its first sample with one :func:`thalamic_step`
     and one :func:`pfc_step` per step."""
-    t_start = float(traj.times[0])
     for i, x in enumerate(xs[:-1]):
         y = rectify(state.v)
         a_new, b_new = thalamic_step(spec, params, state, x, y[0], y[1], dt)
         state = pfc_step(spec, params, state, x, dt)
         state.a, state.b = a_new, b_new
-        if not all(np.isfinite(getattr(state, f)).all() for f in _STATE_FIELDS):
-            raise DivergenceError(f"non-finite circuit state at "
-                                  f"t = {t_start + (i + 1) * dt:.6g} ms")
+        check_finite([traj.times[0] + (i + 1) * dt],
+                     *(getattr(state, f) for f in _STATE_FIELDS),
+                     what="circuit state")
         if (i + 1) % stride == 0:
             for name in _STATE_FIELDS:
                 getattr(traj, name)[(i + 1) // stride] = getattr(state, name)
@@ -348,7 +342,6 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
     starts the next.
     """
     n = spec.n_neurons
-    t_start = float(traj.times[0])
     n_steps = len(xs) - 1
     s = dt / params.capacitance
     ga, gb = 1.0 / params.r_apical, 1.0 / params.r_basal
@@ -400,12 +393,8 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
                 np.maximum(c[0], 0.0, out=rates)
                 c_next[1] += w_rec.dot(rates)
 
-        finite = (np.isfinite(gains[1:k + 1]).all(axis=1)
-                  & np.isfinite(cells[1:k + 1]).all(axis=(1, 2)))
-        if not finite.all():
-            first = s0 + 1 + int(np.argmin(finite))
-            raise DivergenceError(f"non-finite circuit state at "
-                                  f"t = {t_start + first * dt:.6g} ms")
+        check_finite(traj.times[0] + dt * np.arange(s0 + 1, e + 1),
+                     gains[1:k + 1], cells[1:k + 1], what="circuit state")
 
         # Recorded steps in (s0, e]: the multiples of the stride.
         lo = -(-(s0 + 1) // stride)

@@ -16,7 +16,7 @@ the gains do not read the response (``w_ay = w_by = 0``, true of every
 preset) the drive z and both gains are known before y is, so the run goes
 in blocks of ``_BLOCK`` steps: for each block's rows of the input series
 the two gain drives are one matmul each and the gains advance by the
-first-order recursion every engine shares (:func:`oscint.batch._gain_series`
+first-order recursion every engine shares (:func:`oscint.model._gain_series`
 over :func:`oscint.model.first_order`).  Then y advances over the block in
 one of two ways:
 
@@ -45,23 +45,19 @@ from typing import Optional
 
 import numpy as np
 
-from .batch import _gain_series
 from .model import (
-    DivergenceError,
+    _BLOCK,
     NetworkSpec,
     SimState,
     Trajectory,
+    _gain_series,
+    check_finite,
     input_drive,
     recurrent_drive,
     readout_series,
     rectify,
     sample_times,
 )
-
-# Steps per block of the input-gated path: long enough that the per-block
-# matmuls and filters cost little per step, short enough that the block's
-# temporaries stay small (a few (512, N) arrays).
-_BLOCK = 512
 
 # The scan (:func:`_scan_block`) runs only when W_yy's eigenvector matrix V
 # has cond(V) at most this.  The scan's rounding error against the loop grows
@@ -110,14 +106,7 @@ def step(spec: NetworkSpec, state: SimState, x: np.ndarray, dt: float) -> SimSta
     a_new = state.a + (dt / spec.tau_a) * (-state.a + a_in)
     b_new = state.b + (dt / spec.tau_b) * (-state.b + b_in)
 
-    if not (
-        np.all(np.isfinite(y_new))
-        and np.all(np.isfinite(a_new))
-        and np.all(np.isfinite(b_new))
-    ):
-        raise DivergenceError(
-            f"non-finite state at t = {state.t + dt:.6g} ms"
-        )
+    check_finite([state.t + dt], y_new, a_new, b_new)
     return SimState(y=y_new, a=a_new, b=b_new, t=state.t + dt)
 
 
@@ -133,13 +122,14 @@ def simulate(
 
     ``x`` is the input series: row ``i`` is the length-M input at
     ``t_start + i*dt``, one row per recorded sample (ValueError for any other
-    shape).  Sample ``i`` records the state at ``t_start + i*dt`` alongside
-    row ``i``; the final sample at ``t_stop`` is recorded without stepping
-    past it.  ``traj.x`` is a float64 or, for complex ``x``, complex128 copy
-    of ``x``; the drive z is not recorded, as ``traj.x`` gives it.
-    ``traj.readout`` is the linear readout of every sample when the spec has
-    readout rows (:func:`oscint.model.readout_series`), None otherwise.
-    Identical arguments produce bit-identical trajectories.
+    shape, or for a non-finite entry).  Sample ``i`` records the state at
+    ``t_start + i*dt`` alongside row ``i``; the final sample at ``t_stop`` is
+    recorded without stepping past it.  ``traj.x`` is a float64 or, for
+    complex ``x``, complex128 copy of ``x``; the drive z is not recorded, as
+    ``traj.x`` gives it.  ``traj.readout`` is the linear readout of every
+    sample when the spec has readout rows
+    (:func:`oscint.model.readout_series`), None otherwise.  Identical
+    arguments produce bit-identical trajectories.
 
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
     ``_BLOCK`` steps (see the module docstring); otherwise it takes one
@@ -174,6 +164,8 @@ def simulate(
     if x.shape != (n_samples, spec.n_inputs):
         raise ValueError(f"x has shape {x.shape}, expected "
                          f"{(n_samples, spec.n_inputs)}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must be finite")
 
     state = init if init is not None else SimState.zeros(spec, t=t_start)
     for name in ("y", "a", "b"):
@@ -339,11 +331,5 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
                     y_next += keep * y
                     y = y_next
 
-        finite = (np.isfinite(y_all[s + 1:e + 1]).all(axis=1)
-                  & np.isfinite(a_all[s + 1:e + 1]).all(axis=1)
-                  & np.isfinite(b_all[s + 1:e + 1]).all(axis=1))
-        if not finite.all():
-            first = s + 1 + int(np.argmin(finite))
-            raise DivergenceError(
-                f"non-finite state at t = {traj.times[first]:.6g} ms"
-            )
+        check_finite(traj.times[s + 1:e + 1], y_all[s + 1:e + 1],
+                     a_all[s + 1:e + 1], b_all[s + 1:e + 1])

@@ -51,6 +51,17 @@ def steps_in_span(span: float, dt: float) -> int:
     return int(n_steps)
 
 
+def check_finite(times, *series: np.ndarray, what: str = "state") -> None:
+    """Raise ``DivergenceError("non-finite <what> at t = ... ms")`` naming
+    ``times[i]`` for the first sample i at which any of ``series`` (each with
+    one leading row per entry of ``times``) is non-finite."""
+    finite = np.logical_and.reduce(
+        [np.isfinite(s).reshape(len(times), -1).all(axis=1) for s in series])
+    if not finite.all():
+        raise DivergenceError(f"non-finite {what} at t = "
+                              f"{times[int(np.argmin(finite))]:.6g} ms")
+
+
 def sample_times(t_start: float, t_stop: float, dt: float) -> np.ndarray:
     """The grid ``t_start + i*dt`` for i = 0..n, where n = the number of
     ``dt`` steps from ``t_start`` to ``t_stop`` (:func:`steps_in_span`)."""
@@ -94,6 +105,26 @@ def first_order(keep, push: np.ndarray, init) -> np.ndarray:
             out[1:, j] = [g := k * g + p
                           for k, p in zip(keep[:, j].tolist(), push[:, j].tolist())]
     return out
+
+
+def _gain_series(
+    drive: np.ndarray, tau: float, dt: float, init: float | np.ndarray
+) -> np.ndarray:
+    """First-order Euler recursion g[i+1] = g[i] + (dt/tau)(drive[i] - g[i]).
+
+    Stepped as g[i+1] = (1 - dt/tau) g[i] + (dt/tau) drive[i] by
+    :func:`first_order`.  ``init`` is g[0]: one value, or one per column.
+    The rate integrator's blocks and the batch solver advance their gains
+    with it.
+    """
+    k = dt / tau
+    return first_order(1.0 - k, k * drive[:-1], init)
+
+
+# Steps per block of the rate and circuit engines' input-gated paths: long
+# enough that the per-block matmuls and filters cost little per step, short
+# enough that the block's temporaries stay small (a few (512, N) arrays).
+_BLOCK = 512
 
 
 def _coerce(value, shape: tuple, dtype, name: str) -> np.ndarray:

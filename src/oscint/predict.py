@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import DivergenceError, SampledRecord, steps_in_span
+from .model import SampledRecord, check_finite, steps_in_span
 from .weights import diagonal_oscillators
 
 
@@ -36,7 +36,8 @@ class ModulatorSchedule:
     """Piecewise-constant gain schedule.
 
     ``segments`` is a sorted sequence of (start_time, a_value, b_value);
-    each entry holds from its start time until the next entry's.
+    each entry holds from its start time until the next entry's, and the
+    first also before its start (see :func:`predict_series`).
     """
 
     segments: tuple[tuple[float, float, float], ...]
@@ -48,13 +49,6 @@ class ModulatorSchedule:
         if sorted(starts) != starts:
             raise ValueError("schedule segments must be sorted by start time")
         object.__setattr__(self, "segments", tuple(tuple(s) for s in self.segments))
-
-    def at(self, t: float) -> tuple[float, float]:
-        """(a, b) in effect at time t (first segment extends backwards)."""
-        starts = [s[0] for s in self.segments]
-        idx = max(bisect_right(starts, t) - 1, 0)
-        _, a, b = self.segments[idx]
-        return a, b
 
 
 @dataclass(frozen=True)
@@ -116,7 +110,6 @@ def predictive_basis(
     horizon: float,
     dt: float,
     a: float = 0.0,
-    b: float = 0.0,
 ) -> np.ndarray:
     """Euler impulse response of one isolated channel under frozen gains.
 
@@ -124,11 +117,8 @@ def predictive_basis(
     complex exponential: pure rotation at its frequency when both gains are
     zero, a real exponential decay for the zero-frequency channel with equal
     positive gains.  First-order accurate: halving dt halves the deviation
-    from the continuous-time exponential.
-
-    With no input and no sibling channels the feedforward gain ``b`` drops
-    out of the update; it is accepted only so callers can pass a schedule's
-    (a, b) pair unchanged.
+    from the continuous-time exponential.  With no input and no sibling
+    channels the feedforward gain drops out of the update.
     """
     if not 0 <= channel < pspec.n_channels:
         raise ValueError("channel index out of range")
@@ -167,77 +157,69 @@ def predict_series(
     schedule: ModulatorSchedule,
     horizon: float,
     dt: float,
-    t_start: float | None = None,
 ) -> PredictionResult:
     """Drive the bank with a sampled signal, then let it run on its own.
 
-    ``x_samples`` are input values at ``t_start, t_start + dt, ...``; the
-    drive phase ends at time 0 (so ``t_start`` defaults to
-    ``-len(x_samples) * dt``) and the free phase runs to ``horizon``.
+    ``x_samples`` are input values at ``-n dt, ..., -dt`` for n samples: the
+    drive ends at time 0 and the free phase runs, with zero input, to
+    ``horizon``.  Non-finite samples raise ValueError before any step.
 
-    The driven phase integrates with forward Euler.  Free segments whose
-    feedforward gain is zero are autonomous and diagonal, so they advance by
-    the exact per-step propagator exp((w/(1+a+) - 1) dt / tau); channel
-    magnitudes are then conserved to rounding when both gains are zero,
-    regardless of channel frequency.  A free segment with positive
-    feedforward gain (channels still coupled) falls back to Euler.
+    The run is walked once, piece by piece.  It is cut at the end of the
+    drive and at the sample where each schedule entry takes effect: sample
+    0 for an entry that starts before the run, none for one past its end.
+    A boundary inside the run must lie on the step grid; one off it raises
+    ValueError, as an off-grid ``horizon`` does.  Each piece takes the gains
+    of the last entry that has taken effect by its first sample; before any
+    has, the first entry's.
 
-    A schedule boundary inside the free phase must lie on the step grid;
-    one off it raises ValueError, as an off-grid ``horizon`` does.  A
-    non-finite state raises :class:`DivergenceError` naming its first time.
+    Free pieces whose feedforward gain is zero are autonomous and diagonal,
+    so they advance by the exact per-step propagator
+    exp((w/(1+a+) - 1) dt / tau); channel magnitudes are then conserved to
+    rounding when both gains are zero, regardless of channel frequency.
+    Every other piece takes one forward-Euler :func:`prediction_step` per
+    step.  A non-finite state raises :class:`DivergenceError` naming its
+    first time.
     """
     x_arr = np.asarray(x_samples, dtype=np.float64)
     if x_arr.ndim != 1:
         raise ValueError("x_samples must be 1-d")
+    if not np.isfinite(x_arr).all():
+        raise ValueError("x_samples must be finite")
     n_past = len(x_arr)
-    if t_start is None:
-        t_start = -n_past * dt
-    n_future = steps_in_span(horizon, dt)
-    n_total = n_past + n_future
+    n_total = n_past + steps_in_span(horizon, dt)
+    times = -n_past * dt + dt * np.arange(n_total + 1)
+    drive = np.pad(x_arr, (0, n_total - n_past))
 
-    times = t_start + dt * np.arange(n_total + 1)
+    # The sample at which each entry inside the run takes effect.
+    onsets = []
+    for start, _, _ in schedule.segments:
+        if start > times[-1]:
+            break
+        try:
+            onsets.append(0 if start <= times[0]
+                         else steps_in_span(start - times[0], dt))
+        except ValueError:
+            raise ValueError(f"schedule entry at t = {start:g} ms is not a "
+                             f"whole number of steps of dt = {dt:g} from the "
+                             f"run's start at {times[0]:g} ms") from None
+    cuts = sorted(set(onsets) | {0, n_past, n_total})
+
     ys = np.zeros((n_total + 1, pspec.n_channels), dtype=np.complex128)
-
     # Past a blow-up the run goes on to the horizon; the check below
     # reports it, so the overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
-        y = np.zeros(pspec.n_channels, dtype=np.complex128)
-        ys[0] = y
-        for i in range(n_past):
-            t = times[i]
-            a, b = schedule.at(t)
-            y = prediction_step(pspec, y, x_arr[i], a, b, dt, real_input=True)
-            ys[i + 1] = y
-
-        i = n_past
-        while i < n_total:
-            # A boundary that rounding puts just after the grid time counts as
-            # reached, so no segment below is shorter than one step.
-            t = times[i] + 1e-9 * dt
-            a, b = schedule.at(t)
-            # Extent of the current schedule segment, capped at the horizon.
-            seg_end = n_total
-            for start, _, _ in schedule.segments:
-                if start > t:
-                    seg_end = i + steps_in_span(min(start, times[-1]) - times[i], dt)
-                    break
-            n_seg = seg_end - i
-            if max(b, 0.0) == 0.0:
+        for i, j in zip(cuts, cuts[1:]):
+            _, a, b = schedule.segments[max(bisect_right(onsets, i) - 1, 0)]
+            if i >= n_past and max(b, 0.0) == 0.0:
                 w_eff = pspec.w_diag / (1.0 + max(a, 0.0)) - 1.0
                 multiplier = np.exp(w_eff * dt / pspec.tau_y)
-                powers = multiplier[None, :] ** np.arange(1, n_seg + 1)[:, None]
-                ys[i + 1 : seg_end + 1] = y[None, :] * powers
-                y = ys[seg_end]
+                ys[i + 1:j + 1] = ys[i] * multiplier ** np.arange(1, j - i + 1)[:, None]
             else:
-                for j in range(n_seg):
-                    y = prediction_step(pspec, y, 0.0, a, b, dt, real_input=True)
-                    ys[i + 1 + j] = y
-            i = seg_end
+                y = ys[i]
+                for k in range(i, j):
+                    y = ys[k + 1] = prediction_step(pspec, y, drive[k], a, b, dt)
 
-    finite = np.isfinite(ys).all(axis=1)
-    if not finite.all():
-        raise DivergenceError(f"non-finite state at t = {times[np.argmin(finite)]:.6g} ms")
-
+    check_finite(times, ys)
     return PredictionResult(
         dt=dt,
         times=times,

@@ -331,8 +331,7 @@ def _fixed_point_oracle(prob):
     """Closed form of the frozen-gain fixed point by forward substitution:
     y[i] = beta z[i] + (1 - beta)(W_yy y[i-1] + c_yhat)/(1+alpha+), with
     sample 0 predicting from itself (one linear solve)."""
-    from oscint.batch import _gain_series
-    from oscint.model import rectify
+    from oscint.model import _gain_series, rectify
 
     spec, x = prob.spec, prob.x_series
     z = x @ spec.w_zx.T + spec.c_z

@@ -65,6 +65,14 @@ def test_params_validation():
         CircuitParams(g_leak_soma=-1.0)
 
 
+@pytest.mark.parametrize("name", ["e_leak", "e_exc", "e_inh"])
+def test_params_have_no_reversal_settings(name):
+    # The reversals are fixed at 0, +1 and -1 by the normalization; no
+    # equation would read a setting for them.
+    with pytest.raises(TypeError):
+        CircuitParams(**{name: 2.0})
+
+
 def test_gain_unit_fixed_point_mixed_signs():
     # Weight [2, -3] on input [0.5, 0.25]: excitatory conductance 1.0,
     # inhibitory 0.75, so the potential settles at (1 - 0.75)/(1 + 0.75 + 1).

@@ -7,12 +7,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oscint.circuit import CircuitTrajectory
+from oscint.batch import BatchProblem
+from oscint.circuit import CircuitParams, CircuitTrajectory, simulate_circuit
 from oscint.config import load_spec, save_spec, spec_from_dict, spec_to_dict
+from oscint.dynamics import simulate
 from oscint.model import (
     _COLUMN_STEPPED_MAX,
+    DivergenceError,
     NetworkSpec,
     Trajectory,
+    check_finite,
     energy,
     first_order,
     input_drive,
@@ -22,7 +26,12 @@ from oscint.model import (
     recurrent_drive,
     steps_in_span,
 )
-from oscint.predict import PredictionResult
+from oscint.predict import (
+    ModulatorSchedule,
+    PredictionResult,
+    PredictorSpec,
+    predict_series,
+)
 
 
 def test_rectify_scalar_and_array():
@@ -359,3 +368,34 @@ def test_steps_in_span_rejects_negative_spans_and_steps():
         steps_in_span(-1.0, 0.1)
     with pytest.raises(ValueError, match="dt must be positive"):
         steps_in_span(1.0, 0.0)
+
+
+def test_check_finite_names_the_first_non_finite_sample():
+    times = np.array([0.0, 0.5, 1.0, 1.5])
+    y = np.zeros((4, 2), dtype=np.complex128)
+    cells = np.zeros((4, 3, 2))
+    check_finite(times, y, cells)
+    y[3, 1] = np.inf
+    cells[2, 1, 0] = np.nan
+    with pytest.raises(DivergenceError, match=r"^non-finite cell state at t = 1 ms$"):
+        check_finite(times, y, cells, what="cell state")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("engine", ["rate", "circuit", "bank", "batch"])
+def test_every_engine_rejects_a_non_finite_input_series(engine, bad):
+    # Sample 3 of channel 1 is bad; no weight reads that channel.
+    spec = NetworkSpec.build(2, 2, w_zx=np.array([[1.0, 0.0], [0.5, 0.0]]))
+    x = np.zeros((11, 2))
+    x[3, 1] = bad
+    run = {
+        "rate": lambda: simulate(spec, x, 0.0, 10.0, dt=1.0),
+        "circuit": lambda: simulate_circuit(spec, CircuitParams(), x, 0.0, 10.0,
+                                            dt=1.0),
+        "bank": lambda: predict_series(PredictorSpec((1.0,)), x[:, 1],
+                                       ModulatorSchedule(((0.0, 0.0, 0.0),)),
+                                       horizon=10.0, dt=1.0),
+        "batch": lambda: BatchProblem(spec=spec, x_series=x),
+    }[engine]
+    with pytest.raises(ValueError, match="finite"):
+        run()

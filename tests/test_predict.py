@@ -88,12 +88,23 @@ def test_predictive_basis_first_order_in_dt():
 
 
 def test_schedule_lookup_and_validation():
-    sched = ModulatorSchedule(((0.0, 1.0, 2.0), (10.0, 3.0, 4.0)))
-    assert sched.at(-5.0) == (1.0, 2.0)
-    assert sched.at(0.0) == (1.0, 2.0)
-    assert sched.at(9.999) == (1.0, 2.0)
-    assert sched.at(10.0) == (3.0, 4.0)
-    assert sched.at(1e9) == (3.0, 4.0)
+    # The run starts at -5 ms.  The first entry is in force from sample 0,
+    # whether it starts before the run or inside it; the entry at 10 ms
+    # takes over exactly at its sample, 15; the one past the horizon (off
+    # the grid, even) is ignored.
+    pspec = PredictorSpec((1.0, 3.0))
+    x = np.ones(5)
+    y = np.zeros(2, dtype=np.complex128)
+    want = [y]
+    for k in range(25):
+        a, b = (1.0, 2.0) if k < 15 else (3.0, 4.0)
+        y = prediction_step(pspec, y, x[k] if k < 5 else 0.0, a, b, 1.0)
+        want.append(y)
+    for first_start in (-100.0, 0.0):
+        sched = ModulatorSchedule(((first_start, 1.0, 2.0), (10.0, 3.0, 4.0),
+                                   (1e9 + 0.5, 5.0, 6.0)))
+        result = predict_series(pspec, x, sched, horizon=20.0, dt=1.0)
+        assert np.array_equal(result.y, np.array(want))
     with pytest.raises(ValueError, match="sorted"):
         ModulatorSchedule(((5.0, 0.0, 0.0), (0.0, 0.0, 0.0)))
     with pytest.raises(ValueError, match="at least one"):
@@ -202,6 +213,57 @@ def test_bank_rejects_off_grid_schedule_boundary(start):
     with pytest.raises(ValueError, match="whole number of steps"):
         _within_seconds(20, predict_series, pspec, np.zeros(10), sched,
                         horizon=1.0, dt=0.1)
+
+
+@pytest.mark.parametrize("start", [-0.55, -0.46])
+def test_bank_rejects_off_grid_boundary_in_the_driven_phase(start):
+    pspec = PredictorSpec((1.0, 2.0))
+    sched = ModulatorSchedule(((-1.0, 0.1, 0.1), (start, 1.0, 0.1),
+                               (0.0, 0.0, 0.0)))
+    with pytest.raises(ValueError, match="whole number of steps"):
+        predict_series(pspec, np.ones(10), sched, horizon=1.0, dt=0.1)
+
+
+def _reference_walk(pspec, x, segments, n_future, dt):
+    """The bank run one sample at a time.  Each entry takes effect at the
+    sample nearest its start (sample 0 if it starts before the run); a free
+    sample under b+ = 0 is the exact propagator's power from the sample its
+    piece starts at, every other sample one Euler step."""
+    n_past = len(x)
+    first = [max(0, round(start / dt) + n_past) for start, _, _ in segments]
+    ys = [np.zeros(pspec.n_channels, dtype=np.complex128)]
+    for k in range(n_past + n_future):
+        in_force = [e for e, f in enumerate(first) if f <= k]
+        _, a, b = segments[in_force[-1] if in_force else 0]
+        if k >= n_past and max(b, 0.0) == 0.0:
+            anchor = max([f for f in first if f <= k] + [n_past])
+            w_eff = pspec.w_diag / (1.0 + max(a, 0.0)) - 1.0
+            multiplier = np.exp(w_eff * dt / pspec.tau_y)
+            ys.append(ys[anchor] * np.power(multiplier, k + 1 - anchor))
+        else:
+            ys.append(prediction_step(pspec, ys[-1], x[k] if k < n_past else 0.0,
+                                      a, b, dt))
+    return np.array(ys)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_walk_matches_a_per_sample_reference(seed):
+    # 2-4 entries on the grid anywhere from before the run to past its end,
+    # so boundaries fall in both phases; b is zero or positive.
+    rng = np.random.default_rng(seed)
+    dt = float(rng.choice([0.25, 0.5, 1.0]))
+    n_past, n_future = int(rng.integers(1, 40)), int(rng.integers(0, 60))
+    ks = np.sort(rng.integers(-5, n_past + n_future + 5,
+                              size=int(rng.integers(2, 5))))
+    segments = tuple(((int(k) - n_past) * dt, float(rng.uniform(0.0, 2.0)),
+                      float(rng.choice([0.0, rng.uniform(0.0, 1.0)])))
+                     for k in ks)
+    pspec = PredictorSpec((0.0, 2.0, 8.0), tau_y=10.0)
+    x = rng.standard_normal(n_past)
+    result = predict_series(pspec, x, ModulatorSchedule(segments),
+                            horizon=n_future * dt, dt=dt)
+    want = _reference_walk(pspec, x, segments, n_future, dt)
+    assert np.array_equal(result.y, want)
 
 
 def test_bank_starts_a_segment_at_the_grid_time_rounding_puts_before_it():
