@@ -47,8 +47,8 @@ _ENV_OUT = "OSCINT_OUT"
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not a positive number")
+    if not (np.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"{text} is not a positive finite number")
     return value
 
 
@@ -57,8 +57,8 @@ def _tau_list(text: str) -> tuple:
         values = tuple(float(part) for part in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad tau list {text!r}") from exc
-    if not values or any(v <= 0 for v in values):
-        raise argparse.ArgumentTypeError("tau values must be positive")
+    if not values or not all(np.isfinite(v) and v > 0 for v in values):
+        raise argparse.ArgumentTypeError("tau values must be positive and finite")
     return values
 
 

@@ -93,16 +93,8 @@ def step(spec: NetworkSpec, state: SimState, x: np.ndarray, dt: float) -> SimSta
 
     # Gain populations are real; complex responses contribute their real part.
     x_real = x.real if np.iscomplexobj(x) else x
-    a_in = spec.c_a.copy()
-    if not spec._w_ax_zero:
-        a_in += spec.w_ax @ x_real
-    if not spec._w_ay_zero:
-        a_in += (spec.w_ay @ state.y).real
-    b_in = spec.c_b.copy()
-    if not spec._w_bx_zero:
-        b_in += spec.w_bx @ x_real
-    if not spec._w_by_zero:
-        b_in += (spec.w_by @ state.y).real
+    a_in = spec.c_a + spec.w_ax @ x_real + (spec.w_ay @ state.y).real
+    b_in = spec.c_b + spec.w_bx @ x_real + (spec.w_by @ state.y).real
     a_new = state.a + (dt / spec.tau_a) * (-state.a + a_in)
     b_new = state.b + (dt / spec.tau_b) * (-state.b + b_in)
 

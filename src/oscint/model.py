@@ -39,10 +39,12 @@ def steps_in_span(span: float, dt: float) -> int:
 
     Raises ValueError unless ``span`` is a non-negative whole number of steps,
     within a relative 1e-9, so no engine silently stops short of or runs past
-    the time it was asked for.
+    the time it was asked for, and unless both are finite.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    if not (np.isfinite(span) and np.isfinite(dt)):
+        raise ValueError(f"span {span:g} and dt = {dt:g} must be finite")
     ratio = span / dt
     n_steps = round(ratio)
     if n_steps < 0 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
@@ -207,12 +209,9 @@ class NetworkSpec:
             raise ValueError("tau_a and tau_b must be positive")
         object.__setattr__(self, "tau_a", float(self.tau_a))
         object.__setattr__(self, "tau_b", float(self.tau_b))
-        # Cached flags let the stepper skip matvecs through all-zero gain
-        # pathways; results are identical either way.
+        # Gains that do not read y let the engines take their block paths.
         object.__setattr__(self, "_w_ay_zero", not np.any(coerced["w_ay"]))
         object.__setattr__(self, "_w_by_zero", not np.any(coerced["w_by"]))
-        object.__setattr__(self, "_w_ax_zero", not np.any(coerced["w_ax"]))
-        object.__setattr__(self, "_w_bx_zero", not np.any(coerced["w_bx"]))
         # Every neuron's gains follow the same drive: they do not read y, and
         # each row of w_ax, w_bx, c_a and c_b equals the first.
         object.__setattr__(self, "_gains_shared", bool(

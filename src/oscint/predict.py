@@ -97,9 +97,9 @@ def prediction_step(
     beta = b_plus / (1.0 + b_plus)
     yhat = pspec.w_diag * y
     if real_input:
-        competition = np.sum(y.real) - y
+        competition = y.real.sum() - y
     else:
-        competition = np.sum(y) - y
+        competition = y.sum() - y
     drive = -y + beta * x + yhat / (1.0 + a_plus) - beta * competition
     return y + (dt / pspec.tau_y) * drive
 

@@ -6,23 +6,16 @@ spectral peaks).  ``run_scenario`` executes the preset and returns the
 trajectory together with one :class:`AssertionOutcome` per check — failed
 checks are *reported*, never raised, so a run always yields inspectable data.
 
-Preset ids (fig2..fig10) are opaque names kept stable for scripting:
-
-* ``fig2``  — ring attractor storing a 2-d cue over a delay, then reset
-* ``fig3``  — the same trial solved by whole-trajectory energy descent
-* ``fig4``  — two maps remapped across two movements by discharge pulses
-* ``fig5``  — sequence ring holding an oscillating (traveling) pattern
-* ``fig6``  — 100-unit random network holding a 10-d pattern
-* ``fig7``  — two-unit excitatory/inhibitory oscillator variants
-* ``fig8``  — superposition of two stored oscillatory patterns
-* ``fig9``  — conductance-circuit realization matched to the rate model
-* ``fig10`` — frequency-bank extrapolation of a two-tone signal
+Preset ids (fig2..fig10) are opaque names kept stable for scripting.
 
 A check that reads a time window of a run goes through :func:`_check`: it
 measures inside the window that the run's record looks up
 (:meth:`oscint.model.SampledRecord.window`), or reports the check skipped
-when that window is not inside the run.  ``run_scenario`` rejects an
-override that the preset would ignore.
+when that window is not inside the run.  ``_PRESETS`` states each preset's
+contract once: its builder, its description and its defaults, whose keys are
+the overrides it honours.  ``run_scenario`` merges the caller's overrides
+into those defaults, rejects one the preset would ignore, and wraps what the
+builder returns in the one :class:`ScenarioResult`.
 """
 
 from __future__ import annotations
@@ -106,20 +99,21 @@ class ScenarioResult:
         return all(a.passed or a.skipped for a in self.assertions)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Overrides:
-    """User-adjustable knobs; every preset supplies safe defaults."""
+    """The settings one preset run uses: the preset's defaults in
+    ``_PRESETS`` with the caller's non-None overrides in their place.  A
+    setting the preset does not honour stays None."""
 
-    dt: Optional[float] = None
-    duration: Optional[float] = None
-    seed: Optional[int] = None
+    dt: float
+    duration: float
+    seed: Optional[int]
     tau_scale: Optional[float] = None
     tau_y: Optional[tuple] = None
 
 
-def _tau_scaled(tau_y, ov: Overrides):
-    """``tau_y`` times the ``tau_scale`` override, when one is given."""
-    return tau_y if ov.tau_scale is None else tau_y * ov.tau_scale
+# What a builder returns: the run's record, its checks and its extras.
+_Built = tuple[SampledRecord, list[AssertionOutcome], dict]
 
 
 def _outcome(name: str, passed: bool, detail: str) -> AssertionOutcome:
@@ -144,7 +138,12 @@ def _check(name: str, record: SampledRecord, t_lo: float, t_hi: float,
 # (drives both gains) and an end cue (drives only the recurrent-excess gain).
 
 
-def _memory_spec(w_yy: np.ndarray, encoder: np.ndarray, tau_y=10.0) -> NetworkSpec:
+def _memory_spec(w_yy: np.ndarray, encoder: np.ndarray, tau_y=10.0,
+                 w_ry: Optional[np.ndarray] = None) -> NetworkSpec:
+    """k target channels driving ``encoder``'s columns, then the two cues;
+    the readout rows are ``w_ry``, by default the encoder's conjugate."""
+    if w_ry is None:
+        w_ry = encoder.conj().T
     n, k = encoder.shape
     m = k + 2
     w_zx = np.zeros((n, m), dtype=np.complex128)
@@ -155,11 +154,11 @@ def _memory_spec(w_yy: np.ndarray, encoder: np.ndarray, tau_y=10.0) -> NetworkSp
     w_bx = np.zeros((n, m))
     w_bx[:, k] = 1.0
     return NetworkSpec.build(
-        n, m, n_readout=k,
+        n, m, n_readout=len(w_ry),
         tau_y=tau_y,
         w_yy=w_yy,
         w_zx=w_zx,
-        w_ry=encoder.conj().T,
+        w_ry=w_ry,
         w_ax=w_ax,
         w_bx=w_bx,
     )
@@ -193,14 +192,13 @@ _UNIT_TARGET_2D = np.array([np.cos(np.pi / 6.0), np.sin(np.pi / 6.0)])
 # fig2: ring attractor delay memory
 
 
-def _build_fig2(ov: Overrides) -> ScenarioResult:
-    dt = ov.dt if ov.dt is not None else 1.0
+def _build_fig2(ov: Overrides) -> _Built:
+    dt, t_stop = ov.dt, ov.duration
     timing = _MemoryTiming()
-    t_stop = ov.duration if ov.duration is not None else timing.t_stop
 
     w = center_surround(8)
     encoder = eigen_encoder(w, 2)
-    spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
+    spec = _memory_spec(w, encoder, tau_y=10.0 * ov.tau_scale)
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
     traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop, dt)
 
@@ -222,29 +220,18 @@ def _build_fig2(ov: Overrides) -> ScenarioResult:
                min(t_stop, timing.end_cue_off), "reset window", reset),
     ]
 
-    return ScenarioResult(
-        name="fig2",
-        description="8-unit ring stores a 2-d cue across a 2 s delay, then resets",
-        trajectory=traj,
-        assertions=checks,
-        extras={"spec": spec, "encoder": encoder, "target": _UNIT_TARGET_2D,
-                "pulses": pulses, "timing": timing},
-    )
+    return traj, checks, {"spec": spec, "encoder": encoder,
+                          "target": _UNIT_TARGET_2D, "pulses": pulses,
+                          "timing": timing}
 
 
 # ---------------------------------------------------------------------------
 # fig3: same trial, batch energy descent
 
 
-def _build_fig3(ov: Overrides) -> ScenarioResult:
-    dt = ov.dt if ov.dt is not None else 1.0
-    timing = _MemoryTiming()
-    t_stop = ov.duration if ov.duration is not None else timing.t_stop
-
-    reference = _build_fig2(Overrides(dt=dt, duration=t_stop,
-                                      tau_scale=ov.tau_scale))
-    spec = reference.extras["spec"]
-    ref_traj = reference.trajectory
+def _build_fig3(ov: Overrides) -> _Built:
+    ref_traj, _, ref_extras = _build_fig2(ov)
+    spec = ref_extras["spec"]
 
     # The incremental trial holds a = b during encoding, i.e. zero recurrent
     # excess; pin the excess gain at zero rather than recycling the a-weights.
@@ -256,7 +243,7 @@ def _build_fig3(ov: Overrides) -> ScenarioResult:
     prob = batch_mod.BatchProblem(
         spec=spec,
         x_series=ref_traj.x,
-        dt=dt,
+        dt=ov.dt,
         rate=0.8,
         max_iters=8000,
         tolerance=1e-14,
@@ -294,15 +281,9 @@ def _build_fig3(ov: Overrides) -> ScenarioResult:
                "cue-to-delay window", gain_locked),
     ]
 
-    return ScenarioResult(
-        name="fig3",
-        description="delay-memory trial recovered by whole-trajectory energy descent",
-        trajectory=traj,
-        assertions=checks,
-        extras={"spec": spec, "problem": prob, "result": result,
-                "energy_history": result.energy_history,
-                "incremental": ref_traj},
-    )
+    return traj, checks, {"spec": spec, "problem": prob, "result": result,
+                          "energy_history": result.energy_history,
+                          "incremental": ref_traj}
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +360,7 @@ def double_step_loop(
     return full, discharges
 
 
-def _build_fig4(ov: Overrides) -> ScenarioResult:
-    dt = ov.dt if ov.dt is not None else 1.0
-    t_stop = ov.duration if ov.duration is not None else 3100.0
-
+def _build_fig4(ov: Overrides) -> _Built:
     w8 = center_surround(8)
     v8 = eigen_encoder(w8, 2)
     n = 16
@@ -399,8 +377,8 @@ def _build_fig4(ov: Overrides) -> ScenarioResult:
     m1 = -np.eye(2)
     m2 = np.array([[1.0, 0.0], [-1.0, -1.0]])
     move_duration = 100.0
-    tau_y = _tau_scaled(10.0, ov)
-    kappa = 1.0 / _movement_gain(tau_y, 10.0, dt, move_duration)
+    tau_y = 10.0 * ov.tau_scale
+    kappa = 1.0 / _movement_gain(tau_y, 10.0, ov.dt, move_duration)
 
     # Channels: t1x t1y t2x t2y cdx cdy cue_start gate cue_end
     m_inputs = 9
@@ -438,7 +416,7 @@ def _build_fig4(ov: Overrides) -> ScenarioResult:
         spec, base, movements,
         gate_channel=7, cd_channels=(4, 5),
         readout_rows=(slice(0, 2), slice(2, 4)),
-        t_stop=t_stop, dt=dt,
+        t_stop=ov.duration, dt=ov.dt,
     )
 
     snapshots = {
@@ -459,25 +437,17 @@ def _build_fig4(ov: Overrides) -> ScenarioResult:
                      partial(positions, exp1=exp1, exp2=exp2))
               for label, (t, exp1, exp2) in snapshots.items()]
 
-    return ScenarioResult(
-        name="fig4",
-        description="two stored maps remapped across two movements by "
-                    "gain-gated discharge pulses",
-        trajectory=traj,
-        assertions=checks,
-        extras={"spec": spec, "discharges": discharges, "kappa": kappa,
-                "couplings": (m1, m2)},
-    )
+    return traj, checks, {"spec": spec, "discharges": discharges,
+                          "kappa": kappa, "couplings": (m1, m2)}
 
 
 # ---------------------------------------------------------------------------
 # fig5: sequence ring (traveling wave) via a scaled shift permutation
 
 
-def _build_fig5(ov: Overrides) -> ScenarioResult:
-    dt = ov.dt if ov.dt is not None else 0.02
+def _build_fig5(ov: Overrides) -> _Built:
+    dt, t_stop = ov.dt, ov.duration
     timing = _MemoryTiming(end_cue_on=3000.0, end_cue_off=3200.0, t_stop=3200.0)
-    t_stop = ov.duration if ov.duration is not None else timing.t_stop
     n = 100
 
     # Scale the pure shift so its slowest oscillatory pair sits exactly on
@@ -485,7 +455,7 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
     w = synfire(n) / np.cos(2.0 * np.pi / n)
     top3 = eigen_encoder(w, 3)
     encoder = top3[:, 1:3]      # the conjugate oscillatory pair
-    spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
+    spec = _memory_spec(w, encoder, tau_y=10.0 * ov.tau_scale)
 
     pulses = _memory_pulses(2, _UNIT_TARGET_2D, timing)
     traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop, dt)
@@ -522,15 +492,8 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
                timing.end_cue_on, "delay window", oscillates),
     ]
 
-    return ScenarioResult(
-        name="fig5",
-        description="100-unit shift ring holds a rotating 2-d pattern "
-                    "(~1 Hz traveling wave)",
-        trajectory=traj,
-        assertions=checks,
-        extras={"spec": spec, "encoder": encoder, "timing": timing,
-                "expected_hz": expected_hz},
-    )
+    return traj, checks, {"spec": spec, "encoder": encoder, "timing": timing,
+                          "expected_hz": expected_hz}
 
 
 # ---------------------------------------------------------------------------
@@ -540,20 +503,18 @@ def _build_fig5(ov: Overrides) -> ScenarioResult:
 _FIG6_SEED = 11
 
 
-def _fig6_request(seed: Optional[int]) -> SpectrumRequest:
-    return SpectrumRequest(n=100, d=10, imag_std=0.05,
-                           seed=_FIG6_SEED if seed is None else seed)
+def _fig6_request(seed: int) -> SpectrumRequest:
+    return SpectrumRequest(n=100, d=10, imag_std=0.05, seed=seed)
 
 
-def _build_fig6(ov: Overrides) -> ScenarioResult:
-    dt = ov.dt if ov.dt is not None else 0.1
+def _build_fig6(ov: Overrides) -> _Built:
+    dt, t_stop = ov.dt, ov.duration
     timing = _MemoryTiming(end_cue_on=3300.0, end_cue_off=3500.0, t_stop=3500.0)
-    t_stop = ov.duration if ov.duration is not None else timing.t_stop
 
     req = _fig6_request(ov.seed)
     w = random_spectral(req)
     encoder = eigen_encoder(w, 10)
-    spec = _memory_spec(w, encoder, tau_y=_tau_scaled(10.0, ov))
+    spec = _memory_spec(w, encoder, tau_y=10.0 * ov.tau_scale)
 
     rng = np.random.default_rng(req.seed + 1)
     target = rng.standard_normal(10)
@@ -578,47 +539,27 @@ def _build_fig6(ov: Overrides) -> ScenarioResult:
         f"analysis counts {report.dimensionality} sustained eigenvalues",
     ))
 
-    return ScenarioResult(
-        name="fig6",
-        description="random 100-unit network holds a 10-d pattern as "
-                    "slowly rotating mode amplitudes",
-        trajectory=traj,
-        assertions=checks,
-        extras={"spec": spec, "encoder": encoder, "target": target,
-                "request": req, "report": report},
-    )
+    return traj, checks, {"spec": spec, "encoder": encoder, "target": target,
+                          "request": req, "report": report}
 
 
 # ---------------------------------------------------------------------------
 # fig7: two-unit excitatory/inhibitory oscillator
 
 
-def _build_fig7(ov: Overrides) -> ScenarioResult:
-    dt = ov.dt if ov.dt is not None else 0.1
-    t_stop = ov.duration if ov.duration is not None else 3200.0
-    tau_pair = ov.tau_y if ov.tau_y is not None else (10.0, 12.5)
-    tau_vec = _tau_scaled(np.asarray(tau_pair, dtype=np.float64), ov)
+def _build_fig7(ov: Overrides) -> _Built:
+    dt, t_stop = ov.dt, ov.duration
+    tau_vec = np.asarray(ov.tau_y, dtype=np.float64) * ov.tau_scale
 
     w = ei_pair()
-    m_inputs = 3
-    w_zx = np.zeros((2, m_inputs), dtype=np.complex128)
-    w_zx[:, 0] = 1.0
-    w_ax = np.zeros((2, m_inputs))
-    w_ax[:, 1] = 1.0
-    w_ax[:, 2] = 1.0
-    w_bx = np.zeros((2, m_inputs))
-    w_bx[:, 1] = 1.0
-    spec = NetworkSpec.build(
-        2, m_inputs, n_readout=2,
-        tau_y=tau_vec,
-        w_yy=w, w_zx=w_zx, w_ry=np.eye(2), w_ax=w_ax, w_bx=w_bx,
-    )
+    # Both units take the one target channel and are read out directly.
+    spec = _memory_spec(w, np.ones((2, 1)), tau_y=tau_vec, w_ry=np.eye(2))
     pulses = [
         Pulse(0, 0.0, 1000.0, 1.0),
         Pulse(1, 0.0, 500.0, 1.0),
         Pulse(2, 3000.0, 3200.0, 1.0),
     ]
-    traj = simulate(spec, pulse_series(m_inputs, pulses, 0.0, t_stop, dt),
+    traj = simulate(spec, pulse_series(spec.n_inputs, pulses, 0.0, t_stop, dt),
                     0.0, t_stop, dt)
     report = analyze(w, tau_vec)
 
@@ -651,42 +592,22 @@ def _build_fig7(ov: Overrides) -> ScenarioResult:
         f"({float(tau_vec[0]):g}, {float(tau_vec[1]):g})",
     ))
 
-    return ScenarioResult(
-        name="fig7",
-        description="excitatory/inhibitory pair: oscillation frequency and "
-                    "stability set purely by the two time constants",
-        trajectory=traj,
-        assertions=checks,
-        extras={"spec": spec, "report": report, "tau": tuple(tau_vec)},
-    )
+    return traj, checks, {"spec": spec, "report": report, "tau": tuple(tau_vec)}
 
 
 # ---------------------------------------------------------------------------
 # fig8: superposition of two stored oscillatory patterns
 
 
-def _build_fig8(ov: Overrides) -> ScenarioResult:
-    dt = ov.dt if ov.dt is not None else 0.5
-    t_stop = ov.duration if ov.duration is not None else 3200.0
+def _build_fig8(ov: Overrides) -> _Built:
+    dt, t_stop = ov.dt, ov.duration
 
-    req = _fig6_request(ov.seed)
-    w = random_spectral(req)
+    w = random_spectral(_fig6_request(ov.seed))
     encoder = eigen_encoder(w, 10)
     cols = (0, 3)
-
-    m_inputs = 4
-    w_zx = np.zeros((100, m_inputs), dtype=np.complex128)
-    w_zx[:, 0] = encoder[:, cols[0]]
-    w_zx[:, 1] = encoder[:, cols[1]]
-    w_ax = np.zeros((100, m_inputs))
-    w_ax[:, 2] = 1.0
-    w_ax[:, 3] = 1.0
-    w_bx = np.zeros((100, m_inputs))
-    w_bx[:, 2] = 1.0
-    spec = NetworkSpec.build(
-        100, m_inputs, n_readout=0, tau_y=_tau_scaled(10.0, ov),
-        w_yy=w, w_zx=w_zx, w_ax=w_ax, w_bx=w_bx,
-    )
+    # Two eigenmode drives and no readout rows.
+    spec = _memory_spec(w, encoder[:, cols], tau_y=10.0 * ov.tau_scale,
+                        w_ry=np.zeros((0, 100)))
 
     cue = [Pulse(2, 0.0, 500.0, 1.0), Pulse(3, 3000.0, 3200.0, 1.0)]
     drive_a = [Pulse(0, 0.0, 1000.0, 1.0)] + cue
@@ -694,7 +615,7 @@ def _build_fig8(ov: Overrides) -> ScenarioResult:
     drive_both = [Pulse(0, 0.0, 1000.0, 1.0), Pulse(1, 0.0, 1000.0, 1.0)] + cue
 
     runs = {
-        label: simulate(spec, pulse_series(m_inputs, ps, 0.0, t_stop, dt),
+        label: simulate(spec, pulse_series(spec.n_inputs, ps, 0.0, t_stop, dt),
                         0.0, t_stop, dt)
         for label, ps in (("first", drive_a), ("second", drive_b),
                           ("combined", drive_both))
@@ -709,14 +630,8 @@ def _build_fig8(ov: Overrides) -> ScenarioResult:
         f"trial (tol 1e-8)",
     )]
 
-    return ScenarioResult(
-        name="fig8",
-        description="two eigenmode drives stored simultaneously: the combined "
-                    "response is the exact sum of the separate ones",
-        trajectory=runs["combined"],
-        assertions=checks,
-        extras={"spec": spec, "runs": runs, "encoder": encoder, "columns": cols},
-    )
+    return runs["combined"], checks, {"spec": spec, "runs": runs,
+                                      "encoder": encoder, "columns": cols}
 
 
 # ---------------------------------------------------------------------------
@@ -750,17 +665,18 @@ def _calibrate_encode_scale(params: CircuitParams, timing: _MemoryTiming,
         Pulse(channel=0, t_on=0.0, t_off=timing.input_off, value=1.0),
         Pulse(channel=1, t_on=0.0, t_off=timing.cue_off, value=1.0),
     ]
-    stride = max(1, int(round(1.0 / dt)))
+    # One recorded sample per ms.  The stride is formed after the input
+    # series, whose span check rejects a non-finite dt.
     traj = simulate_circuit(probe, params,
                             pulse_series(2, pulses, 0.0, t_settle, dt),
-                            0.0, t_settle, dt, record_stride=stride)
+                            0.0, t_settle, dt,
+                            record_stride=max(1, round(1.0 / dt)))
     held = float(traj.y_net[-1, 0])
     return 1.0 / held
 
 
-def _build_fig9(ov: Overrides) -> ScenarioResult:
-    dt_circuit = ov.dt if ov.dt is not None else 0.01
-    t_stop = ov.duration if ov.duration is not None else 1600.0
+def _build_fig9(ov: Overrides) -> _Built:
+    dt_circuit, t_stop = ov.dt, ov.duration
     timing = _MemoryTiming(cue_off=250.0, input_off=350.0,
                            end_cue_on=1350.0, end_cue_off=1600.0,
                            t_stop=t_stop)
@@ -786,10 +702,9 @@ def _build_fig9(ov: Overrides) -> ScenarioResult:
     dt_rate = 0.1
     rate_traj = simulate(rate_spec, pulse_series(4, pulses, 0.0, t_stop, dt_rate),
                          0.0, t_stop, dt_rate)
-    stride = max(1, int(round(1.0 / dt_circuit)))
     circ_traj = simulate_circuit(
         circuit_spec, params, pulse_series(4, pulses, 0.0, t_stop, dt_circuit),
-        0.0, t_stop, dt_circuit, record_stride=stride)
+        0.0, t_stop, dt_circuit, record_stride=max(1, round(1.0 / dt_circuit)))
 
     def rate_gap(win, scale=1.0):
         # The rate run's samples at the circuit's recorded times.
@@ -828,17 +743,10 @@ def _build_fig9(ov: Overrides) -> ScenarioResult:
                circ_traj.times[-1], "reset window", reset),
     ]
 
-    return ScenarioResult(
-        name="fig9",
-        description="three-compartment ON/OFF circuit reproduces the "
-                    "rate-model memory trial",
-        trajectory=circ_traj,
-        assertions=checks,
-        extras={"rate_spec": rate_spec, "circuit_spec": circuit_spec,
-                "params": params, "rate_trajectory": rate_traj,
-                "encode_scale": encode_scale, "plateau_ratio": plateau_ratio,
-                "timing": timing},
-    )
+    return circ_traj, checks, {
+        "rate_spec": rate_spec, "circuit_spec": circuit_spec, "params": params,
+        "rate_trajectory": rate_traj, "encode_scale": encode_scale,
+        "plateau_ratio": plateau_ratio, "timing": timing}
 
 
 # ---------------------------------------------------------------------------
@@ -848,9 +756,8 @@ def _build_fig9(ov: Overrides) -> ScenarioResult:
 _FIG10_FREQS = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 
 
-def _build_fig10(ov: Overrides) -> ScenarioResult:
-    dt = ov.dt if ov.dt is not None else 0.1
-    horizon = ov.duration if ov.duration is not None else 3000.0
+def _build_fig10(ov: Overrides) -> _Built:
+    dt, horizon = ov.dt, ov.duration
     reset_at = 2500.0
 
     pspec = PredictorSpec(freqs_hz=_FIG10_FREQS, tau_y=10.0)
@@ -900,66 +807,99 @@ def _build_fig10(ov: Overrides) -> ScenarioResult:
                "reset window", damps),
     ]
 
-    return ScenarioResult(
-        name="fig10",
-        description="six-frequency bank locks onto a two-tone signal and "
-                    "extrapolates it after input stops",
-        trajectory=result,
-        assertions=checks,
-        extras={"pspec": pspec, "schedule": schedule, "x_past": x_past},
-    )
+    return result, checks, {"pspec": pspec, "schedule": schedule,
+                            "x_past": x_past}
 
 
 # ---------------------------------------------------------------------------
 
 
-_BUILDERS: dict[str, Callable[[Overrides], ScenarioResult]] = {
-    "fig2": _build_fig2,
-    "fig3": _build_fig3,
-    "fig4": _build_fig4,
-    "fig5": _build_fig5,
-    "fig6": _build_fig6,
-    "fig7": _build_fig7,
-    "fig8": _build_fig8,
-    "fig9": _build_fig9,
-    "fig10": _build_fig10,
+@dataclass(frozen=True)
+class _Preset:
+    build: Callable[[Overrides], _Built]
+    description: str
+    defaults: dict      # keys: exactly the overrides the preset honours
+
+
+# ``seed`` is honoured everywhere, as ``oscint sweep`` passes it to every
+# preset; fig9 and fig10 keep their time constants fixed, so only the others
+# take ``tau_scale`` (``_SCALED``), and only fig7 takes ``tau_y``.
+_SCALED = {"seed": None, "tau_scale": 1.0}
+
+_PRESETS: dict[str, _Preset] = {
+    "fig2": _Preset(
+        _build_fig2,
+        "8-unit ring stores a 2-d cue across a 2 s delay, then resets",
+        dict(_SCALED, dt=1.0, duration=3300.0)),
+    "fig3": _Preset(
+        _build_fig3,
+        "delay-memory trial recovered by whole-trajectory energy descent",
+        dict(_SCALED, dt=1.0, duration=3300.0)),
+    "fig4": _Preset(
+        _build_fig4,
+        "two stored maps remapped across two movements by gain-gated "
+        "discharge pulses",
+        dict(_SCALED, dt=1.0, duration=3100.0)),
+    "fig5": _Preset(
+        _build_fig5,
+        "100-unit shift ring holds a rotating 2-d pattern (~1 Hz traveling wave)",
+        dict(_SCALED, dt=0.02, duration=3200.0)),
+    "fig6": _Preset(
+        _build_fig6,
+        "random 100-unit network holds a 10-d pattern as slowly rotating "
+        "mode amplitudes",
+        dict(_SCALED, dt=0.1, duration=3500.0, seed=_FIG6_SEED)),
+    "fig7": _Preset(
+        _build_fig7,
+        "excitatory/inhibitory pair: oscillation frequency and stability set "
+        "purely by the two time constants",
+        dict(_SCALED, dt=0.1, duration=3200.0, tau_y=(10.0, 12.5))),
+    "fig8": _Preset(
+        _build_fig8,
+        "two eigenmode drives stored simultaneously: the combined response is "
+        "the exact sum of the separate ones",
+        dict(_SCALED, dt=0.5, duration=3200.0, seed=_FIG6_SEED)),
+    "fig9": _Preset(
+        _build_fig9,
+        "three-compartment ON/OFF circuit reproduces the rate-model memory trial",
+        dict(dt=0.01, duration=1600.0, seed=None)),
+    "fig10": _Preset(
+        _build_fig10,
+        "six-frequency bank locks onto a two-tone signal and extrapolates it "
+        "after input stops",
+        dict(dt=0.1, duration=3000.0, seed=None)),
 }
 
-SCENARIO_NAMES = tuple(_BUILDERS)
-
-# The overrides each preset honours.  ``seed`` is accepted everywhere, as
-# ``oscint sweep`` passes it to every preset; only fig7 takes ``tau_y``, and
-# fig9 and fig10 keep their time constants fixed.
-_COMMON = frozenset({"dt", "duration", "seed", "tau_scale"})
-_HONOURED = {name: _COMMON for name in _BUILDERS} | {
-    "fig7": _COMMON | {"tau_y"},
-    "fig9": _COMMON - {"tau_scale"},
-    "fig10": _COMMON - {"tau_scale"},
-}
+SCENARIO_NAMES = tuple(_PRESETS)
 
 
 def run_scenario(name: str, **overrides) -> ScenarioResult:
     """Execute a preset and return its trajectory plus assertion outcomes.
 
-    ``overrides`` accepts dt, duration, seed, tau_scale and (fig7) tau_y.
-    Check failures are reported in the result, never raised.  An unknown
-    scenario name, or an override the preset would ignore (tau_scale on
-    fig9 and fig10, tau_y anywhere but fig7), raises ValueError, as does a
-    tau_scale that is not a positive finite number; an unknown override
-    raises TypeError.
+    ``overrides`` accepts dt, duration, seed, tau_scale and (fig7) tau_y;
+    None leaves the preset's default.  Check failures are reported in the
+    result, never raised.  An unknown scenario name, or an override the
+    preset would ignore (tau_scale on fig9 and fig10, tau_y anywhere but
+    fig7), raises ValueError, as does a tau_scale that is not a positive
+    finite number; an unknown override raises TypeError.
     """
-    if name not in _BUILDERS:
+    preset = _PRESETS.get(name)
+    if preset is None:
         raise ValueError(
             f"unknown scenario {name!r}; available: {', '.join(SCENARIO_NAMES)}"
         )
-    ov = Overrides(**overrides)
+    # Every given name reaches Overrides, so an unknown one raises TypeError
+    # whatever its value.
+    ov = Overrides(**preset.defaults | {
+        key: preset.defaults.get(key) if value is None else value
+        for key, value in overrides.items()})
     ignored = sorted(key for key, value in overrides.items()
-                     if value is not None and key not in _HONOURED[name])
+                     if value is not None and key not in preset.defaults)
     if ignored:
         raise ValueError(f"{name} does not use the override(s) "
                          f"{', '.join(ignored)}")
-    if ov.tau_scale is not None and not (np.isfinite(ov.tau_scale)
-                                         and ov.tau_scale > 0):
+    tau_scale = overrides.get("tau_scale")
+    if tau_scale is not None and not (np.isfinite(tau_scale) and tau_scale > 0):
         raise ValueError(f"tau_scale must be positive and finite, "
-                         f"got {ov.tau_scale!r}")
-    return _BUILDERS[name](ov)
+                         f"got {tau_scale!r}")
+    return ScenarioResult(name, preset.description, *preset.build(ov))

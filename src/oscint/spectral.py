@@ -33,8 +33,8 @@ def effective_matrix(w_yy: np.ndarray, tau_y) -> np.ndarray:
     w = np.asarray(w_yy)
     n = w.shape[0]
     tau = np.broadcast_to(np.asarray(tau_y, dtype=np.float64), (n,))
-    if np.any(tau <= 0):
-        raise ValueError("time constants must be positive")
+    if not np.all(np.isfinite(tau) & (tau > 0)):
+        raise ValueError("time constants must be positive and finite")
     return (w - np.eye(n)) / tau[:, None]
 
 

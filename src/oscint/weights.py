@@ -70,8 +70,8 @@ class SpectrumRequest:
             raise ValueError("n must be >= 1")
         if not 0 <= self.d <= self.n:
             raise ValueError("d must lie in [0, n]")
-        if self.imag_std < 0:
-            raise ValueError("imag_std must be >= 0")
+        if not (np.isfinite(self.imag_std) and self.imag_std >= 0):
+            raise ValueError("imag_std must be finite and >= 0")
 
 
 def random_spectral(req: SpectrumRequest) -> np.ndarray:

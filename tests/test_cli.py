@@ -167,6 +167,33 @@ def test_analyze_rejects_nonpositive_tau():
         cli.main(["analyze", "--constructor", "identity", "--tau", "10,-5"])
 
 
+@pytest.mark.parametrize("args, message", [
+    (["run", "--scenario", "fig2", "--duration", "inf"], "--duration"),
+    (["run", "--scenario", "fig2", "--dt", "nan"], "--dt"),
+    (["run", "--scenario", "fig2", "--tau-scale", "inf"], "--tau-scale"),
+    (["sweep", "--scenarios", "fig2", "--dt", "inf"], "--dt"),
+    (["analyze", "--constructor", "identity", "--tau", "inf"], "--tau"),
+    (["analyze", "--constructor", "identity", "--tau", "10,nan"], "--tau"),
+    (["analyze", "--constructor", "random-spectral", "--imag-std", "nan"],
+     "imag_std"),
+    (["analyze", "--constructor", "random-spectral", "--imag-std", "inf"],
+     "imag_std"),
+], ids=["run-duration-inf", "run-dt-nan", "run-tau-scale-inf", "sweep-dt-inf",
+        "analyze-tau-inf", "analyze-tau-nan", "analyze-imag-std-nan",
+        "analyze-imag-std-inf"])
+def test_non_finite_number_exits_2(tmp_path, capsys, args, message):
+    # argparse rejects a bad flag value by exiting 2 itself; a value that
+    # reaches the library is rejected there and the command returns 2.
+    try:
+        code = cli.main(["--out", str(tmp_path / "out"), *args])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert message in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_runs_selected_scenarios(tmp_path, capsys):
     code = cli.main(["--out", str(tmp_path), "sweep",
                      "--scenarios", "fig2,fig4", "--no-plot"])

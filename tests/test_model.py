@@ -363,6 +363,15 @@ def test_steps_in_span_rejects_off_grid_spans(n_steps, frac, dt):
         steps_in_span((n_steps + frac) * dt, dt)
 
 
+@pytest.mark.parametrize("span, dt", [
+    (float("inf"), 1.0), (float("nan"), 1.0), (-float("inf"), 1.0),
+    (100.0, float("inf")), (100.0, float("nan")),
+])
+def test_steps_in_span_rejects_non_finite_spans_and_steps(span, dt):
+    with pytest.raises(ValueError, match="must be finite"):
+        steps_in_span(span, dt)
+
+
 def test_steps_in_span_rejects_negative_spans_and_steps():
     with pytest.raises(ValueError):
         steps_in_span(-1.0, 0.1)

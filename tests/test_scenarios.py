@@ -1,12 +1,20 @@
 """Preset scenario catalog: determinism, self-checks, override plumbing."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import oscint.circuit
 from oscint.model import Trajectory
 from oscint.predict import PredictionResult
-from oscint.scenarios import SCENARIO_NAMES, Pulse, pulse_series, run_scenario
+from oscint.scenarios import (
+    _PRESETS,
+    SCENARIO_NAMES,
+    Pulse,
+    pulse_series,
+    run_scenario,
+)
 
 
 def _assert_checks_pass(result):
@@ -174,6 +182,29 @@ def test_fig4_passes_under_tau_scale():
 def test_bad_tau_scale_raises(value):
     with pytest.raises(ValueError, match="tau_scale must be positive and finite"):
         run_scenario("fig2", tau_scale=value)
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig9"])
+@pytest.mark.parametrize("override", ["dt", "duration"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_dt_or_duration_raises(name, override, value):
+    # fig9 derives its record stride from dt; the span check comes first.
+    with pytest.raises(ValueError, match="must be finite"):
+        run_scenario(name, **{override: value})
+
+
+def test_readme_preset_table_matches_the_descriptions():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## Scenario presets", 1)[1].split("\n## ", 1)[0]
+    rows = [line.strip("|").split("|") for line in section.splitlines()
+            if line.startswith("| fig")]
+    assert {name.strip(): text.strip() for name, text in rows} == {
+        name: preset.description for name, preset in _PRESETS.items()}
+
+
+def test_unknown_override_raises_even_when_none():
+    with pytest.raises(TypeError):
+        run_scenario("fig2", bogus=None)
 
 
 def test_fig9_runs_on_the_circuit_block_path(monkeypatch):

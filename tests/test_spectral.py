@@ -107,6 +107,13 @@ def test_steady_state_project_idempotent():
     assert np.abs(steady_state_project(v, left)).max() < 1e-12
 
 
+@pytest.mark.parametrize("tau", [float("inf"), float("nan"), (10.0, float("inf")),
+                                 0.0])
+def test_effective_matrix_rejects_a_bad_time_constant(tau):
+    with pytest.raises(ValueError, match="time constants must be positive and finite"):
+        effective_matrix(ei_pair(), tau)
+
+
 def test_steady_state_project_requires_orthonormal_basis():
     v = np.ones((4, 2), dtype=np.complex128)
     with pytest.raises(ValueError):

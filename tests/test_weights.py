@@ -150,6 +150,12 @@ def test_eigen_encoder_phase_fix_largest_component_real_positive():
             assert abs(col[i].imag) < 1e-10 * abs(col[i].real) + 1e-12
 
 
+@pytest.mark.parametrize("imag_std", [float("nan"), float("inf"), -0.1])
+def test_spectrum_request_rejects_a_bad_imag_std(imag_std):
+    with pytest.raises(ValueError, match="imag_std must be finite and >= 0"):
+        SpectrumRequest(n=8, d=2, imag_std=imag_std)
+
+
 def test_eigen_encoder_rank_guard():
     with pytest.raises(ValueError):
         eigen_encoder(np.eye(3), 4)
