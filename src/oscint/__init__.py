@@ -50,7 +50,6 @@ from .predict import (
     PredictorSpec,
     prediction_step,
     predict_series,
-    predictive_basis,
 )
 from .scenarios import (
     AssertionOutcome,
@@ -69,14 +68,11 @@ from .spectral import (
     UNSTABLE,
     SpectralReport,
     analyze,
-    analyze_network,
     classify_stability,
     dominant_frequency,
     effective_matrix,
-    linear_readout,
     magnitude_readout,
     oscillation_frequencies,
-    steady_state_project,
     sustained_dimensionality,
 )
 from .weights import (
@@ -119,7 +115,6 @@ __all__ = [
     "Trajectory",
     "UNSTABLE",
     "analyze",
-    "analyze_network",
     "backward_pass",
     "center_surround",
     "classify_stability",
@@ -132,7 +127,6 @@ __all__ = [
     "energy",
     "forward_pass",
     "input_drive",
-    "linear_readout",
     "load_spec",
     "magnitude_readout",
     "mismatch_gain",
@@ -140,7 +134,6 @@ __all__ = [
     "pfc_step",
     "predict_series",
     "prediction_step",
-    "predictive_basis",
     "pulse_series",
     "random_spectral",
     "recurrent_drive",
@@ -154,7 +147,6 @@ __all__ = [
     "spec_from_dict",
     "spec_to_dict",
     "split_signed",
-    "steady_state_project",
     "steady_state_vs",
     "step",
     "sustained_dimensionality",

@@ -157,13 +157,12 @@ def write_svg_lines(
     x: np.ndarray,
     series: dict[str, np.ndarray],
     title: str = "",
-    x_label: str = "t (ms)",
     y_label: str = "",
-    width: int = 860,
-    height: int = 420,
 ) -> None:
-    """Write a multi-series line plot as a standalone SVG file."""
+    """Write a multi-series line plot against time (ms) as a standalone
+    860 x 420 SVG file."""
     x = np.asarray(x, dtype=np.float64)
+    width, height = 860, 420
     margin_l, margin_r, margin_t, margin_b = 64, 150, 34, 46
     plot_w = width - margin_l - margin_r
     plot_h = height - margin_t - margin_b
@@ -214,7 +213,7 @@ def write_svg_lines(
         )
     parts.append(
         f'<text x="{margin_l + plot_w / 2:.0f}" y="{height - 8}" '
-        f'font-family="sans-serif" font-size="12" text-anchor="middle">{x_label}</text>'
+        f'font-family="sans-serif" font-size="12" text-anchor="middle">t (ms)</text>'
     )
     if y_label:
         parts.append(

@@ -104,36 +104,6 @@ def prediction_step(
     return y + (dt / pspec.tau_y) * drive
 
 
-def predictive_basis(
-    pspec: PredictorSpec,
-    channel: int,
-    horizon: float,
-    dt: float,
-    a: float = 0.0,
-) -> np.ndarray:
-    """Euler impulse response of one isolated channel under frozen gains.
-
-    Starting from y = 1 with no input, the channel traces a (possibly damped)
-    complex exponential: pure rotation at its frequency when both gains are
-    zero, a real exponential decay for the zero-frequency channel with equal
-    positive gains.  First-order accurate: halving dt halves the deviation
-    from the continuous-time exponential.  With no input and no sibling
-    channels the feedforward gain drops out of the update.
-    """
-    if not 0 <= channel < pspec.n_channels:
-        raise ValueError("channel index out of range")
-    n_steps = steps_in_span(horizon, dt)
-    a_plus = max(a, 0.0)
-    w = pspec.w_diag[channel]
-    out = np.empty(n_steps + 1, dtype=np.complex128)
-    y = 1.0 + 0.0j
-    gain = (dt / pspec.tau_y) * (w / (1.0 + a_plus) - 1.0)
-    for i in range(n_steps + 1):
-        out[i] = y
-        y = y + gain * y
-    return out
-
-
 @dataclass
 class PredictionResult(SampledRecord):
     """Recorded bank run: channel states plus in-phase/quadrature readouts,

@@ -34,6 +34,7 @@ from .model import (
     SampledRecord,
     SimState,
     Trajectory,
+    readout_series,
     sample_times,
     steps_in_span,
 )
@@ -42,6 +43,7 @@ from .spectral import (
     STABLE_OSCILLATION,
     analyze,
     dominant_frequency,
+    magnitude_readout,
 )
 from .weights import (
     SpectrumRequest,
@@ -337,7 +339,7 @@ def double_step_loop(
         active = [m for m in movements if m.t_on <= lo < m.t_off]
         if active:
             mv = active[0]
-            readout = (spec.w_ry @ state.y + spec.c_r).real
+            readout = readout_series(spec, state.y[None])[0].real
             cd_value = readout[readout_rows[mv.source]]
             discharges.append(cd_value.copy())
             pulses.append(Pulse(gate_channel, lo, hi, 1.0))
@@ -463,7 +465,7 @@ def _build_fig5(ov: Overrides) -> _Built:
     expected_hz = 1000.0 / (n * 10.0)   # one lap of the ring per n tau
 
     def held(win):
-        return np.abs(traj.y[win] @ encoder.conj())
+        return magnitude_readout(encoder, traj.y[win].T).T
 
     def constant(win):
         mag = held(win)
@@ -523,7 +525,7 @@ def _build_fig6(ov: Overrides) -> _Built:
                     t_stop, dt)
 
     def constant(win):
-        mag = np.abs(traj.y[win] @ encoder.conj())
+        mag = magnitude_readout(encoder, traj.y[win].T).T
         drift = float(np.abs(mag - mag[0]).max())
         return drift < 1e-2, f"max drift {drift:.3e} over 2 s of delay (tol 1e-2)"
 
@@ -550,6 +552,8 @@ def _build_fig6(ov: Overrides) -> _Built:
 def _build_fig7(ov: Overrides) -> _Built:
     dt, t_stop = ov.dt, ov.duration
     tau_vec = np.asarray(ov.tau_y, dtype=np.float64) * ov.tau_scale
+    if tau_vec.shape != (2,):
+        raise ValueError(f"fig7 takes two tau_y values, got {ov.tau_y!r}")
 
     w = ei_pair()
     # Both units take the one target channel and are read out directly.

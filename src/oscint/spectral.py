@@ -15,8 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import NetworkSpec
-
 DECAYING = "decaying"
 SUSTAINED = "sustained"
 STABLE_OSCILLATION = "stable-oscillation"
@@ -105,37 +103,17 @@ def analyze(w_yy: np.ndarray, tau_y) -> SpectralReport:
     )
 
 
-def analyze_network(spec: NetworkSpec) -> SpectralReport:
-    return analyze(spec.w_yy, spec.tau_y)
-
-
-def _check_orthonormal(v: np.ndarray, tol: float = 1e-8) -> None:
-    gram = v.conj().T @ v
-    if not np.allclose(gram, np.eye(v.shape[1]), rtol=0.0, atol=tol):
-        raise ValueError("encoder columns are not orthonormal")
-
-
-def steady_state_project(v: np.ndarray, y0: np.ndarray) -> np.ndarray:
-    """Component of ``y0`` surviving in the sustained subspace spanned by
-    the orthonormal columns of ``v``: returns V (V* y0)."""
-    v = np.asarray(v, dtype=np.complex128)
-    _check_orthonormal(v)
-    return v @ (v.conj().T @ np.asarray(y0, dtype=np.complex128))
-
-
-def linear_readout(spec: NetworkSpec, y: np.ndarray) -> np.ndarray:
-    """Readout r = W_ry y + c_r."""
-    return spec.w_ry @ np.asarray(y) + spec.c_r
-
-
 def magnitude_readout(v: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Phase-insensitive readout |V* y|, one magnitude per encoder column.
+    """Phase-insensitive readout |V* y|, one magnitude per encoder column,
+    of a response (N,) or of one response per column of ``y`` (N, T).
 
     Invariant under y -> y e^{i phi}, so an oscillating stored pattern reads
-    out as a constant.
+    out as a constant.  ValueError unless the columns of ``v`` are
+    orthonormal to within 1e-8.
     """
     v = np.asarray(v, dtype=np.complex128)
-    _check_orthonormal(v)
+    if not np.allclose(v.conj().T @ v, np.eye(v.shape[1]), rtol=0.0, atol=1e-8):
+        raise ValueError("encoder columns are not orthonormal")
     return np.abs(v.conj().T @ np.asarray(y, dtype=np.complex128))
 
 

@@ -194,6 +194,25 @@ def test_non_finite_number_exits_2(tmp_path, capsys, args, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args", [
+    ["run", "--scenario", "fig2", "--dt", "nan"],
+    ["run", "--scenario", "fig2", "--dt", "-1"],
+    ["analyze", "--constructor", "synfire", "--tau", "inf"],
+    ["sweep", "--workers", "x"],
+    [],
+    ["run", "--scenario", "fig2", "--bogus"],
+], ids=["dt-nan", "dt-negative", "tau-inf", "workers-not-int", "no-subcommand",
+        "unknown-flag"])
+def test_argument_error_is_one_error_line(tmp_path, capsys, args):
+    # What argparse rejects reads like what a command rejects: exit 2 and
+    # one "error:" line, without a usage line.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path / "out"), *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+
+
 def test_sweep_runs_selected_scenarios(tmp_path, capsys):
     code = cli.main(["--out", str(tmp_path), "sweep",
                      "--scenarios", "fig2,fig4", "--no-plot"])

@@ -11,7 +11,6 @@ from oscint.predict import (
     PredictorSpec,
     predict_series,
     prediction_step,
-    predictive_basis,
 )
 
 
@@ -62,29 +61,6 @@ def test_real_and_complex_competition_agree_on_real_states():
     complex_form = prediction_step(pspec, y_complex, 0.4, 0.2, 0.6, 0.5,
                                    real_input=False)
     assert np.abs(real_form - complex_form).max() > 1e-6
-
-
-def test_predictive_basis_shape_and_zero_frequency_hold():
-    pspec = PredictorSpec((0.0, 4.0))
-    basis = predictive_basis(pspec, 0, horizon=50.0, dt=0.5)
-    assert basis.shape == (101,)
-    assert basis[0] == 1.0 + 0j
-    # the zero-frequency channel with zero gains is an exact hold
-    assert np.array_equal(basis, np.ones(101, dtype=np.complex128))
-    with pytest.raises(ValueError, match="channel"):
-        predictive_basis(pspec, 2, horizon=10.0, dt=0.5)
-
-
-def test_predictive_basis_first_order_in_dt():
-    pspec = PredictorSpec((3.0,), tau_y=10.0)
-    horizon = 100.0
-    w = pspec.w_diag[0]
-    exact = np.exp((w - 1.0) * horizon / 10.0)
-    errs = []
-    for dt in (0.5, 0.25):
-        basis = predictive_basis(pspec, 0, horizon=horizon, dt=dt)
-        errs.append(abs(basis[-1] - exact))
-    assert errs[0] / errs[1] == pytest.approx(2.0, rel=0.1)
 
 
 def test_schedule_lookup_and_validation():
@@ -175,8 +151,6 @@ def test_bank_rejects_off_grid_horizon():
     sched = ModulatorSchedule(((0.0, 0.0, 0.0),))
     with pytest.raises(ValueError, match="whole number of steps"):
         predict_series(pspec, np.zeros(10), sched, horizon=1.05, dt=0.1)
-    with pytest.raises(ValueError, match="whole number of steps"):
-        predictive_basis(pspec, 0, horizon=1.05, dt=0.1)
 
 
 def test_bank_names_the_first_non_finite_sample():

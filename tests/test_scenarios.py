@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oscint.circuit
+import oscint.scenarios
 from oscint.model import Trajectory
 from oscint.predict import PredictionResult
 from oscint.scenarios import (
@@ -176,6 +177,16 @@ def test_fig3_passes_tau_scale_to_its_reference():
 def test_fig4_passes_under_tau_scale():
     # The discharge coupling is calibrated at the scaled tau_y.
     _assert_checks_pass(run_scenario("fig4", tau_scale=2.0))
+
+
+@pytest.mark.parametrize("tau_y", [(10.0,), (10.0, 12.0, 13.0)])
+def test_fig7_rejects_a_tau_y_that_is_not_a_pair(monkeypatch, tau_y):
+    # Rejected before any step: the pair sets both units' time constants.
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulate was called")
+    monkeypatch.setattr(oscint.scenarios, "simulate", no_run)
+    with pytest.raises(ValueError, match="fig7 takes two tau_y values"):
+        run_scenario("fig7", tau_y=tau_y)
 
 
 @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])

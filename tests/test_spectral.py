@@ -3,21 +3,18 @@
 import numpy as np
 import pytest
 
-from oscint.model import NetworkSpec
+from oscint.model import NetworkSpec, readout_series
 from oscint.spectral import (
     DECAYING,
     STABLE_OSCILLATION,
     SUSTAINED,
     UNSTABLE,
     analyze,
-    analyze_network,
     classify_stability,
     dominant_frequency,
     effective_matrix,
-    linear_readout,
     magnitude_readout,
     oscillation_frequencies,
-    steady_state_project,
     sustained_dimensionality,
 )
 from oscint.weights import center_surround, ei_pair, eigen_encoder, synfire
@@ -76,35 +73,11 @@ def test_analyze_report_fields():
     assert report.frequencies_hz[0] == pytest.approx(12.3280888812, abs=1e-6)
 
 
-def test_analyze_network_matches_analyze():
-    spec = NetworkSpec.build(2, 1, w_yy=ei_pair(),
-                             tau_y=np.array([10.0, 12.5]))
-    r1 = analyze_network(spec)
-    r2 = analyze(ei_pair(), (10.0, 12.5))
-    assert r1.stability == r2.stability
-    assert np.allclose(r1.frequencies_hz, r2.frequencies_hz, atol=1e-12)
-
-
 def test_time_warp_scales_frequencies_exactly():
     base = analyze(ei_pair(), (10.0, 12.5))
     warped = analyze(ei_pair(), (30.0, 37.5))
     assert warped.frequencies_hz[0] == pytest.approx(
         base.frequencies_hz[0] / 3.0, rel=1e-12)
-
-
-def test_steady_state_project_idempotent():
-    v = eigen_encoder(center_surround(8), 2)
-    rng = np.random.default_rng(1)
-    y = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    once = steady_state_project(v, y)
-    twice = steady_state_project(v, once)
-    assert np.abs(once - twice).max() < 1e-12
-    # vectors already in the subspace are untouched
-    inside = v @ (rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    assert np.abs(steady_state_project(v, inside) - inside).max() < 1e-12
-    # orthogonal complement is annihilated
-    left = y - once
-    assert np.abs(steady_state_project(v, left)).max() < 1e-12
 
 
 @pytest.mark.parametrize("tau", [float("inf"), float("nan"), (10.0, float("inf")),
@@ -114,10 +87,10 @@ def test_effective_matrix_rejects_a_bad_time_constant(tau):
         effective_matrix(ei_pair(), tau)
 
 
-def test_steady_state_project_requires_orthonormal_basis():
+def test_magnitude_readout_requires_orthonormal_basis():
     v = np.ones((4, 2), dtype=np.complex128)
     with pytest.raises(ValueError):
-        steady_state_project(v, np.zeros(4, dtype=np.complex128))
+        magnitude_readout(v, np.zeros(4, dtype=np.complex128))
 
 
 def test_linear_and_magnitude_readouts():
@@ -126,7 +99,7 @@ def test_linear_and_magnitude_readouts():
                              w_ry=v.conj().T)
     p = np.array([0.3 - 0.2j, 1.1 + 0.5j])
     y = v @ p
-    assert np.abs(linear_readout(spec, y) - p).max() < 1e-12
+    assert np.abs(readout_series(spec, y[None])[0] - p).max() < 1e-12
     assert np.abs(magnitude_readout(v, y) - np.abs(p)).max() < 1e-12
 
 
