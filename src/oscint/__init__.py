@@ -16,6 +16,7 @@ from .batch import (
     BatchResult,
     ForwardOutputs,
     backward_pass,
+    fixed_point,
     forward_pass,
     solve,
     trajectory_from_result,
@@ -125,6 +126,7 @@ __all__ = [
     "ei_pair",
     "eigen_encoder",
     "energy",
+    "fixed_point",
     "forward_pass",
     "input_drive",
     "load_spec",

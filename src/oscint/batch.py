@@ -18,14 +18,24 @@ is a Jacobi-style relaxation that transports information roughly one sample
 per sweep.
 
 :func:`solve` does not call the two passes.  The drive z, the alpha and b
-series and the weights built from them (beta, 1/(1+b+), 1/(1+alpha+)) are
-formed once before the first sweep; each sweep then forms only the shifted
-prediction (one matmul), the two residuals y - z and y - yhat/(1+alpha+), the
-energy and the gradient step from those residuals.  When the gains read the
-response (non-zero ``w_alpha_y`` or ``w_by``) the gain series and their
-weights are rebuilt every sweep instead.  The stop rule is the same either
-way.  :func:`forward_pass` and :func:`backward_pass` compute one sweep from
-scratch and are the reference the solver is tested against.
+series and the weights built from them (beta, 1 - beta, 1/(1+b+),
+1/(1+alpha+)) are formed once before the first sweep; when the gains read the
+response (non-zero ``w_alpha_y`` or ``w_by``) the weights are rebuilt at the
+start of every sweep instead.  Each sweep then walks the series in blocks of
+``model._BLOCK`` (512) rows, the block size of the rate and circuit engines:
+per block, one matmul forms the prediction from the rows one sample back, and
+the residuals y - z and y - yhat/(1+alpha+) give the block's share of the
+energy, of the squared step norm and the stepped rows, which go into a second
+series buffer.  Beyond z and the weights, a solve holds that one extra series
+and five (512, N) complex block buffers; unless the gains read y, a sweep
+allocates no series-sized temporaries.  A block's calls are small enough
+that OpenBLAS runs them on one thread, and its working set stays in cache.
+The stop and divergence rules see whole-sweep sums.  :func:`forward_pass` and
+:func:`backward_pass` compute one sweep from scratch over the whole series
+and are the reference the solver is tested against.
+
+When the gains do not read y, :func:`fixed_point` gives the series the sweep
+leaves unchanged in one causal pass (sample i predicts from sample i - 1).
 
 The gain that divides the recurrent prediction here is the *excess* gain
 ("alpha"), related to the integrator's a-gain by (1+a+) = (1+b+)(1+alpha+).
@@ -41,6 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .model import (
+    _BLOCK,
     DivergenceError,
     NetworkSpec,
     Trajectory,
@@ -114,6 +125,12 @@ class BatchProblem:
     @property
     def n_samples(self) -> int:
         return self.x_series.shape[0]
+
+    @property
+    def gains_read_y(self) -> bool:
+        """Whether a gain drive reads the response: non-zero ``w_alpha_y``
+        or ``w_by``."""
+        return bool(np.any(self.w_alpha_y)) or not self.spec._w_by_zero
 
     def zero_series(self) -> np.ndarray:
         return np.zeros(
@@ -213,27 +230,40 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     gradient step with the prediction held fixed: the sweep of
     :func:`forward_pass` and :func:`backward_pass`, to rounding.  The drive z
     and, unless the gains read y (non-zero ``w_alpha_y`` or ``w_by``), the
-    gain weights beta, 1/(1+b+) and 1/(1+alpha+) are formed once before the
-    first sweep; gains that read y are rebuilt from the current series every
-    sweep.  A sweep otherwise costs one prediction matmul and the residual
-    arithmetic, with the series updated in place.
+    gain weights beta, 1 - beta, 1/(1+b+) and 1/(1+alpha+) are formed once
+    before the first sweep; gains that read y are rebuilt from the current
+    series at the start of every sweep.
 
-    Convergence: relative energy decrease below ``prob.tolerance``; the
-    returned series is the one whose energy met it.  Divergence raises
-    :class:`BatchDivergenceError` with the iteration index: a non-finite
-    energy, or an update ``|Δy|`` (the 2-norm over the whole series) larger
-    than the first sweep's for 10 consecutive sweeps.  The energy itself may
-    rise for many sweeps while the iterates converge, so it is not the test.
+    A sweep walks the series in blocks of ``model._BLOCK`` rows.  For each
+    block it forms the prediction from the block's rows shifted one sample
+    back (one matmul), the residuals y - z and y - yhat/(1+alpha+), the
+    block's share of the energy and of the squared step norm (``np.vdot``),
+    and writes the stepped rows into a second series buffer.  The buffers
+    swap once the sweep has passed the stop rule, so the returned series is
+    the one whose energy met it.  Besides z and the four weight series, a
+    solve holds that one extra series and five (``_BLOCK``, N) complex block
+    buffers; unless the gains read y, a sweep allocates no series-sized
+    temporaries.
+
+    Convergence: relative energy decrease below ``prob.tolerance``.
+    Divergence raises :class:`BatchDivergenceError` with the iteration index:
+    a non-finite energy, or an update ``|Δy|`` (the 2-norm over the whole
+    series) larger than the first sweep's for 10 consecutive sweeps.  The
+    energy itself may rise for many sweeps while the iterates converge, so it
+    is not the test.
     """
     spec = prob.spec
     y = prob.zero_series() if y_init is None else np.array(y_init, dtype=np.complex128)
     if y.shape != (prob.n_samples, spec.n_neurons):
         raise ValueError("y_init has wrong shape")
 
-    gains_read_y = bool(np.any(prob.w_alpha_y)) or not spec._w_by_zero
+    n_samples = prob.n_samples
+    gains_read_y = prob.gains_read_y
     z = prob.x_series @ spec.w_zx.T + spec.c_z
     w_yy_t = spec.w_yy.T
-    yhat = np.empty_like(y)
+    y_next = np.empty_like(y)
+    yhat, feed_res, recur_res, weighted, step = np.empty(
+        (5, min(_BLOCK, n_samples), spec.n_neurons), dtype=np.complex128)
 
     energies = []
     prev_energy = None
@@ -244,14 +274,33 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     for iteration in range(1, prob.max_iters + 1):
         if iteration == 1 or gains_read_y:
             beta, one_minus_beta, recur_weight, recur_scale = _sweep_weights(prob, y)
-        # Sample i predicts from sample i - 1; sample 0 from itself.
-        np.matmul(y[0], w_yy_t, out=yhat[0])
-        np.matmul(y[:-1], w_yy_t, out=yhat[1:])
-        yhat += spec.c_yhat
-        feed_res = y - z
-        recur_res = y - yhat * recur_scale
+        feed_sq = recur_sq = step_sq = 0.0
+        for lo in range(0, n_samples, _BLOCK):
+            hi = min(lo + _BLOCK, n_samples)
+            k = hi - lo
+            y_blk = y[lo:hi]
+            yh, f, r, w, st = yhat[:k], feed_res[:k], recur_res[:k], weighted[:k], step[:k]
+            # Sample i predicts from sample i - 1; sample 0 from itself.
+            if lo == 0:
+                np.matmul(y[0], w_yy_t, out=yh[0])
+                np.matmul(y[:k - 1], w_yy_t, out=yh[1:])
+            else:
+                np.matmul(y[lo - 1:hi - 1], w_yy_t, out=yh)
+            yh += spec.c_yhat
+            np.subtract(y_blk, z[lo:hi], out=f)
+            np.multiply(yh, recur_scale[lo:hi], out=r)
+            np.subtract(y_blk, r, out=r)
+            np.multiply(f, beta[lo:hi], out=w)
+            feed_sq += np.vdot(f, w).real
+            np.multiply(r, one_minus_beta[lo:hi], out=st)
+            st += w
+            np.multiply(r, recur_weight[lo:hi], out=w)
+            recur_sq += np.vdot(r, w).real
+            st *= prob.rate
+            step_sq += np.vdot(st, st).real
+            np.subtract(y_blk, st, out=y_next[lo:hi])
 
-        e = residual_energy(prob.dt, beta, feed_res, recur_weight, recur_res)
+        e = 0.5 * prob.dt * (feed_sq + recur_sq)
         if not np.isfinite(e):
             raise BatchDivergenceError(
                 f"energy became non-finite at iteration {iteration}"
@@ -264,9 +313,7 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
                 converged = True
                 break
         prev_energy = e
-        step = beta * feed_res + one_minus_beta * recur_res
-        step *= prob.rate
-        step_size = np.sqrt(np.vdot(step, step).real)
+        step_size = np.sqrt(step_sq)
         if first_step is None:
             first_step = step_size
         grown = grown + 1 if step_size > first_step else 0
@@ -276,7 +323,7 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
                 f"for {grown} consecutive sweeps (iteration {iteration}, "
                 f"size {step_size:.6g})"
             )
-        y -= step
+        y, y_next = y_next, y
 
     return BatchResult(
         y_series=y,
@@ -284,6 +331,38 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
         iterations=iterations,
         converged=converged,
     )
+
+
+def fixed_point(prob: BatchProblem) -> np.ndarray:
+    """The series a sweep of :func:`solve` leaves unchanged, in one causal pass.
+
+    A zero step means y[i] = beta[i] z[i] + (1 - beta[i]) s[i] (W_yy y[i-1]
+    + c_yhat) with s = 1/(1+alpha+).  When the gains do not read y these
+    weights are fixed, so sample 0 (which predicts from itself) is one
+    N x N solve and every later sample follows from the one before it.
+    Raises ValueError when the gains read y (non-zero ``w_alpha_y`` or
+    ``w_by``): then the weights move with the series and no single pass
+    gives the fixed point.
+    """
+    spec = prob.spec
+    if prob.gains_read_y:
+        raise ValueError("fixed_point needs gains that do not read y "
+                         "(w_alpha_y and w_by zero)")
+    beta, one_minus_beta, _, recur_scale = _sweep_weights(prob, prob.zero_series())
+    gain = one_minus_beta * recur_scale
+    push = prob.x_series @ spec.w_zx.T + spec.c_z
+    push *= beta
+    push += gain * spec.c_yhat
+    gain = gain.astype(np.complex128)   # complex *= complex skips a cast per row
+    y = prob.zero_series()
+    y[0] = np.linalg.solve(np.eye(spec.n_neurons) - gain[0][:, None] * spec.w_yy,
+                           push[0])
+    rows = list(y)
+    for prev, row, g, p in zip(rows, rows[1:], gain[1:], push[1:]):
+        np.dot(spec.w_yy, prev, out=row)
+        row *= g
+        row += p
+    return y
 
 
 def trajectory_from_result(

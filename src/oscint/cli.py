@@ -88,7 +88,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="seed for any randomized construction")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
+    # Not required here: argparse checks a required subcommand before it
+    # reports leftover arguments, so ``oscint --bogus`` would not name the
+    # flag.  ``main`` asks for the subcommand after parsing instead.
+    sub = parser.add_subparsers(dest="subcommand")
 
     p_run = sub.add_parser("run", help="run one scenario preset or config file")
     p_run.add_argument("--scenario", help=f"one of: {', '.join(SCENARIO_NAMES)}")
@@ -326,7 +329,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ns = build_parser().parse_args(argv)
+    parser = build_parser()
+    ns = parser.parse_args(argv)
+    if ns.subcommand is None:
+        parser.error("the following arguments are required: subcommand")
     commands = {"run": cmd_run, "analyze": cmd_analyze, "sweep": cmd_sweep}
     return commands[ns.subcommand](ns)
 

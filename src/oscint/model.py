@@ -123,9 +123,10 @@ def _gain_series(
     return first_order(1.0 - k, k * drive[:-1], init)
 
 
-# Steps per block of the rate and circuit engines' input-gated paths: long
-# enough that the per-block matmuls and filters cost little per step, short
-# enough that the block's temporaries stay small (a few (512, N) arrays).
+# Steps per block of the rate and circuit engines' input-gated paths, and rows
+# per block of the batch solver's sweep: long enough that the per-block
+# matmuls and filters cost little per step, short enough that the block's
+# temporaries stay small (a few (512, N) arrays).
 _BLOCK = 512
 
 

@@ -14,12 +14,13 @@ from oscint.batch import (
     BatchProblem,
     _series_energy,
     backward_pass,
+    fixed_point,
     forward_pass,
     solve,
     trajectory_from_result,
 )
 from oscint.dynamics import simulate
-from oscint.model import NetworkSpec, SimState, energy
+from oscint.model import _BLOCK, NetworkSpec, SimState, energy
 
 
 def test_forward_pass_zero_everything():
@@ -304,13 +305,15 @@ def _random_problem(rng, case, t_len=30, n=3, m=2):
     )
 
 
-@pytest.mark.parametrize("t_len", [1, 2, 30])
+@pytest.mark.parametrize("t_len", [1, 2, 30, _BLOCK + 1, 2 * _BLOCK + 76])
 @pytest.mark.parametrize(
     "case", ["frozen", "w_alpha_y", "w_by", "complex w_yy", "y_init"])
 def test_solve_matches_reference_loop(case, t_len):
     # solve forms the drive and (for gains that do not read y) the gain
-    # weights once; the reference rebuilds everything every sweep.  Gains
-    # that read y must be rebuilt every sweep by solve too.
+    # weights once and walks each sweep in blocks of _BLOCK rows; the
+    # reference rebuilds everything every sweep over the whole series.
+    # Gains that read y must be rebuilt every sweep by solve too.  The two
+    # longest series put one and two block seams in the walk.
     rng = np.random.default_rng(31)
     prob = _random_problem(rng, case, t_len=t_len)
     y_init = None
@@ -371,6 +374,26 @@ def test_solve_converges_while_the_energy_rises():
     assert np.lib.stride_tricks.sliding_window_view(rising, 10).all(axis=1).any()
     oracle = _fixed_point_oracle(prob)
     assert np.abs(result.y_series - oracle).max() <= 1e-12
+
+
+@pytest.mark.parametrize("t_len", [1, 2, 30, _BLOCK + 1])
+@pytest.mark.parametrize("case", ["frozen", "complex w_yy"])
+def test_fixed_point_matches_oracle(case, t_len):
+    # The one-pass fixed point against the test's own forward substitution,
+    # and a sweep of the reference passes started on it stays there.
+    prob = _random_problem(np.random.default_rng(12), case, t_len=t_len)
+    y = fixed_point(prob)
+    oracle = _fixed_point_oracle(prob)
+    bound = 1e-12 * max(1.0, float(np.abs(oracle).max()))
+    assert np.abs(y - oracle).max() <= bound
+    assert np.abs(backward_pass(prob, y, forward_pass(prob, y)) - y).max() <= bound
+
+
+@pytest.mark.parametrize("case", ["w_alpha_y", "w_by"])
+def test_fixed_point_rejects_gains_that_read_y(case):
+    prob = _random_problem(np.random.default_rng(12), case)
+    with pytest.raises(ValueError, match="read y"):
+        fixed_point(prob)
 
 
 @pytest.mark.parametrize("field, value", [

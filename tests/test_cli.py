@@ -213,6 +213,22 @@ def test_argument_error_is_one_error_line(tmp_path, capsys, args):
     assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    (["--bogus", "run", "--scenario", "fig2"], "unrecognized arguments: --bogus"),
+    (["run", "--scenario", "fig2", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: subcommand"),
+], ids=["flag-alone", "flag-before-subcommand", "flag-after-subcommand",
+        "no-subcommand"])
+def test_argument_error_names_what_is_wrong(tmp_path, capsys, args, message):
+    # An unknown flag is named wherever it stands, also with no subcommand.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--out", str(tmp_path / "out"), *args])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_runs_selected_scenarios(tmp_path, capsys):
     code = cli.main(["--out", str(tmp_path), "sweep",
                      "--scenarios", "fig2,fig4", "--no-plot"])
