@@ -28,8 +28,9 @@ the residuals y - z and y - yhat/(1+alpha+) give the block's share of the
 energy, of the squared step norm and the stepped rows, which go into a second
 series buffer.  Beyond z and the weights, a solve holds that one extra series
 and five (512, N) complex block buffers; unless the gains read y, a sweep
-allocates no series-sized temporaries.  A block's calls are small enough
-that OpenBLAS runs them on one thread, and its working set stays in cache.
+allocates no series-sized temporaries.  A block's working set stays in
+cache; its BLAS calls run on the caller's thread count (one under
+:func:`oscint.scenarios.run_scenario`).
 The stop and divergence rules see whole-sweep sums.  :func:`forward_pass` and
 :func:`backward_pass` compute one sweep from scratch over the whole series
 and are the reference the solver is tested against.

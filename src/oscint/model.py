@@ -20,7 +20,10 @@ Shapes and units
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from functools import cache
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -128,6 +131,52 @@ def _gain_series(
 # matmuls and filters cost little per step, short enough that the block's
 # temporaries stay small (a few (512, N) arrays).
 _BLOCK = 512
+
+
+@cache
+def _openblas_thread_calls():
+    """The thread-count getter and setter of NumPy's bundled OpenBLAS
+    (``numpy.libs/libscipy_openblas*``), or None when NumPy bundles none or
+    the library lacks either call."""
+    import ctypes
+
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas*"))
+    if not libs:
+        return None
+    try:
+        lib = ctypes.CDLL(str(libs[0]))
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except (OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the body with NumPy's bundled OpenBLAS on one thread, and restore
+    the previous thread count when it ends or raises.
+
+    The count is process-wide, so it holds for every thread of the process
+    while the body runs.  At the model's sizes (100 units, 512-row blocks) a
+    second BLAS thread only spin-waits between calls, and one thread makes
+    results independent of the host's thread count.  Without a bundled
+    OpenBLAS this does nothing.
+    """
+    calls = _openblas_thread_calls()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    previous = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(previous)
 
 
 def _coerce(value, shape: tuple, dtype, name: str) -> np.ndarray:

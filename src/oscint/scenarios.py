@@ -34,6 +34,7 @@ from .model import (
     SampledRecord,
     SimState,
     Trajectory,
+    _one_blas_thread,
     readout_series,
     sample_times,
     steps_in_span,
@@ -262,7 +263,6 @@ def _build_fig3(ov: Overrides) -> _Built:
 
     hist = result.energy_history
     n_rises = int((np.diff(hist) > 0).sum())
-    fwd = batch_mod.forward_pass(prob, result.y_series)
 
     def matches_incremental(win):
         # Both records sample the same grid: dt apart from t = 0.
@@ -271,8 +271,8 @@ def _build_fig3(ov: Overrides) -> _Built:
                             f"the delay (tol 1e-4)")
 
     def gain_locked(win):
-        b_on = float(fwd.b[win.start].min())
-        b_off = float(np.abs(fwd.b[win.stop - 1]).max())
+        b_on = float(traj.b[win.start].min())
+        b_off = float(np.abs(traj.b[win.stop - 1]).max())
         return (b_on > 0.9 and b_off < 1e-3,
                 f"b = {b_on:.3f} mid-cue, {b_off:.1e} mid-delay")
 
@@ -892,6 +892,11 @@ def run_scenario(name: str, **overrides) -> ScenarioResult:
     preset would ignore (tau_scale on fig9 and fig10, tau_y anywhere but
     fig7), raises ValueError, as does a tau_scale that is not a positive
     finite number; an unknown override raises TypeError.
+
+    The preset runs with NumPy's OpenBLAS on one thread, so its results do
+    not depend on the host's thread count.  That setting is process-wide
+    while the preset runs and the caller's is restored afterwards; direct
+    library calls (``simulate``, ``batch.solve``, ...) keep the caller's.
     """
     preset = _PRESETS.get(name)
     if preset is None:
@@ -912,4 +917,6 @@ def run_scenario(name: str, **overrides) -> ScenarioResult:
     if tau_scale is not None and not (np.isfinite(tau_scale) and tau_scale > 0):
         raise ValueError(f"tau_scale must be positive and finite, "
                          f"got {tau_scale!r}")
-    return ScenarioResult(name, preset.description, *preset.build(ov))
+    with _one_blas_thread():
+        built = preset.build(ov)
+    return ScenarioResult(name, preset.description, *built)

@@ -131,9 +131,11 @@ def eigen_encoder(w_yy: np.ndarray, k: int) -> np.ndarray:
     """Unit-norm eigenvectors of the k leading eigenvalues, as columns.
 
     Eigenvalues are ordered by descending real part, ties broken by descending
-    imaginary part.  Each column is normalized and phase-fixed so its
-    largest-magnitude component (lowest index on ties) is real and positive,
-    making the result deterministic.  Hermitian input goes through the
+    imaginary part.  Real parts are compared rounded to multiples of
+    1e-9·max(1, max|λ|), so rounding noise (sustained eigenvalues at
+    1 ± 1e-15) leaves the order to the imaginary parts.  Each column is
+    normalized and phase-fixed so its largest-magnitude component (lowest
+    index on ties) is real and positive, making the result deterministic.  Hermitian input goes through the
     symmetric eigensolver, so degenerate subspaces still yield an orthonormal
     encoder.
     """
@@ -148,7 +150,8 @@ def eigen_encoder(w_yy: np.ndarray, k: int) -> np.ndarray:
         vals = vals.astype(np.complex128)
     else:
         vals, vecs = np.linalg.eig(w)
-    order = np.lexsort((-vals.imag, -vals.real))
+    tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
+    order = np.lexsort((-vals.imag, -np.round(vals.real / tol)))
     cols = vecs[:, order[:k]].astype(np.complex128)
     if np.linalg.matrix_rank(cols) < k:
         raise np.linalg.LinAlgError(

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import oscint
+from blas import blas_thread_count, blas_threads, needs_openblas
 from oscint import cli
 from oscint.batch import BatchDivergenceError
 from oscint.config import save_spec, spec_to_dict
@@ -73,6 +74,24 @@ def test_spec_svg_gives_every_trace_its_own_colour(tmp_path):
                          (tmp_path / "twelve_y.svg").read_text())
     assert 0 < len(strokes) <= 10
     assert len(set(strokes)) == len(strokes)
+
+
+@needs_openblas
+def test_run_spec_file_simulates_on_one_blas_thread(tmp_path, monkeypatch):
+    seen = []
+
+    def simulate(*args):
+        seen.append(blas_thread_count())
+        return oscint.simulate(*args)
+
+    monkeypatch.setattr(cli, "simulate", simulate)
+    path = tmp_path / "net.json"
+    save_spec(NetworkSpec.build(2, 1), path)
+    with blas_threads(2):
+        code = cli.main(["--out", str(tmp_path), "run", "--spec", str(path),
+                         "--duration", "10", "--no-plot"])
+        assert blas_thread_count() == 2
+    assert code == 0 and seen == [1]
 
 
 def test_run_spec_file(tmp_path):

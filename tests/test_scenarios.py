@@ -1,12 +1,15 @@
 """Preset scenario catalog: determinism, self-checks, override plumbing."""
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import oscint.circuit
+import oscint.model
 import oscint.scenarios
+from blas import blas_thread_count, blas_threads, needs_openblas
 from oscint.model import Trajectory
 from oscint.predict import PredictionResult
 from oscint.scenarios import (
@@ -227,3 +230,38 @@ def test_fig9_runs_on_the_circuit_block_path(monkeypatch):
     monkeypatch.setattr(oscint.circuit, "thalamic_step", stepped)
     result = run_scenario("fig9", duration=50.0)
     assert result.trajectory.n_samples == 51
+
+
+@needs_openblas
+def test_preset_builds_on_one_blas_thread(monkeypatch):
+    preset, seen = _PRESETS["fig2"], []
+
+    def build(ov):
+        seen.append(blas_thread_count())
+        return preset.build(ov)
+
+    monkeypatch.setitem(_PRESETS, "fig2", dataclasses.replace(preset, build=build))
+    with blas_threads(2):
+        run_scenario("fig2")
+    assert seen == [1]
+
+
+@needs_openblas
+def test_run_scenario_restores_the_blas_thread_count():
+    with blas_threads(2):
+        run_scenario("fig2")
+        assert blas_thread_count() == 2
+        with pytest.raises(ValueError, match="whole number of steps"):
+            run_scenario("fig10", dt=0.3)
+        assert blas_thread_count() == 2
+
+
+@needs_openblas
+@pytest.mark.parametrize("name", ["fig2", "fig7"])
+def test_presets_give_the_same_arrays_without_the_blas_limiter(monkeypatch, name):
+    limited = run_scenario(name).trajectory
+    monkeypatch.setattr(oscint.model, "_openblas_thread_calls", lambda: None)
+    with blas_threads(2):
+        free = run_scenario(name).trajectory
+    for field in ("times", "x", "y", "a", "b"):
+        assert np.array_equal(getattr(free, field), getattr(limited, field)), field

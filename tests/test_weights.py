@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from blas import blas_threads, needs_openblas
+from oscint.scenarios import _fig6_request
 from oscint.weights import (
     SpectrumRequest,
     center_surround,
@@ -148,6 +150,38 @@ def test_eigen_encoder_phase_fix_largest_component_real_positive():
             i = int(np.argmax(np.abs(col)))
             assert col[i].real > 0.0
             assert abs(col[i].imag) < 1e-10 * abs(col[i].real) + 1e-12
+
+
+def _same_columns(enc, other):
+    """Equal up to each column's phase, so the same eigenvectors in the same
+    order."""
+    return np.abs(np.abs(enc.conj().T @ other) - np.eye(enc.shape[1])).max() < 1e-9
+
+
+def test_eigen_encoder_orders_tied_real_parts_by_imaginary_part():
+    # fig6's ten sustained eigenvalues all have real part 1.
+    w = random_spectral(_fig6_request(11))
+    enc = eigen_encoder(w, 10)
+    lam = np.einsum("ij,ik,kj->j", enc.conj(), w, enc)
+    assert np.abs(lam.real - 1.0).max() < 1e-12
+    assert np.all(np.diff(lam.imag) < 0)
+
+
+@pytest.mark.parametrize("kind", ["scaled", "noise"])
+def test_eigen_encoder_order_survives_a_rounding_level_perturbation(kind):
+    w = random_spectral(_fig6_request(11))
+    delta = w if kind == "scaled" else np.random.default_rng(0).standard_normal(w.shape)
+    assert _same_columns(eigen_encoder(w, 10), eigen_encoder(w + 1e-15 * delta, 10))
+
+
+@needs_openblas
+def test_eigen_encoder_order_does_not_depend_on_blas_threads():
+    w = random_spectral(_fig6_request(11))
+    with blas_threads(1):
+        one = eigen_encoder(w, 10)
+    with blas_threads(2):
+        two = eigen_encoder(w, 10)
+    assert _same_columns(one, two)
 
 
 @pytest.mark.parametrize("imag_std", [float("nan"), float("inf"), -0.1])
