@@ -31,7 +31,8 @@ import numpy as np
 from . import config as config_mod
 from . import output
 from .dynamics import simulate
-from .model import DivergenceError, SampledRecord, _one_blas_thread, steps_in_span
+from .model import (DivergenceError, SampledRecord, _one_blas_thread,
+                    steps_in_span)
 from .scenarios import SCENARIO_NAMES, ScenarioResult, run_scenario
 from .spectral import SpectralReport, analyze
 from .weights import (

@@ -135,9 +135,9 @@ def eigen_encoder(w_yy: np.ndarray, k: int) -> np.ndarray:
     1e-9·max(1, max|λ|), so rounding noise (sustained eigenvalues at
     1 ± 1e-15) leaves the order to the imaginary parts.  Each column is
     normalized and phase-fixed so its largest-magnitude component (lowest
-    index on ties) is real and positive, making the result deterministic.  Hermitian input goes through the
-    symmetric eigensolver, so degenerate subspaces still yield an orthonormal
-    encoder.
+    index on ties) is real and positive, making the result deterministic.
+    Hermitian input goes through the symmetric eigensolver, so degenerate
+    subspaces still yield an orthonormal encoder.
     """
     w = np.asarray(w_yy)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
