@@ -31,12 +31,12 @@ import numpy as np
 from . import config as config_mod
 from . import output
 from .dynamics import simulate
-from .model import (DivergenceError, SampledRecord, _one_blas_thread,
-                    steps_in_span)
+from .model import DivergenceError, SampledRecord, steps_in_span
 from .scenarios import SCENARIO_NAMES, ScenarioResult, run_scenario
 from .spectral import SpectralReport, analyze
 from .weights import (
     SpectrumRequest,
+    _eigen_order,
     center_surround,
     ei_pair,
     random_spectral,
@@ -173,8 +173,7 @@ def _run_spec_file(ns: argparse.Namespace) -> int:
     dt = ns.dt if ns.dt is not None else 1.0
     duration = ns.duration if ns.duration is not None else 1000.0
     x = np.zeros((steps_in_span(duration, dt) + 1, spec.n_inputs))
-    with _one_blas_thread():
-        traj = simulate(spec, x, 0.0, duration, dt)
+    traj = simulate(spec, x, 0.0, duration, dt)
     name = Path(ns.spec_path).stem
     _write_artifacts(ns.out_dir, name, traj, name, ns.plot)
     print(f"simulated {name}: {traj.n_samples} samples -> {ns.out_dir}")
@@ -246,8 +245,7 @@ def _format_report(report: SpectralReport) -> list[str]:
     else:
         lines.append("oscillation frequencies (Hz): none")
     lam = report.eigenvalues
-    order = np.lexsort((-lam.imag, -lam.real))
-    lam = lam[order]
+    lam = lam[_eigen_order(lam)]
     show = min(len(lam), 10)
     lines.append(f"leading eigenvalues of the recurrent matrix (top {show}):")
     for v in lam[:show]:

@@ -156,15 +156,12 @@ def _openblas_thread_calls():
 
 
 @contextmanager
-def _one_blas_thread():
-    """Run the body with NumPy's bundled OpenBLAS on one thread, and restore
-    the previous thread count when it ends or raises.
+def _blas_threads(n: int):
+    """Run the body with NumPy's bundled OpenBLAS on ``n`` threads, and
+    restore the previous thread count when it ends or raises.
 
     The count is process-wide, so it holds for every thread of the process
-    while the body runs.  At the model's sizes (100 units, 512-row blocks) a
-    second BLAS thread only spin-waits between calls, and one thread makes
-    results independent of the host's thread count.  Without a bundled
-    OpenBLAS this does nothing.
+    while the body runs.  Without a bundled OpenBLAS this does nothing.
     """
     calls = _openblas_thread_calls()
     if calls is None:
@@ -172,7 +169,7 @@ def _one_blas_thread():
         return
     get, put = calls
     previous = get()
-    put(1)
+    put(n)
     try:
         yield
     finally:

@@ -34,7 +34,7 @@ from .model import (
     SampledRecord,
     SimState,
     Trajectory,
-    _one_blas_thread,
+    _blas_threads,
     readout_series,
     sample_times,
     steps_in_span,
@@ -893,10 +893,12 @@ def run_scenario(name: str, **overrides) -> ScenarioResult:
     fig7), raises ValueError, as does a tau_scale that is not a positive
     finite number; an unknown override raises TypeError.
 
-    The preset runs with NumPy's OpenBLAS on one thread, so its results do
-    not depend on the host's thread count.  That setting is process-wide
-    while the preset runs and the caller's is restored afterwards; direct
-    library calls (``simulate``, ``batch.solve``, ...) keep the caller's.
+    The preset runs with NumPy's OpenBLAS on one thread: at the presets'
+    sizes (at most 100 units, 512-step blocks) a second thread only
+    spin-waits between calls, and one thread keeps the results independent
+    of the host's thread count.  That setting is process-wide while the
+    preset runs and the caller's is restored afterwards; direct library
+    calls (``simulate``, ``batch.solve``, ...) keep the caller's.
     """
     preset = _PRESETS.get(name)
     if preset is None:
@@ -917,6 +919,6 @@ def run_scenario(name: str, **overrides) -> ScenarioResult:
     if tau_scale is not None and not (np.isfinite(tau_scale) and tau_scale > 0):
         raise ValueError(f"tau_scale must be positive and finite, "
                          f"got {tau_scale!r}")
-    with _one_blas_thread():
+    with _blas_threads(1):
         built = preset.build(ov)
     return ScenarioResult(name, preset.description, *built)

@@ -127,17 +127,27 @@ def diagonal_oscillators(freqs_hz, tau_y: float) -> np.ndarray:
     return np.diag(1.0 + 1j * 2.0 * np.pi * cycles_per_ms * tau_y)
 
 
+def _eigen_order(vals: np.ndarray) -> np.ndarray:
+    """Indices that order eigenvalues by descending real part, ties broken by
+    descending imaginary part.
+
+    Real parts are compared rounded to multiples of 1e-9·max(1, max|λ|), so
+    rounding noise (sustained eigenvalues at 1 ± 1e-15) leaves the order to
+    the imaginary parts.
+    """
+    tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
+    return np.lexsort((-vals.imag, -np.round(vals.real / tol)))
+
+
 def eigen_encoder(w_yy: np.ndarray, k: int) -> np.ndarray:
     """Unit-norm eigenvectors of the k leading eigenvalues, as columns.
 
-    Eigenvalues are ordered by descending real part, ties broken by descending
-    imaginary part.  Real parts are compared rounded to multiples of
-    1e-9·max(1, max|λ|), so rounding noise (sustained eigenvalues at
-    1 ± 1e-15) leaves the order to the imaginary parts.  Each column is
-    normalized and phase-fixed so its largest-magnitude component (lowest
-    index on ties) is real and positive, making the result deterministic.
-    Hermitian input goes through the symmetric eigensolver, so degenerate
-    subspaces still yield an orthonormal encoder.
+    Eigenvalues are ordered by :func:`_eigen_order`: descending real part,
+    ties (up to rounding noise) broken by descending imaginary part.  Each
+    column is normalized and phase-fixed so its largest-magnitude component
+    (lowest index on ties) is real and positive, making the result
+    deterministic.  Hermitian input goes through the symmetric eigensolver,
+    so degenerate subspaces still yield an orthonormal encoder.
     """
     w = np.asarray(w_yy)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -150,9 +160,7 @@ def eigen_encoder(w_yy: np.ndarray, k: int) -> np.ndarray:
         vals = vals.astype(np.complex128)
     else:
         vals, vecs = np.linalg.eig(w)
-    tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
-    order = np.lexsort((-vals.imag, -np.round(vals.real / tol)))
-    cols = vecs[:, order[:k]].astype(np.complex128)
+    cols = vecs[:, _eigen_order(vals)[:k]].astype(np.complex128)
     if np.linalg.matrix_rank(cols) < k:
         raise np.linalg.LinAlgError(
             "matrix is defective: fewer than k independent eigenvectors"

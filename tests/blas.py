@@ -1,9 +1,8 @@
-"""Setting NumPy's OpenBLAS thread count from the tests."""
-
-import contextlib
+"""Reading and setting NumPy's OpenBLAS thread count from the tests."""
 
 import pytest
 
+from oscint.model import _blas_threads as blas_threads
 from oscint.model import _openblas_thread_calls
 
 needs_openblas = pytest.mark.skipif(
@@ -14,15 +13,3 @@ needs_openblas = pytest.mark.skipif(
 def blas_thread_count() -> int:
     get, _ = _openblas_thread_calls()
     return get()
-
-
-@contextlib.contextmanager
-def blas_threads(n: int):
-    """Run the body with OpenBLAS on ``n`` threads, then restore the count."""
-    get, put = _openblas_thread_calls()
-    previous = get()
-    put(n)
-    try:
-        yield
-    finally:
-        put(previous)

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 import oscint
-from blas import blas_thread_count, blas_threads, needs_openblas
 from oscint import cli
 from oscint.batch import BatchDivergenceError
 from oscint.config import save_spec, spec_to_dict
@@ -76,24 +75,6 @@ def test_spec_svg_gives_every_trace_its_own_colour(tmp_path):
     assert len(set(strokes)) == len(strokes)
 
 
-@needs_openblas
-def test_run_spec_file_simulates_on_one_blas_thread(tmp_path, monkeypatch):
-    seen = []
-
-    def simulate(*args):
-        seen.append(blas_thread_count())
-        return oscint.simulate(*args)
-
-    monkeypatch.setattr(cli, "simulate", simulate)
-    path = tmp_path / "net.json"
-    save_spec(NetworkSpec.build(2, 1), path)
-    with blas_threads(2):
-        code = cli.main(["--out", str(tmp_path), "run", "--spec", str(path),
-                         "--duration", "10", "--no-plot"])
-        assert blas_thread_count() == 2
-    assert code == 0 and seen == [1]
-
-
 def test_run_spec_file(tmp_path):
     spec = NetworkSpec.build(
         3, 1,
@@ -144,6 +125,21 @@ def test_analyze_synfire_ring(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "+-0.0628" in out
+
+
+def test_analyze_lists_tied_eigenvalues_by_imaginary_part(capsys):
+    # fig6's matrix: ten sustained eigenvalues, all with real part 1 up to
+    # rounding noise.
+    code = cli.main(["--seed", "11", "analyze", "--constructor", "random-spectral",
+                     "--n", "100", "--d", "10", "--imag-std", "0.05"])
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = lines.index("leading eigenvalues of the recurrent matrix (top 10):") + 1
+    lam = [complex(line.replace(" ", "").replace("i", "j"))
+           for line in lines[start:start + 10]]
+    assert all(v.real == 1.0 for v in lam)
+    assert all(u.imag > v.imag for u, v in zip(lam, lam[1:]))
+    assert f"top oscillatory pair imag: +-{lam[0].imag:.4f}" in lines
 
 
 def test_analyze_identity_is_sustained(capsys):

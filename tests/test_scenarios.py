@@ -260,8 +260,9 @@ def test_run_scenario_restores_the_blas_thread_count():
 @pytest.mark.parametrize("name", ["fig2", "fig7"])
 def test_presets_give_the_same_arrays_without_the_blas_limiter(monkeypatch, name):
     limited = run_scenario(name).trajectory
-    monkeypatch.setattr(oscint.model, "_openblas_thread_calls", lambda: None)
+    # Set two threads before the stub, which blas_threads would see too.
     with blas_threads(2):
+        monkeypatch.setattr(oscint.model, "_openblas_thread_calls", lambda: None)
         free = run_scenario(name).trajectory
     for field in ("times", "x", "y", "a", "b"):
         assert np.array_equal(getattr(free, field), getattr(limited, field)), field
