@@ -35,6 +35,14 @@ The stop and divergence rules see whole-sweep sums.  :func:`forward_pass` and
 :func:`backward_pass` compute one sweep from scratch over the whole series
 and are the reference the solver is tested against.
 
+Unless the gains read y, a block whose input rows (its own and the one before
+it) kept their bits through the previous sweep is reused, not computed: its
+step would repeat the previous sweep's exactly, which left those rows as they
+are, so the kept per-block energy and step-norm terms are summed in its place
+and the iterates do not change.  On fig3 about half the block updates are
+reused: the exact-zero tail that the front of the descent has not reached
+yet, and the delay blocks that have settled behind it.
+
 When the gains do not read y, :func:`fixed_point` gives the series the sweep
 leaves unchanged in one causal pass (sample i predicts from sample i - 1).
 
@@ -208,6 +216,7 @@ class BatchResult:
     energy_history: np.ndarray
     iterations: int
     converged: bool
+    block_updates: int      # 512-row block steps computed, not reused
 
 
 _DIVERGENCE_PATIENCE = 10
@@ -246,6 +255,19 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     buffers; unless the gains read y, a sweep allocates no series-sized
     temporaries.
 
+    Unless the gains read y, a block is reused rather than computed when the
+    previous sweep left every row it reads (its own and the one before them)
+    with the same bits.  Its step is then a function of the same rows and the same
+    weights as in the previous sweep, so it would write back rows that both
+    buffers already hold and give the same three ``np.vdot`` terms; those
+    terms are kept per block and summed in block order as before, so the
+    energy, the step norm and the stop rule keep their bits and the iterates
+    are those of computing every block.  The first sweep, and every sweep
+    when the gains read y, computes every block.  ``block_updates`` in the
+    result counts the blocks computed.
+
+    ``y_init`` (zeros by default) must be finite; ValueError otherwise.
+
     Convergence: relative energy decrease below ``prob.tolerance``.
     Divergence raises :class:`BatchDivergenceError` with the iteration index:
     a non-finite energy, or an update ``|Δy|`` (the 2-norm over the whole
@@ -257,6 +279,8 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     y = prob.zero_series() if y_init is None else np.array(y_init, dtype=np.complex128)
     if y.shape != (prob.n_samples, spec.n_neurons):
         raise ValueError("y_init has wrong shape")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y_init must be finite")
 
     n_samples = prob.n_samples
     gains_read_y = prob.gains_read_y
@@ -265,41 +289,64 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     y_next = np.empty_like(y)
     yhat, feed_res, recur_res, weighted, step = np.empty(
         (5, min(_BLOCK, n_samples), spec.n_neurons), dtype=np.complex128)
+    changed = np.empty((len(yhat), 2 * spec.n_neurons), dtype=bool)
+    n_blocks = -(-n_samples // _BLOCK)
+    # Per block: did the last sweep change the bits of any of its rows, and
+    # of its last row (both stay set when the gains read y); and its feed,
+    # recurrent and step-norm terms from the last sweep that computed it.
+    moved = np.ones(n_blocks, dtype=bool)
+    last_moved = np.ones(n_blocks, dtype=bool)
+    terms = np.zeros((n_blocks, 3))
 
     energies = []
     prev_energy = None
     first_step = None
     grown = 0
     iterations = 0
+    block_updates = 0
     converged = False
     for iteration in range(1, prob.max_iters + 1):
         if iteration == 1 or gains_read_y:
             beta, one_minus_beta, recur_weight, recur_scale = _sweep_weights(prob, y)
+        # A block reads its own rows and the row before them.  A block that
+        # is not stale keeps its terms, and its rows in both buffers.
+        stale = moved.copy()
+        stale[1:] |= last_moved[:-1]
         feed_sq = recur_sq = step_sq = 0.0
-        for lo in range(0, n_samples, _BLOCK):
+        for j, lo in enumerate(range(0, n_samples, _BLOCK)):
             hi = min(lo + _BLOCK, n_samples)
-            k = hi - lo
-            y_blk = y[lo:hi]
-            yh, f, r, w, st = yhat[:k], feed_res[:k], recur_res[:k], weighted[:k], step[:k]
-            # Sample i predicts from sample i - 1; sample 0 from itself.
-            if lo == 0:
-                np.matmul(y[0], w_yy_t, out=yh[0])
-                np.matmul(y[:k - 1], w_yy_t, out=yh[1:])
-            else:
-                np.matmul(y[lo - 1:hi - 1], w_yy_t, out=yh)
-            yh += spec.c_yhat
-            np.subtract(y_blk, z[lo:hi], out=f)
-            np.multiply(yh, recur_scale[lo:hi], out=r)
-            np.subtract(y_blk, r, out=r)
-            np.multiply(f, beta[lo:hi], out=w)
-            feed_sq += np.vdot(f, w).real
-            np.multiply(r, one_minus_beta[lo:hi], out=st)
-            st += w
-            np.multiply(r, recur_weight[lo:hi], out=w)
-            recur_sq += np.vdot(r, w).real
-            st *= prob.rate
-            step_sq += np.vdot(st, st).real
-            np.subtract(y_blk, st, out=y_next[lo:hi])
+            if stale[j]:
+                k = hi - lo
+                y_blk = y[lo:hi]
+                yh, f, r, w, st = (yhat[:k], feed_res[:k], recur_res[:k],
+                                   weighted[:k], step[:k])
+                # Sample i predicts from sample i - 1; sample 0 from itself.
+                if lo == 0:
+                    np.matmul(y[0], w_yy_t, out=yh[0])
+                    np.matmul(y[:k - 1], w_yy_t, out=yh[1:])
+                else:
+                    np.matmul(y[lo - 1:hi - 1], w_yy_t, out=yh)
+                yh += spec.c_yhat
+                np.subtract(y_blk, z[lo:hi], out=f)
+                np.multiply(yh, recur_scale[lo:hi], out=r)
+                np.subtract(y_blk, r, out=r)
+                np.multiply(f, beta[lo:hi], out=w)
+                terms[j, 0] = np.vdot(f, w).real
+                np.multiply(r, one_minus_beta[lo:hi], out=st)
+                st += w
+                np.multiply(r, recur_weight[lo:hi], out=w)
+                terms[j, 1] = np.vdot(r, w).real
+                st *= prob.rate
+                terms[j, 2] = np.vdot(st, st).real
+                np.subtract(y_blk, st, out=y_next[lo:hi])
+                if not gains_read_y:
+                    np.not_equal(y_next[lo:hi].view(np.int64),
+                                 y_blk.view(np.int64), out=changed[:k])
+                    moved[j], last_moved[j] = changed[:k].any(), changed[k - 1].any()
+                block_updates += 1
+            feed_sq += terms[j, 0]
+            recur_sq += terms[j, 1]
+            step_sq += terms[j, 2]
 
         e = 0.5 * prob.dt * (feed_sq + recur_sq)
         if not np.isfinite(e):
@@ -331,6 +378,7 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
         energy_history=np.asarray(energies),
         iterations=iterations,
         converged=converged,
+        block_updates=block_updates,
     )
 
 

@@ -19,8 +19,10 @@ from oscint.batch import (
     solve,
     trajectory_from_result,
 )
+from oscint.batch import _sweep_weights
 from oscint.dynamics import simulate
 from oscint.model import _BLOCK, NetworkSpec, SimState, energy
+from oscint.scenarios import run_scenario
 
 
 def test_forward_pass_zero_everything():
@@ -281,7 +283,9 @@ def _random_problem(rng, case, t_len=30, n=3, m=2):
     ``case`` selects the feature under test.  The rate is above 1 so that
     near the fixed point successive energy changes alternate in sign and the
     stop rule ends the run; below 1 the energy can rise for many sweeps in a
-    row while the iterates converge."""
+    row while the iterates converge.  "quiet tail" has no input past the
+    first 10 samples and zero offsets, so the series stays exactly zero
+    ahead of the front that each sweep carries one sample further."""
     w_yy = 0.5 * rng.standard_normal((n, n)) / np.sqrt(n)
     if case == "complex w_yy":
         w_yy = w_yy + 0.5j * rng.standard_normal((n, n)) / np.sqrt(n)
@@ -297,8 +301,12 @@ def _random_problem(rng, case, t_len=30, n=3, m=2):
     )
     w_alpha_y = (0.3 * rng.standard_normal((n, n)) if case == "w_alpha_y"
                  else np.zeros((n, n)))
+    x_series = rng.standard_normal((t_len, m))
+    if case == "quiet tail":
+        spec = spec.replace(c_yhat=np.zeros(n))
+        x_series[10:] = 0.0
     return BatchProblem(
-        spec=spec, x_series=rng.standard_normal((t_len, m)), rate=1.3,
+        spec=spec, x_series=x_series, rate=1.3,
         max_iters=600, tolerance=1e-10, tau_alpha=4.0, alpha0=0.2, b0=0.5,
         w_alpha_x=rng.standard_normal((n, m)), w_alpha_y=w_alpha_y,
         c_alpha=0.3 * rng.standard_normal(n),
@@ -307,13 +315,15 @@ def _random_problem(rng, case, t_len=30, n=3, m=2):
 
 @pytest.mark.parametrize("t_len", [1, 2, 30, _BLOCK + 1, 2 * _BLOCK + 76])
 @pytest.mark.parametrize(
-    "case", ["frozen", "w_alpha_y", "w_by", "complex w_yy", "y_init"])
+    "case", ["frozen", "w_alpha_y", "w_by", "complex w_yy", "y_init",
+             "quiet tail"])
 def test_solve_matches_reference_loop(case, t_len):
     # solve forms the drive and (for gains that do not read y) the gain
     # weights once and walks each sweep in blocks of _BLOCK rows; the
     # reference rebuilds everything every sweep over the whole series.
     # Gains that read y must be rebuilt every sweep by solve too.  The two
-    # longest series put one and two block seams in the walk.
+    # longest series put one and two block seams in the walk; with a quiet
+    # tail, solve reuses the blocks the front has not reached.
     rng = np.random.default_rng(31)
     prob = _random_problem(rng, case, t_len=t_len)
     y_init = None
@@ -328,6 +338,121 @@ def test_solve_matches_reference_loop(case, t_len):
     assert rel.max() <= 1e-12
     bound = 1e-12 * max(1.0, float(np.abs(y_ref).max()))
     assert np.abs(result.y_series - y_ref).max() <= bound
+
+
+def _block_walk(prob):
+    """solve's sweep computing every block every sweep, as it did before
+    blocks were reused, with the same stop rule (no divergence rule).
+    Returns (y, energy history, iterations)."""
+    spec, n_samples = prob.spec, prob.n_samples
+    y, y_next = prob.zero_series(), prob.zero_series()
+    z = prob.x_series @ spec.w_zx.T + spec.c_z
+    energies, prev = [], None
+    for iteration in range(1, prob.max_iters + 1):
+        if iteration == 1 or prob.gains_read_y:
+            beta, one_minus_beta, recur_weight, recur_scale = _sweep_weights(prob, y)
+        feed_sq = recur_sq = 0.0
+        for lo in range(0, n_samples, _BLOCK):
+            hi = min(lo + _BLOCK, n_samples)
+            y_blk = y[lo:hi]
+            if lo == 0:
+                yh = np.empty_like(y_blk)
+                yh[0] = y[0] @ spec.w_yy.T
+                yh[1:] = y[:hi - 1] @ spec.w_yy.T
+            else:
+                yh = y[lo - 1:hi - 1] @ spec.w_yy.T
+            yh += spec.c_yhat
+            f = y_blk - z[lo:hi]
+            r = y_blk - yh * recur_scale[lo:hi]
+            w = f * beta[lo:hi]
+            feed_sq += np.vdot(f, w).real
+            st = r * one_minus_beta[lo:hi]
+            st += w
+            recur_sq += np.vdot(r, r * recur_weight[lo:hi]).real
+            st *= prob.rate
+            y_next[lo:hi] = y_blk - st
+        e = 0.5 * prob.dt * (feed_sq + recur_sq)
+        energies.append(e)
+        if prev is not None and (prev - e) / max(abs(prev), 1e-30) < prob.tolerance \
+                and e <= prev:
+            break
+        prev = e
+        y, y_next = y_next, y
+    return y, np.asarray(energies), iteration
+
+
+@pytest.fixture(scope="module")
+def fig3():
+    return run_scenario("fig3")
+
+
+def _n_blocks(prob):
+    return -(-prob.n_samples // _BLOCK)
+
+
+def test_fig3_reuses_about_half_its_block_updates(fig3):
+    # Ahead of the front the series is exactly zero and behind it the delay
+    # has settled, so 12 959 of the 7 x 3632 block updates are computed.
+    result = fig3.extras["result"]
+    assert _n_blocks(fig3.extras["problem"]) == 7
+    assert result.block_updates <= 0.55 * 7 * result.iterations
+
+
+@pytest.mark.parametrize("case", ["fig3", "quiet tail"])
+def test_block_reuse_is_exact(case, fig3):
+    # Reusing a block whose input rows kept their bits leaves every iterate
+    # and energy bit-identical to computing every block.  By sweep 1200 of
+    # fig3 the zero tail and the settled cue blocks are both being reused.
+    if case == "fig3":
+        prob = dataclasses.replace(fig3.extras["problem"], max_iters=1200)
+    else:
+        prob = _random_problem(np.random.default_rng(31), case,
+                               t_len=2 * _BLOCK + 76)
+    y_ref, e_ref, iterations = _block_walk(prob)
+    result = solve(prob)
+    assert result.iterations == iterations
+    assert np.array_equal(result.y_series, y_ref)
+    assert np.array_equal(result.energy_history, e_ref)
+    assert result.block_updates < result.iterations * _n_blocks(prob)
+
+
+def test_reuse_sees_the_row_before_a_block_and_keeps_its_terms():
+    # One unit with b pinned at 1e20, so beta is exactly 1: a step never
+    # reads the prediction, while the energy's recurrent term does.  The one
+    # input sample is block 0's last row, and sweep 1 moves that row alone.
+    # Sweep 2 must still compute block 1, whose prediction reads that row;
+    # from sweep 3 on nothing moves, and both blocks' non-zero energy terms
+    # must be reused.
+    spec = NetworkSpec.build(1, 1, w_yy=np.array([[0.5]]),
+                             w_zx=np.array([[1.0]]), c_b=np.array([1e20]))
+    x_series = np.zeros((_BLOCK + 10, 1))
+    x_series[_BLOCK - 1] = 1.0
+    prob = BatchProblem(spec=spec, x_series=x_series, rate=1.0, b0=1e20,
+                        max_iters=4, tolerance=0.0)
+    y_ref, e_ref, iterations = _block_walk(prob)
+    result = solve(prob)
+    assert result.iterations == iterations == 4
+    assert np.array_equal(result.y_series, y_ref)
+    assert np.array_equal(result.energy_history, e_ref)
+    assert e_ref[-1] > 0
+    assert result.block_updates == 4
+
+
+@pytest.mark.parametrize("case", ["w_alpha_y", "w_by"])
+def test_gains_that_read_y_compute_every_block(case):
+    prob = _random_problem(np.random.default_rng(31), case, t_len=2 * _BLOCK + 76)
+    result = solve(prob)
+    assert result.block_updates == result.iterations * _n_blocks(prob)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan)])
+def test_solve_rejects_non_finite_y_init(bad):
+    prob = _random_problem(np.random.default_rng(3), "frozen", t_len=6)
+    y_init = prob.zero_series()
+    y_init[4, 1] = bad
+    with pytest.raises(ValueError, match="y_init"):
+        solve(prob, y_init)
 
 
 def _fixed_point_oracle(prob):
