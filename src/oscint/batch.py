@@ -216,7 +216,7 @@ class BatchResult:
     energy_history: np.ndarray
     iterations: int
     converged: bool
-    block_updates: int      # 512-row block steps computed, not reused
+    block_updates: int      # block steps computed, not reused
 
 
 _DIVERGENCE_PATIENCE = 10
@@ -257,12 +257,12 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
 
     Unless the gains read y, a block is reused rather than computed when the
     previous sweep left every row it reads (its own and the one before them)
-    with the same bits.  Its step is then a function of the same rows and the same
-    weights as in the previous sweep, so it would write back rows that both
-    buffers already hold and give the same three ``np.vdot`` terms; those
-    terms are kept per block and summed in block order as before, so the
-    energy, the step norm and the stop rule keep their bits and the iterates
-    are those of computing every block.  The first sweep, and every sweep
+    with the same bits.  Its step is then a function of the same rows and
+    the same weights as in the previous sweep, so it would write back rows
+    that both buffers already hold and give the same three ``np.vdot``
+    terms; those terms are kept per block and summed in block order as
+    before, so the energy, the step norm and the stop rule keep their bits
+    and the iterates are those of computing every block.  The first sweep, and every sweep
     when the gains read y, computes every block.  ``block_updates`` in the
     result counts the blocks computed.
 

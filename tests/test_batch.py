@@ -13,13 +13,13 @@ from oscint.batch import (
     BatchDivergenceError,
     BatchProblem,
     _series_energy,
+    _sweep_weights,
     backward_pass,
     fixed_point,
     forward_pass,
     solve,
     trajectory_from_result,
 )
-from oscint.batch import _sweep_weights
 from oscint.dynamics import simulate
 from oscint.model import _BLOCK, NetworkSpec, SimState, energy
 from oscint.scenarios import run_scenario
@@ -341,9 +341,9 @@ def test_solve_matches_reference_loop(case, t_len):
 
 
 def _block_walk(prob):
-    """solve's sweep computing every block every sweep, as it did before
-    blocks were reused, with the same stop rule (no divergence rule).
-    Returns (y, energy history, iterations)."""
+    """solve's block walk without reuse: every block computed in every
+    sweep, the same arithmetic and stop rule (no divergence rule), so reuse
+    must match it bit for bit.  Returns (y, energy history, iterations)."""
     spec, n_samples = prob.spec, prob.n_samples
     y, y_next = prob.zero_series(), prob.zero_series()
     z = prob.x_series @ spec.w_zx.T + spec.c_z
