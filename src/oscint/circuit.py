@@ -36,10 +36,17 @@ steps.  When the gains do not read the response (``w_ay = w_by = 0``, true
 of fig9 and its calibration probe) the gain units hear only the input, so
 the run goes in blocks of ``_BLOCK`` steps: for each block's rows of the
 input series, z and both populations' g_e - g_i and g_e + g_i are one matmul
-each, the gain units advance over the block, and a loop advances only the
-(3, 2N) compartment stack [v; va; vb], one W_yy matvec per step.  Specs
-whose gains read y take one :func:`thalamic_step` and one :func:`pfc_step`
-per step; that loop is also the reference the block path is tested against.
+each, the gain units advance over the block (one column per population when
+every neuron shares its gains), and a loop advances only the (3, 2N)
+compartment stack [v; va; vb], one W_yy matvec per step.  A block whose
+per-step coefficients (the dendritic leaks and the drives ±s z) are equal
+bit for bit across its rows is one affine map of the stack while the somas
+keep their signs; it is filled from powers of that map by prefix doubling,
+and re-run through the loop when a computed soma leaves the first row's sign
+pattern or a row is non-finite.  Through fig9's delay and after its reset
+most blocks go this way.  Specs whose gains read y take one
+:func:`thalamic_step` and one :func:`pfc_step` per step; that loop is also
+the reference the block path is tested against.
 """
 
 from __future__ import annotations
@@ -221,6 +228,7 @@ class CircuitTrajectory(SampledRecord):
     vb: np.ndarray          # (T, 2, N) basal dendrite
     a: np.ndarray           # (T, N)
     b: np.ndarray           # (T, N)
+    map_blocks: int = 0     # blocks advanced by one affine map's powers
 
     @property
     def y_net(self) -> np.ndarray:
@@ -255,10 +263,12 @@ def simulate_circuit(
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
     ``_BLOCK`` steps (see the module docstring); otherwise it takes one
     :func:`thalamic_step` and one :func:`pfc_step` per step.  The two paths
-    agree to rounding.  Complex ``w_zx`` or ``w_yy`` raise ValueError before
-    any step.  A non-finite state raises :class:`DivergenceError` naming the
-    time of the first non-finite sample: the block path checks once per
-    block, the step loop after every step.
+    agree to rounding; ``map_blocks`` on the record counts the blocks
+    advanced by powers of one affine map (0 on the step loop).  Complex
+    ``w_zx`` or ``w_yy`` raise ValueError before any step.  A non-finite
+    state raises :class:`DivergenceError` naming the time of the first
+    non-finite sample: the block path checks once per block, the step loop
+    after every step.
     """
     if dt <= 0 or record_stride < 1:
         raise ValueError("dt must be positive and record_stride >= 1")
@@ -292,7 +302,8 @@ def simulate_circuit(
     times = t_start + dt * record_stride * np.arange(n_rec)
     traj = CircuitTrajectory(dt=dt * record_stride, times=times, **rec)
     if spec._w_ay_zero and spec._w_by_zero:
-        _advance_blocks(spec, params, x, traj, dt, record_stride)
+        traj.map_blocks = _advance_blocks(spec, params, x, traj, dt,
+                                          record_stride)
     else:
         _advance_steps(spec, params, x, traj, dt, record_stride, state)
     return traj
@@ -317,8 +328,9 @@ def _advance_steps(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
 
 
 def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
-                    traj: CircuitTrajectory, dt: float, stride: int) -> None:
-    """Fill ``traj`` past its first sample, ``_BLOCK`` steps at a time.
+                    traj: CircuitTrajectory, dt: float, stride: int) -> int:
+    """Fill ``traj`` past its first sample, ``_BLOCK`` steps at a time, and
+    return the number of blocks advanced by :func:`_advance_by_map`.
 
     Valid only when the gains do not read y.  With s = dt/C, block ``[s0, e)``
     reads input rows s0..e-1, then:
@@ -326,7 +338,10 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
     * the gain units, stacked [a; b] as 2N-vectors, follow
       ``g[i+1] = (1 - s (G_sum[i] + g_leak)) g[i] + s G_diff[i]``, where
       G_diff = X W_gᵀ + c_g and G_sum = |X| |W_g|ᵀ + |c_g| are one matmul
-      each over the block (the recursion is :func:`oscint.model.first_order`);
+      each over the block (the recursion is :func:`oscint.model.first_order`).
+      When every neuron shares its gains (``spec._gains_shared``) and the
+      initial a and b are each constant, one column per population is
+      stepped and repeated across the neurons;
     * their rectified values give each step's dendritic leaks
       rect(a)/R_a and rect(b)/R_b;
     * the (3, 2N) compartment stack [v; va; vb] (ON half, then OFF half)
@@ -335,6 +350,19 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
       K is the constant axial coupling between the compartments, D[i] the
       per-step diagonal (leaks included) and F[i] the drives ±s z and
       ±s c_yhat.
+
+    A block qualifies when its D and F rows are equal bit for bit: a held
+    input, with the leaks either zero or too small to move ``keep - leak``.
+    While the somas keep their signs such a block is one affine map, and
+    :func:`_advance_by_map` fills it from powers of that map.  The rule
+    reads the coefficients, not the gains: after a cue the gains take
+    hundreds of ms to reach their bitwise fixed point, long after rect(g)/R
+    has fallen below half an ulp of ``keep``.  When a computed soma of rows
+    0..k-1 leaves the first row's sign pattern or a row is non-finite, the
+    block is re-run by the per-step loop, which advances every other block
+    too.  That loop stays the reference and the fallback: it rounds as one
+    step does, needs no sign pattern, and names a divergence at its own
+    step.
 
     Every step of a block is held in the block's buffers, so one finiteness
     check per block names the first non-finite sample; only the rows
@@ -346,8 +374,10 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
     s = dt / params.capacitance
     ga, gb = 1.0 / params.r_apical, 1.0 / params.r_basal
 
-    w_g = np.vstack([spec.w_ax, spec.w_bx])
-    c_g = np.concatenate([spec.c_a, spec.c_b])
+    cols = 1 if (spec._gains_shared and np.all(traj.a[0] == traj.a[0, 0])
+                 and np.all(traj.b[0] == traj.b[0, 0])) else n
+    w_g = np.vstack([spec.w_ax[:cols], spec.w_bx[:cols]])
+    c_g = np.concatenate([spec.c_a[:cols], spec.c_b[:cols]])
     w_g_abs, c_g_abs = np.abs(w_g), np.abs(c_g)
     w_z, c_z = spec.w_zx.real, spec.c_z.real
     # The recurrent current s W_yy (y+ - y-) on the ON half of the apical
@@ -357,8 +387,9 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
     keep = 1.0 - s * np.array([params.g_leak_soma + ga + gb, ga, gb])
     leak = s * np.repeat([ga, gb], n)
     c_yhat = (s * _ON_OFF * spec.c_yhat.real).ravel()
+    axial = np.kron(coupling, np.eye(2 * n))
 
-    gains_end = np.concatenate([traj.a[0], traj.b[0]])
+    gains_end = np.concatenate([traj.a[0, :cols], traj.b[0, :cols]])
     cells = np.empty((_BLOCK + 1, 3, 2 * n))
     cells[0] = np.stack([traj.v[0], traj.va[0], traj.vb[0]]).reshape(3, 2 * n)
     diag = np.empty((_BLOCK, 3, 2 * n))
@@ -367,6 +398,7 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
     drive[:, 1] = c_yhat
     product = np.empty((3, 2 * n))
     rates = np.empty(2 * n)
+    mapped = 0
     for s0 in range(0, n_steps, _BLOCK):
         e = min(s0 + _BLOCK, n_steps)
         k = e - s0
@@ -377,7 +409,8 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
         with np.errstate(over="ignore", invalid="ignore"):
             decay = 1.0 - s * (np.abs(x) @ w_g_abs.T + c_g_abs
                                + params.g_leak_gain)
-            gains = first_order(decay, s * (x @ w_g.T + c_g), gains_end)
+            stepped = first_order(decay, s * (x @ w_g.T + c_g), gains_end)
+            gains = np.repeat(stepped, n // cols, axis=1)
 
             leaks = leak * rectify(gains[:k])
             diag[:k, 1, :n] = diag[:k, 1, n:] = keep[1] - leaks[:, :n]
@@ -385,13 +418,20 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
             sz = s * (x @ w_z.T + c_z)
             drive[:k, 0, :n] = drive[:k, 2, n:] = sz
             drive[:k, 0, n:] = drive[:k, 2, :n] = -sz
-            for c, c_next, dg, f in zip(cells, cells[1:k + 1], diag, drive):
-                np.dot(coupling, c, out=c_next)
-                np.multiply(dg, c, out=product)
-                c_next += product
-                c_next += f
-                np.maximum(c[0], 0.0, out=rates)
-                c_next[1] += w_rec.dot(rates)
+            constant = ((diag[1:k, 1:] == diag[0, 1:]).all()
+                        and (sz[1:] == sz[0]).all())
+            if constant and _advance_by_map(cells, k, axial, w_rec, diag[0],
+                                            drive[0]):
+                mapped += 1
+            else:
+                for c, c_next, dg, f in zip(cells, cells[1:k + 1], diag,
+                                            drive):
+                    np.dot(coupling, c, out=c_next)
+                    np.multiply(dg, c, out=product)
+                    c_next += product
+                    c_next += f
+                    np.maximum(c[0], 0.0, out=rates)
+                    c_next[1] += w_rec.dot(rates)
 
         check_finite(traj.times[0] + dt * np.arange(s0 + 1, e + 1),
                      gains[1:k + 1], cells[1:k + 1], what="circuit state")
@@ -406,5 +446,48 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
         traj.v[lo:hi] = compartments[:, 0]
         traj.va[lo:hi] = compartments[:, 1]
         traj.vb[lo:hi] = compartments[:, 2]
-        gains_end = gains[k]
+        gains_end = stepped[k]
         cells[0] = cells[k]
+    return mapped
+
+
+def _advance_by_map(cells: np.ndarray, k: int, axial: np.ndarray,
+                    w_rec: np.ndarray, diag: np.ndarray,
+                    drive: np.ndarray) -> bool:
+    """Fill ``cells[1:k+1]`` from ``cells[0]`` by one affine map, or return
+    False and leave them as they were.
+
+    With the soma sign pattern of ``cells[0]`` held, rect(v) is a fixed
+    diagonal mask, so one step of the stack is ``S -> M S`` on the augmented
+    vector [S; 1] with the (6N+1)² matrix M = [[K + D + R, F], [0, 1]]: the
+    axial coupling ``axial``, the diagonal ``diag``, the recurrent block R
+    (``w_rec`` on the positive somas) and the drives ``drive``.  Rows
+    [j, 2j) of the block are rows [0, j) times (Mʲ)ᵀ (prefix doubling), for
+    j = 1, 2, 4, ..., 512, with each Mʲ squared from the last.  The map
+    holds only while the somas keep that pattern, so the result is turned
+    down when any of rows 0..k-1 leaves it or any row is non-finite.
+    """
+    m = axial.shape[0]
+    two_n = w_rec.shape[0]
+    on = cells[0, 0] > 0.0
+    step = np.zeros((m + 1, m + 1))
+    step[:m, :m] = axial + np.diag(diag.ravel())
+    step[two_n:2 * two_n, :two_n] += w_rec * on
+    step[:m, m] = drive.ravel()
+    step[m, m] = 1.0
+    rows = np.empty((k + 1, m + 1))
+    rows[0, :m] = cells[0].ravel()
+    rows[0, m] = 1.0
+    power = step.T
+    j = 1
+    while j <= k:
+        hi = min(2 * j, k + 1)
+        np.matmul(rows[:hi - j], power, out=rows[j:hi])
+        j *= 2
+        if j <= k:
+            power = power @ power
+    if not (np.isfinite(rows).all()
+            and ((rows[1:k, :two_n] > 0.0) == on).all()):
+        return False
+    cells[1:k + 1] = rows[1:, :m].reshape(k, 3, two_n)
+    return True

@@ -189,8 +189,8 @@ def cmd_run(ns: argparse.Namespace) -> int:
     if bool(ns.scenario) == bool(ns.spec_path):
         return _usage_error("run: provide exactly one of --scenario or --spec")
     # Bad input (an unreadable or malformed config, an off-grid span, an
-    # unwritable output directory) exits 2; a run that diverges exits 1.
-    # Either way the message is one line.
+    # unwritable output directory, a span too long to hold in memory) exits
+    # 2; a run that diverges exits 1.  Either way the message is one line.
     try:
         if ns.spec_path:
             return _run_spec_file(ns)
@@ -204,6 +204,9 @@ def cmd_run(ns: argparse.Namespace) -> int:
         _write_scenario(ns.out_dir, result, ns.plot)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for this run: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -290,13 +293,16 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 def _sweep_one(name: str, out_dir: Path, dt: Optional[float],
                tau_scale: Optional[float], seed: Optional[int],
                plot: bool) -> tuple[str, bool, str]:
-    # Bad input, an unwritable output directory and a divergence each end
-    # this scenario in one FAIL line; the other scenarios still run.
+    # Bad input, an unwritable output directory, a divergence and a run too
+    # large to hold in memory each end this scenario in one FAIL line; the
+    # other scenarios still run.
     try:
         result = run_scenario(name, dt=dt, seed=seed, tau_scale=tau_scale)
         _write_scenario(out_dir, result, plot)
     except (OSError, ValueError, DivergenceError) as exc:
         return name, False, str(exc)
+    except MemoryError as exc:
+        return name, False, f"not enough memory for this run: {exc}"
     failed = [a.name for a in result.assertions if not (a.passed or a.skipped)]
     detail = "ok" if not failed else "failed: " + "; ".join(failed)
     return name, result.all_passed, detail

@@ -433,6 +433,15 @@ def test_criterion_11b_circuit_matches_rate_model(fig9):
              f"{plateau.detail}")
 
 
+def test_fig9_advances_most_blocks_by_the_map(fig9):
+    # Through the delay and after the reset the input is zero and the leaks
+    # have stopped moving: 296 of the run's 313 blocks are one affine map.
+    circ = fig9.trajectory
+    blocks = -(-round((circ.times[-1] - circ.times[0]) / 0.01) // 512)
+    assert blocks == 313
+    assert 280 <= circ.map_blocks <= blocks
+
+
 # ---------------------------------------------------------------------------
 # 12. frequency-channel continuation
 

@@ -17,7 +17,7 @@ from oscint.circuit import (
     thalamic_step,
     total_conductance,
 )
-from oscint.model import DivergenceError, NetworkSpec, rectify
+from oscint.model import DivergenceError, NetworkSpec, first_order, rectify
 
 
 def test_split_signed_partition():
@@ -363,9 +363,9 @@ def test_block_path_matches_step_loop(seed, n, m, n_steps, stride):
         assert np.abs(getattr(traj, name) - want).max() <= bound, name
 
 
-def _first_non_finite_time(spec, params, input_fn, dt):
+def _first_non_finite_time(spec, params, input_fn, dt, init=None):
     """Time of the first step loop state with a non-finite entry."""
-    state = CircuitState.zeros(spec.n_neurons)
+    state = init if init is not None else CircuitState.zeros(spec.n_neurons)
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(100_000):
             x = input_fn(i * dt)
@@ -463,3 +463,173 @@ def test_simulate_circuit_rejects_misshapen_init_and_input():
                                match=r"real series of shape \(11, 1\)"):
                 simulate_circuit(either_path, CircuitParams(), bad, 0.0, 1.0,
                                  dt=0.1)
+
+
+# ---------------------------------------------------------------------------
+# Blocks whose per-step coefficients hold: powers of one affine map.
+
+# The map path against the step loop, relative to max(1, max |ref|).  The
+# map's products round differently from the loop's steps, so this bound is
+# its own; the block loop keeps the 1e-12 above.
+_MAP_BOUND = 1e-10
+
+
+def _matches_step_loop(spec, params, input_fn, n_steps, dt, init, stride=1):
+    """The block path's record, after checking it against the step loop."""
+    t_stop = n_steps * dt
+    traj = simulate_circuit(spec, params, sampled(input_fn, 0.0, t_stop, dt),
+                            0.0, t_stop, dt, init=init, record_stride=stride)
+    ref = _reference_run(spec, params, input_fn, 0.0, n_steps, dt, init, stride)
+    for name in _FIELDS:
+        want = ref[name]
+        bound = _MAP_BOUND * max(1.0, float(np.abs(want).max()))
+        assert np.abs(getattr(traj, name) - want).max() <= bound, name
+    return traj, ref
+
+
+def _quiet_tail_case(seed):
+    """The random gated case driven for 5 ms, then given zero input.  The
+    gain offsets are negative, so in the tail the gains fall below zero,
+    the dendritic leaks vanish and every step has the same coefficients."""
+    spec, params, init, input_fn = _random_gated_case(seed, 4, 2)
+    spec = spec.replace(c_a=-np.abs(spec.c_a), c_b=-np.abs(spec.c_b))
+    return spec, params, init, lambda t: input_fn(t) if t < 5.0 else np.zeros(2)
+
+
+@pytest.mark.parametrize("seed", [0, 2])
+def test_quiet_tail_advances_by_the_map(seed):
+    spec, params, init, input_fn = _quiet_tail_case(seed)
+    # 500 driven steps, then a quiet tail of two full blocks and a part.
+    traj, _ = _matches_step_loop(spec, params, input_fn, 3 * 512 + 100, 0.01,
+                                 init)
+    assert traj.map_blocks > 0
+
+
+def test_map_blocks_record_every_seventh_step():
+    # 7 does not divide 512, so the recorded rows fall at a different offset
+    # in every block.
+    spec, params, init, input_fn = _quiet_tail_case(0)
+    traj, _ = _matches_step_loop(spec, params, input_fn, 7 * 300, 0.02, init,
+                                 stride=7)
+    assert traj.n_samples == 301 and traj.map_blocks > 0
+
+
+def test_soma_crossing_zero_falls_back_to_the_loop():
+    # Zero input and gains held below zero: every step of the block has the
+    # same coefficients.  But the offsets pull the first ON soma from +1
+    # through zero, and its recurrent current stops there, so the map of
+    # the first row's sign pattern does not hold for the block.
+    spec = NetworkSpec.build(
+        2, 1, w_yy=np.array([[0.5, 0.2], [0.1, 0.3]]),
+        c_z=np.array([-1.0, 0.5]), c_yhat=np.array([-1.0, 0.5]),
+        c_a=np.full(2, -0.5), c_b=np.full(2, -0.5))
+    init = CircuitState(v=np.array([[1.0, -0.2], [-1.0, 0.2]]),
+                        va=np.zeros((2, 2)), vb=np.zeros((2, 2)),
+                        a=np.full(2, -0.2), b=np.full(2, -0.2))
+    traj, ref = _matches_step_loop(spec, CircuitParams(),
+                                   lambda t: np.zeros(1), 512, 0.01, init)
+    assert np.all(ref["a"] < 0.0) and np.all(ref["b"] < 0.0)
+    assert ref["v"][0, 0, 0] > 0.0 > ref["v"][-2, 0, 0]
+    assert traj.map_blocks == 0
+
+
+def test_settling_gains_keep_every_block_on_the_loop():
+    # A held input, but gains still rising towards their level: the leaks
+    # move every step, so no block has constant coefficients.
+    spec = NetworkSpec.build(3, 1, w_yy=0.3 * np.eye(3), w_zx=np.ones((3, 1)),
+                             w_ax=np.full((3, 1), 0.8),
+                             w_bx=np.full((3, 1), 0.6))
+    traj, ref = _matches_step_loop(spec, CircuitParams(),
+                                   lambda t: np.ones(1), 2 * 512, 0.01,
+                                   CircuitState.zeros(3))
+    assert ref["a"][-1, 0] != ref["a"][-2, 0]
+    assert traj.map_blocks == 0
+
+
+def test_gains_that_read_y_count_no_map_block():
+    spec, params, init, input_fn = _quiet_tail_case(0)
+    reads_y = spec.replace(w_ay=0.1 * np.eye(4))
+    traj, _ = _matches_step_loop(reads_y, params, input_fn, 3 * 512, 0.01, init)
+    assert traj.map_blocks == 0
+
+
+def test_divergence_inside_a_map_block_is_named_at_the_loop_time():
+    # Strong self-excitation with the gains at zero: every step has the
+    # same coefficients, the somas keep their signs and the state grows
+    # about 5.5-fold per step from 1e-200.  A block of 400 steps goes by
+    # the map; over a full block M^512 overflows while the state does not,
+    # and the state itself overflows in the second block.
+    spec = NetworkSpec.build(1, 1, w_yy=np.array([[2e6]]))
+    params, input_fn, dt = CircuitParams(), lambda t: np.zeros(1), 0.01
+    init = CircuitState(v=np.array([[1e-200], [-1e-200]]),
+                        va=np.zeros((2, 1)), vb=np.zeros((2, 1)),
+                        a=np.zeros(1), b=np.zeros(1))
+    short = simulate_circuit(spec, params, sampled(input_fn, 0.0, 4.0, dt),
+                             0.0, 4.0, dt, init=init)
+    assert short.map_blocks == 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match="non-finite circuit state") as err:
+            simulate_circuit(spec, params, sampled(input_fn, 0.0, 20.0, dt),
+                             0.0, 20.0, dt, init=init)
+        first = _first_non_finite_time(spec, params, input_fn, dt, init=init)
+    named = float(re.search(r"at t = (\S+) ms", str(err.value)).group(1))
+    assert first > 512 * dt
+    assert abs(named - first) <= 5 * dt
+
+
+def _shared_gain_spec(rows):
+    """A random gated spec whose gain rows are ``rows`` (one per neuron)."""
+    rng = np.random.default_rng(31)
+    n, m = rows.shape[0], 3
+    w_a = np.zeros((n, m))
+    w_a[:, 1] = rows
+    return NetworkSpec.build(
+        n, m, w_zx=rng.standard_normal((n, m)),
+        w_yy=0.4 * rng.standard_normal((n, n)), w_ax=w_a, w_bx=0.5 * w_a,
+        c_a=np.full(n, -0.2), c_b=np.full(n, 0.3),
+        c_z=rng.standard_normal(n), c_yhat=rng.standard_normal(n))
+
+
+def _gain_columns(monkeypatch):
+    """Record the column count of every gain recursion the circuit steps."""
+    counts = []
+
+    def spy(keep, push, init):
+        counts.append(push.shape[1])
+        return first_order(keep, push, init)
+
+    monkeypatch.setattr(oscint.circuit, "first_order", spy)
+    return counts
+
+
+def test_shared_gains_step_one_column_per_population(monkeypatch):
+    spec = _shared_gain_spec(np.full(5, 1.3))
+    assert spec._gains_shared
+    per_neuron = spec.replace()
+    object.__setattr__(per_neuron, "_gains_shared", False)
+    x = sampled(lambda t: np.array([0.0, np.sin(0.05 * t), 1.0]), 0.0, 20.0, 0.01)
+    init = CircuitState.zeros(5)
+    init.a[:], init.b[:] = 0.4, -0.1
+    counts = _gain_columns(monkeypatch)
+    traj = simulate_circuit(spec, CircuitParams(), x, 0.0, 20.0, 0.01, init=init)
+    assert counts and set(counts) == {2}
+    counts.clear()
+    ref = simulate_circuit(per_neuron, CircuitParams(), x, 0.0, 20.0, 0.01,
+                           init=init)
+    assert set(counts) == {10}
+    for name in _FIELDS:
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+
+def test_unequal_gains_stay_per_neuron(monkeypatch):
+    x = sampled(lambda t: np.array([0.0, 1.0, 0.0]), 0.0, 6.0, 0.01)
+    counts = _gain_columns(monkeypatch)
+    unequal = _shared_gain_spec(np.array([1.3, 1.3, 1.3, 1.3, 1.2]))
+    assert not unequal._gains_shared
+    simulate_circuit(unequal, CircuitParams(), x, 0.0, 6.0, 0.01)
+    # Equal gain rows, but initial gains that differ between neurons.
+    spec = _shared_gain_spec(np.full(5, 1.3))
+    init = CircuitState.zeros(5)
+    init.b[2] = 0.1
+    simulate_circuit(spec, CircuitParams(), x, 0.0, 6.0, 0.01, init=init)
+    assert counts and set(counts) == {10}

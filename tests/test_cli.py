@@ -411,6 +411,53 @@ def test_sweep_reports_divergence_as_fail(tmp_path, capsys, monkeypatch):
     assert "FAIL fig4: non-finite state at t = 3 ms" in out
 
 
+def _address_space_4gb():
+    """Caps the child's address space, so an allocation larger than that is
+    refused on any host, whatever its overcommit policy."""
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS,
+                       (4 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+
+
+@pytest.mark.parametrize("target", ["scenario", "spec"])
+def test_run_too_long_to_hold_exits_2(tmp_path, target):
+    # 1e13 ms asks for a 72.8 TiB array, which NumPy refuses before it
+    # touches memory; the capped address space makes that hold everywhere.
+    spec_path = tmp_path / "net.json"
+    save_spec(NetworkSpec.build(2, 1), spec_path)
+    args = (["--scenario", "fig2"] if target == "scenario"
+            else ["--spec", str(spec_path)])
+    src = str(Path(oscint.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscint.cli", "--out", str(tmp_path / "out"),
+         "run", *args, "--duration", "1e13", "--no-plot"],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=_address_space_4gb)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: not enough memory")
+    assert "Unable to allocate" in lines[0]
+
+
+def test_sweep_reports_memory_error_as_fail(tmp_path, capsys, monkeypatch):
+    real = cli.run_scenario
+
+    def run(name, **kwargs):
+        if name == "fig4":
+            raise MemoryError("Unable to allocate 72.8 TiB")
+        return real(name, **kwargs)
+
+    monkeypatch.setattr(cli, "run_scenario", run)
+    code = cli.main(["--out", str(tmp_path), "sweep",
+                     "--scenarios", "fig2,fig4", "--no-plot"])
+    assert code == 1
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines == ["PASS fig2: ok", "FAIL fig4: not enough memory for this "
+                     "run: Unable to allocate 72.8 TiB"]
+
+
 def test_sweep_unwritable_out_reports_fail(tmp_path, capsys, monkeypatch):
     def no_pool(*_):
         raise AssertionError("a serial sweep must start no worker process")
