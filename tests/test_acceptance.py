@@ -434,12 +434,12 @@ def test_criterion_11b_circuit_matches_rate_model(fig9):
 
 
 def test_fig9_advances_most_blocks_by_the_map(fig9):
+    # 160 000 steps at dt 0.01, one sample per 100: 313 blocks of 512 steps.
     # Through the delay and after the reset the input is zero and the leaks
-    # have stopped moving: 296 of the run's 313 blocks are one affine map.
+    # have stopped moving, and 296 of those blocks are one affine map.
     circ = fig9.trajectory
-    blocks = -(-round((circ.times[-1] - circ.times[0]) / 0.01) // 512)
-    assert blocks == 313
-    assert 280 <= circ.map_blocks <= blocks
+    assert circ.n_samples == 1601
+    assert 280 <= circ.map_blocks <= 313
 
 
 # ---------------------------------------------------------------------------
