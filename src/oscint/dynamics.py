@@ -22,11 +22,10 @@ one of two ways:
 
 * **scan** — when ``tau_y`` is uniform, the block's gate 1/(1+a+) is equal
   across neurons and W_yy = V diag(lam) V⁻¹ has cond(V) at most
-  ``_MAX_EIG_COND``, the response decouples into W_yy's eigenmodes.  Each
-  mode is a scalar linear recurrence, solved for the whole block by a
-  cumulative product and a cumulative sum (a prefix scan), and y is written
-  back as u Vᵀ with one matmul.  Each block re-anchors at its recorded first
-  sample.
+  ``_MAX_EIG_COND``, each of W_yy's eigenmodes is a scalar linear
+  recurrence, solved for the whole block by the modal scan the bank shares
+  (:func:`oscint.model._modal_scan`).  Each block re-anchors at its
+  recorded first sample.
 * **loop** — otherwise, one ``W_yy @ y`` per step.  A block the scan turns
   down (a running mode product out of range, or a non-finite result) is
   re-run by the loop, so a divergence is named at the loop's time.
@@ -40,17 +39,19 @@ the loop are the references the faster paths are tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .model import (
     _BLOCK,
+    _MAX_EIG_COND,
     NetworkSpec,
     SimState,
     Trajectory,
     _gain_series,
+    _modal_basis,
+    _modal_scan,
     check_finite,
     input_drive,
     recurrent_drive,
@@ -58,18 +59,6 @@ from .model import (
     rectify,
     sample_times,
 )
-
-# The scan (:func:`_scan_block`) runs only when W_yy's eigenvector matrix V
-# has cond(V) at most this.  The scan's rounding error against the loop grows
-# with cond(V), so only near-normal W_yy take it: the shared-gate presets'
-# have cond(V) 1.00 to 1.62, while non-normal motifs such as ``ei_pair``
-# (3.19) keep the loop.
-_MAX_EIG_COND = 2.0
-
-# Bounds on |M|, the running product of a mode's per-step factors within a
-# block; outside them the scan's q / M and M u lose range.
-_SCAN_RANGE = (1e-150, 1e150)
-
 
 def step(spec: NetworkSpec, state: SimState, x: np.ndarray, dt: float) -> SimState:
     """Advance the full state by one step of length ``dt`` under input ``x``.
@@ -124,12 +113,9 @@ def simulate(
     arguments produce bit-identical trajectories.
 
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
-    ``_BLOCK`` steps (see the module docstring); otherwise it takes one
-    :func:`step` per sample.  Within a block y advances by the eigenbasis
-    scan when ``tau_y`` is uniform, the gate 1/(1+a+) is equal across
-    neurons and cond(V) of W_yy's eigenvectors is at most ``_MAX_EIG_COND``;
-    otherwise, and for any block the scan turns down, by a per-step loop.
-    All paths agree to rounding.  Either way a non-finite y, a or b raises
+    ``_BLOCK`` steps, by the eigenbasis scan or the per-step loop (see the
+    module docstring); otherwise it takes one :func:`step` per sample.  All
+    paths agree to rounding.  Either way a non-finite y, a or b raises
     :class:`DivergenceError` naming the time of the first non-finite sample.
 
     When the spec's gains are shared by every neuron (``w_ay = w_by = 0`` and
@@ -200,27 +186,18 @@ def _advance_steps(spec: NetworkSpec, traj: Trajectory) -> None:
         traj.y[i] = state.y
 
 
-@dataclass(frozen=True)
-class _Eigenbasis:
-    """W_yy = V diag(lam) V⁻¹, with the drive weights projected by V⁻¹."""
-
-    lam: np.ndarray         # (N,) eigenvalues
-    v: np.ndarray           # (N, N) eigenvectors, one per column
-    v_inv: np.ndarray       # (N, N)
-    drive: np.ndarray       # (M + 2, N) rows: (V⁻¹ W_zx)ᵀ, V⁻¹ c_z, V⁻¹ c_yhat
-
-
-def _eigenbasis(spec: NetworkSpec) -> Optional[_Eigenbasis]:
-    """W_yy's eigenbasis for the scan, or None when the scan cannot be used:
-    ``tau_y`` differs across neurons, or cond(V) exceeds ``_MAX_EIG_COND``."""
-    if np.any(spec.tau_y != spec.tau_y[0]):
+def _eigenbasis(spec: NetworkSpec) -> Optional[tuple[np.ndarray, ...]]:
+    """W_yy = V diag(lam) V⁻¹ for the scan as ``(lam, V, V⁻¹, drive)``, with
+    the drive weights projected by V⁻¹ (rows (V⁻¹ W_zx)ᵀ, V⁻¹ c_z, V⁻¹ c_yhat),
+    or None when the scan cannot be used: ``tau_y`` differs across neurons,
+    or cond(V) exceeds ``_MAX_EIG_COND``."""
+    basis = (None if np.any(spec.tau_y != spec.tau_y[0])
+             else _modal_basis(spec.w_yy))
+    if basis is None:
         return None
-    lam, v = np.linalg.eig(spec.w_yy)
-    if not np.linalg.cond(v) <= _MAX_EIG_COND:
-        return None
-    v_inv = np.linalg.inv(v)
+    lam, v, v_inv = basis
     drive = np.vstack([spec.w_zx.T, spec.c_z, spec.c_yhat]) @ v_inv.T
-    return _Eigenbasis(lam=lam, v=v, v_inv=v_inv, drive=drive)
+    return lam, v, v_inv, drive
 
 
 def _push(spec: NetworkSpec, rate, recur: np.ndarray, b_plus: np.ndarray,
@@ -230,7 +207,7 @@ def _push(spec: NetworkSpec, rate, recur: np.ndarray, b_plus: np.ndarray,
     return rate * (b_plus / (1.0 + b_plus) * z[:-1] + spec.c_yhat * recur)
 
 
-def _scan_block(spec: NetworkSpec, basis: _Eigenbasis, rate: float,
+def _scan_block(spec: NetworkSpec, basis: tuple[np.ndarray, ...], rate: float,
                 recur: np.ndarray, b_plus: np.ndarray, x: np.ndarray,
                 y_rows: np.ndarray) -> bool:
     """Advance y over one block as N scalar recurrences in W_yy's eigenbasis.
@@ -238,35 +215,22 @@ def _scan_block(spec: NetworkSpec, basis: _Eigenbasis, rate: float,
     ``y_rows[0]`` is the block's first sample; rows 1.. are written.  The
     gate g[i] = rate / (1+a+) must be shared by every neuron (the caller
     checks).  Then u = V⁻¹ y follows ``u[i+1] = mu[i] u[i] + q[i]`` with
-    ``mu = 1 - rate + g lam`` and ``q = V⁻¹ push``, solved as
-    ``u = M (u[0] + cumsum(q / M))`` with ``M = cumprod(mu)``.  Returns
-    False, leaving the rows to the y loop, when some |M| leaves
-    ``_SCAN_RANGE`` or a written row is non-finite.
+    ``mu = 1 - rate + g lam`` and ``q = V⁻¹ push``, solved by
+    :func:`oscint.model._modal_scan`, whose False (a mode product out of
+    range, or a non-finite row) leaves the rows to the y loop.
     """
+    lam, v, v_inv, drive = basis
     gate = rate * recur[:, 0]
-    m = np.multiply.outer(gate, basis.lam)
-    m += 1.0 - rate
-    np.cumprod(m, axis=0, out=m)
-    m_abs = np.abs(m)
-    if not (m_abs.min() >= _SCAN_RANGE[0] and m_abs.max() <= _SCAN_RANGE[1]):
-        return False
+    mu = np.multiply.outer(gate, lam)
+    mu += 1.0 - rate
     if np.all(b_plus == b_plus[:, :1]):
         # V⁻¹ push = [rate beta x, rate beta, gate] @ drive: no N x N product.
         b_col = b_plus[:, :1]
         push_beta = rate * (b_col / (1.0 + b_col))
-        q = np.hstack([push_beta * x[:-1], push_beta, gate[:, None]]) @ basis.drive
+        q = np.hstack([push_beta * x[:-1], push_beta, gate[:, None]]) @ drive
     else:
-        q = _push(spec, rate, recur, b_plus, x) @ basis.v_inv.T
-    u0 = basis.v_inv @ y_rows[0]
-    if np.any(q):
-        q /= m
-        np.cumsum(q, axis=0, out=q)
-        q += u0
-        m *= q
-    else:
-        m *= u0
-    np.matmul(m, basis.v.T, out=y_rows[1:])
-    return bool(np.isfinite(y_rows[1:]).all())
+        q = _push(spec, rate, recur, b_plus, x) @ v_inv.T
+    return _modal_scan(mu, q, v_inv @ y_rows[0], v.T, y_rows[1:])
 
 
 def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:

@@ -132,6 +132,48 @@ def _gain_series(
 # temporaries stay small (a few (512, N) arrays).
 _BLOCK = 512
 
+# The modal scan runs only on a map whose eigenvector matrix V has cond(V) at
+# most this, as its rounding error grows with cond(V): the shared-gate rate
+# presets' W_yy have 1.00 to 1.62 and fig10's driven bank 1.53, while
+# non-normal motifs such as ``ei_pair`` (3.19) keep the step loop.
+_MAX_EIG_COND = 2.0
+
+# Bounds on |M|, the running product of a mode's per-step factors within a
+# block; outside them the scan's q / M and M u lose range.
+_SCAN_RANGE = (1e-150, 1e150)
+
+
+def _modal_basis(matrix: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
+    """``(lam, V, V⁻¹)`` with ``matrix = V diag(lam) V⁻¹``, or None when
+    cond(V) exceeds ``_MAX_EIG_COND``."""
+    lam, v = np.linalg.eig(matrix)
+    if not np.linalg.cond(v) <= _MAX_EIG_COND:
+        return None
+    return lam, v, np.linalg.inv(v)
+
+
+def _modal_scan(mu: np.ndarray, q: np.ndarray, u0: np.ndarray,
+                back: np.ndarray, out: np.ndarray) -> bool:
+    """Solve ``u[i+1] = mu[i] u[i] + q[i]`` from ``u[0] = u0``, one column
+    of the (L, K) ``mu`` and ``q`` (both overwritten) per mode, as the prefix
+    scan ``u = M (u0 + cumsum(q / M))`` with ``M = cumprod(mu)``, and write
+    ``out = u[1:] @ back``.  Returns False, for the caller's step loop to
+    re-run the block, when some |M| leaves ``_SCAN_RANGE`` (``out``
+    untouched) or a written row is non-finite."""
+    np.cumprod(mu, axis=0, out=mu)
+    m_abs = np.abs(mu)
+    if not (m_abs.min() >= _SCAN_RANGE[0] and m_abs.max() <= _SCAN_RANGE[1]):
+        return False
+    if np.any(q):
+        q /= mu
+        np.cumsum(q, axis=0, out=q)
+        q += u0
+        mu *= q
+    else:
+        mu *= u0
+    np.matmul(mu, back, out=out)
+    return bool(np.isfinite(out).all())
+
 
 @cache
 def _openblas_thread_calls():

@@ -8,17 +8,21 @@ the traces an SVG of it draws, so a caller needs nothing but the record.
 CSV values are written with repr-quality precision (%.17g) so that a
 write/read/write cycle is byte-identical.  Rows stream to the file in
 blocks of about 2**16 cells, so the memory a write holds is bounded by one
-block, not by the record; the file is written beside its path and renamed
-onto it, so a write that fails leaves no truncated artifact and any file
-already at the path keeps its bytes.  SVG output is a minimal
-hand-assembled polyline plot — axes, ticks, legend — with no plotting
-dependency; the plots are presentation aids, nothing parses them back.
+block, not by the record.  Columns that view the same memory (same data
+pointer, strides, shape and dtype), such as the broadcast views of gains
+every neuron shares, are formatted once per block.  The file is written
+beside its path and renamed onto it, so a write that fails leaves no
+truncated artifact and any file already at the path keeps its bytes.  SVG
+output is a minimal hand-assembled polyline plot — axes, ticks, legend —
+with no plotting dependency; the plots are presentation aids, nothing
+parses them back.
 """
 
 from __future__ import annotations
 
 import os
 import uuid
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -33,15 +37,23 @@ _BLOCK_CELLS = 1 << 16
 
 
 def _write_rows(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    line = ",".join(["%.17g"] * len(columns)) + "\n"
+    # A column viewed more than once enters the row format as text.
+    keys = [(c.__array_interface__["data"][0], c.strides, c.shape, c.dtype.str)
+            for c in columns]
+    distinct = dict(zip(keys, columns))
+    repeated = {key for key, uses in Counter(keys).items() if uses > 1}
+    line = ",".join(["%s" if key in repeated else "%.17g" for key in keys]) + "\n"
     step = max(1, _BLOCK_CELLS // len(columns))
     tmp = path.with_name(f".{path.name}.{uuid.uuid4().hex}.tmp")
     try:
         with open(tmp, "x") as f:
             f.write(",".join(header) + "\n")
             for start in range(0, len(columns[0]), step):
-                block = np.column_stack([c[start:start + step] for c in columns])
-                f.write("".join([line % tuple(row) for row in block.tolist()]))
+                cells = {key: c[start:start + step].tolist() for key, c in distinct.items()}
+                for key in repeated:
+                    cells[key] = ("%.17g\n" * len(cells[key]) % tuple(cells[key])).splitlines()
+                rows = zip(*[cells[key] for key in keys])
+                f.write("".join([line % row for row in rows]))
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -145,13 +157,6 @@ def plot_series(record: SampledRecord) -> dict[str, np.ndarray]:
     return {f"{name}_{j}": y[:, j] for j in range(0, n, step)}
 
 
-def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
-    if hi == lo:
-        return [lo]
-    raw = np.linspace(lo, hi, n)
-    return [float(v) for v in raw]
-
-
 def write_svg_lines(
     path: str | Path,
     x: np.ndarray,
@@ -197,14 +202,14 @@ def write_svg_lines(
     parts.append(
         f'<line x1="{x0}" y1="{y0}" x2="{margin_l + plot_w}" y2="{y0}" {axis_style}/>'
     )
-    for tx in _ticks(x_lo, x_hi):
+    for tx in np.linspace(x_lo, x_hi, 5).tolist():
         sx = float(px(np.float64(tx)))
         parts.append(f'<line x1="{sx:.2f}" y1="{y0}" x2="{sx:.2f}" y2="{y0 + 5}" {axis_style}/>')
         parts.append(
             f'<text x="{sx:.2f}" y="{y0 + 18}" font-family="sans-serif" '
             f'font-size="11" text-anchor="middle">{tx:g}</text>'
         )
-    for ty in _ticks(y_lo, y_hi):
+    for ty in np.linspace(y_lo, y_hi, 5).tolist():
         sy = float(py(np.float64(ty)))
         parts.append(f'<line x1="{x0 - 5}" y1="{sy:.2f}" x2="{x0}" y2="{sy:.2f}" {axis_style}/>')
         parts.append(
@@ -229,7 +234,8 @@ def write_svg_lines(
         color = _PALETTE[idx % len(_PALETTE)]
         vx = px(x[::stride])
         vy = py(np.asarray(values, dtype=np.float64)[::stride])
-        points = " ".join(f"{a:.2f},{b:.2f}" for a, b in zip(vx, vy))
+        points = " ".join(["%.2f,%.2f" % pair
+                           for pair in zip(vx.tolist(), vy.tolist())])
         parts.append(
             f'<polyline fill="none" stroke="{color}" stroke-width="1.2" '
             f'points="{points}"/>'

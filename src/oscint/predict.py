@@ -10,6 +10,10 @@ zero each channel keeps rotating at its own frequency with constant
 magnitude, continuing the signal; raising the recurrent-excess gain damps
 every channel back to zero.
 
+Within a schedule piece the gains are constant, so a long Euler piece
+advances by a modal scan of its one real-linear map; :func:`prediction_step`
+stays the reference and the fallback (see :func:`predict_series`).
+
 Per-channel update (gains shared across channels):
 
     tau dy_j/dt = -y_j + beta x + yhat_j/(1+a+) - beta * (competition)
@@ -27,7 +31,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import SampledRecord, check_finite, steps_in_span
+from .model import (
+    _BLOCK,
+    SampledRecord,
+    _modal_basis,
+    _modal_scan,
+    check_finite,
+    steps_in_span,
+)
 from .weights import diagonal_oscillators
 
 
@@ -35,7 +46,7 @@ from .weights import diagonal_oscillators
 class ModulatorSchedule:
     """Piecewise-constant gain schedule.
 
-    ``segments`` is a sorted sequence of (start_time, a_value, b_value);
+    ``segments`` is a sorted sequence of finite (start_time, a_value, b_value);
     each entry holds from its start time until the next entry's, and the
     first also before its start (see :func:`predict_series`).
     """
@@ -45,6 +56,8 @@ class ModulatorSchedule:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
+        if not np.isfinite(self.segments).all():
+            raise ValueError("schedule starts and gains must be finite")
         starts = [s[0] for s in self.segments]
         if sorted(starts) != starts:
             raise ValueError("schedule segments must be sorted by start time")
@@ -55,7 +68,7 @@ class ModulatorSchedule:
 class PredictorSpec:
     """Bank of frequency channels with shared scalar input.
 
-    ``freqs_hz`` must be distinct and non-negative; ``tau_y`` is shared.
+    ``freqs_hz`` must be distinct, finite and non-negative; ``tau_y`` is shared.
     The recurrent weight of channel j is the diagonal rotator entry
     1 + i 2 pi f_j tau_y / 1000.
     """
@@ -68,8 +81,8 @@ class PredictorSpec:
         freqs = tuple(float(f) for f in self.freqs_hz)
         if len(set(freqs)) != len(freqs):
             raise ValueError("channel frequencies must be distinct")
-        if any(f < 0 for f in freqs):
-            raise ValueError("channel frequencies must be non-negative")
+        if not all(0 <= f < np.inf for f in freqs):
+            raise ValueError("channel frequencies must be finite and non-negative")
         object.__setattr__(self, "freqs_hz", freqs)
         w = np.diagonal(diagonal_oscillators(np.asarray(freqs), self.tau_y)).copy()
         w.flags.writeable = False
@@ -113,6 +126,7 @@ class PredictionResult(SampledRecord):
     readout: np.ndarray         # (T,) sum of Re(y_j)
     quadrature: np.ndarray      # (T,) sum of Im(y_j)
     freqs_hz: tuple[float, ...]
+    scan_pieces: int = 0        # Euler pieces the modal scan advanced
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -146,9 +160,12 @@ def predict_series(
     so they advance by the exact per-step propagator
     exp((w/(1+a+) - 1) dt / tau); channel magnitudes are then conserved to
     rounding when both gains are zero, regardless of channel frequency.
-    Every other piece takes one forward-Euler :func:`prediction_step` per
-    step.  A non-finite state raises :class:`DivergenceError` naming its
-    first time.
+    Every other piece is forward Euler: one of at least ``_BLOCK`` steps
+    whose map has cond(V) at most ``_MAX_EIG_COND`` advances by a modal
+    scan, counted in ``scan_pieces``; a shorter one, and the rest of a piece
+    from a block the scan turns down (a mode product out of range, or a
+    non-finite row), take one :func:`prediction_step` per step.  A
+    non-finite state raises :class:`DivergenceError` naming its first time.
     """
     x_arr = np.asarray(x_samples, dtype=np.float64)
     if x_arr.ndim != 1:
@@ -175,6 +192,7 @@ def predict_series(
     cuts = sorted(set(onsets) | {0, n_past, n_total})
 
     ys = np.zeros((n_total + 1, pspec.n_channels), dtype=np.complex128)
+    scan_pieces = 0
     # Past a blow-up the run goes on to the horizon; the check below
     # reports it, so the overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -185,9 +203,7 @@ def predict_series(
                 multiplier = np.exp(w_eff * dt / pspec.tau_y)
                 ys[i + 1:j + 1] = ys[i] * multiplier ** np.arange(1, j - i + 1)[:, None]
             else:
-                y = ys[i]
-                for k in range(i, j):
-                    y = ys[k + 1] = prediction_step(pspec, y, drive[k], a, b, dt)
+                scan_pieces += _euler_piece(pspec, ys, drive, i, j, a, b, dt)
 
     check_finite(times, ys)
     return PredictionResult(
@@ -197,4 +213,40 @@ def predict_series(
         readout=ys.real.sum(axis=1),
         quadrature=ys.imag.sum(axis=1),
         freqs_hz=pspec.freqs_hz,
+        scan_pieces=scan_pieces,
     )
+
+
+def _euler_piece(pspec: PredictorSpec, ys: np.ndarray, drive: np.ndarray,
+                 i: int, j: int, a: float, b: float, dt: float) -> bool:
+    """Fill ``ys[i+1..j]`` by Euler steps under the gains (a, b); True when
+    the scan advanced them all.  Its map on [Re y; Im y] and input column are
+    :func:`prediction_step`'s images of the 2C unit states and a unit input."""
+    c, start, basis = pspec.n_channels, i, None
+    if j - i >= _BLOCK:
+        units = np.vstack([np.eye(c), 1j * np.eye(c), np.zeros((1, c))])
+        images = np.array([prediction_step(pspec, u, float(k == 2 * c), a, b, dt)
+                           for k, u in enumerate(units)])
+        maps = np.hstack([images.real, images.imag])
+        basis = _modal_basis(maps[:-1].T)
+    if basis is not None:
+        lam, v, v_inv = basis
+        q_unit = v_inv @ maps[-1]
+        for start in range(i, j, _BLOCK):
+            e = min(start + _BLOCK, j)
+            u0 = v_inv @ np.concatenate([ys[start].real, ys[start].imag])
+            rows = np.empty((e - start, 2 * c), dtype=np.complex128)
+            if not _modal_scan(np.tile(lam, (e - start, 1)),
+                               np.multiply.outer(drive[start:e], q_unit),
+                               u0, v.T, rows):
+                break
+            # [Re y; Im y] is real: dropping its rounding-level imaginary
+            # part keeps a channel the map holds real (0 Hz) exactly real.
+            block = ys[start + 1:e + 1]
+            block.real, block.imag = rows[:, :c].real, rows[:, c:].real
+        else:
+            return True
+    y = ys[start]
+    for k in range(start, j):
+        y = ys[k + 1] = prediction_step(pspec, y, drive[k], a, b, dt)
+    return False

@@ -1,5 +1,6 @@
 """CSV and SVG export round-trips."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -230,6 +231,59 @@ def test_streamed_csv_matches_per_cell_reference(tmp_path, kind, rows_from_block
     assert text == expected(record)
 
 
+_ROW_COUNTS = pytest.mark.parametrize("rows_from_block", [
+    lambda block: 1,
+    lambda block: block - 1,
+    lambda block: block + 1,
+    lambda block: 3 * block + 5,
+], ids=["one", "block-1", "block+1", "multi"])
+
+
+@_ROW_COUNTS
+def test_shared_gain_views_match_per_cell_reference(tmp_path, rows_from_block):
+    # a and b as simulate returns gains every neuron shares: read-only
+    # broadcast views of one column each, so each is 3 columns of one memory.
+    n = 3
+    rows = rows_from_block(_BLOCK_CELLS // (1 + 4 * n))
+    record = _trajectory_record(rows, n=n)
+    record.a = np.broadcast_to(record.a[:, :1], (rows, n))
+    record.b = np.broadcast_to(record.b[:, 1:2], (rows, n))
+    path = tmp_path / "shared.csv"
+    write_trajectory_csv(path, record)
+    assert path.read_bytes() == _trajectory_expected(record)
+
+
+def test_simulated_shared_gains_match_per_cell_reference(tmp_path, small_trajectory):
+    assert small_trajectory.a.strides[1] == small_trajectory.b.strides[1] == 0
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, small_trajectory)
+    assert path.read_bytes() == _trajectory_expected(small_trajectory)
+
+
+def _data_pointer(column):
+    return column.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("case", ["equal values", "other strides", "other dtype"])
+def test_columns_of_other_memory_or_layout_are_formatted_apart(tmp_path, case):
+    # Equal values in different memory; then columns that share a data
+    # pointer but not strides, or not dtype, and so hold different values.
+    rows = 2 * (_BLOCK_CELLS // 9) + 7
+    record = _trajectory_record(rows)
+    if case == "equal values":
+        record.b = record.a.copy()
+    elif case == "other strides":
+        base = _values(np.random.default_rng(9), (2 * rows, 2))
+        record.a, record.b = base[:rows], base[::2]
+        assert _data_pointer(record.a[:, 1]) == _data_pointer(record.b[:, 1])
+    else:
+        record.a = record.y.real.view(np.int64)
+        assert _data_pointer(record.a[:, 1]) == _data_pointer(record.y.real[:, 1])
+    path = tmp_path / "traj.csv"
+    write_trajectory_csv(path, record)
+    assert path.read_bytes() == _trajectory_expected(record)
+
+
 def test_reader_round_trips_special_values(tmp_path):
     traj = _trajectory_record(40)
     path = tmp_path / "traj.csv"
@@ -343,3 +397,32 @@ def test_svg_handles_constant_series(tmp_path):
     text = path.read_text()
     assert "<polyline" in text
     assert "NaN" not in text and "nan" not in text
+
+
+def _points_formatted_as_before(x, series):
+    """Each polyline's points as the plotter formatted them before: an
+    f-string over NumPy scalars, on its 860 x 420 layout."""
+    plot_w, plot_h = 860 - 64 - 150, 420 - 34 - 46
+    all_y = np.concatenate(list(series.values()))
+    y_lo, y_hi = float(all_y.min()), float(all_y.max())
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo -= pad
+    y_hi += pad
+    x_lo, x_hi = float(x.min()), float(x.max())
+    stride = max(1, len(x) // 2000)
+    vx = 64 + (x[::stride] - x_lo) / (x_hi - x_lo) * plot_w
+    return [" ".join(f"{a:.2f},{b:.2f}" for a, b in
+                     zip(vx, 34 + (y_hi - v[::stride]) / (y_hi - y_lo) * plot_h))
+            for v in series.values()]
+
+
+def test_svg_points_are_formatted_as_before(tmp_path):
+    rng = np.random.default_rng(4)
+    x = np.arange(4500) * 0.1 - 3.0
+    series = {"walk": np.cumsum(rng.standard_normal(4500)),
+              "steps": np.round(rng.uniform(-2.0, 2.0, 4500), 3),
+              "zero": np.zeros(4500)}
+    path = tmp_path / "plot.svg"
+    write_svg_lines(path, x, series)
+    points = re.findall(r'points="([^"]*)"', path.read_text())
+    assert points == _points_formatted_as_before(x, series)

@@ -1,11 +1,14 @@
 """Frequency-channel bank: stepping, schedules, continuation runs."""
 
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
-from oscint.model import DivergenceError
+import oscint.model
+import oscint.predict
+from oscint.model import _BLOCK, DivergenceError
 from oscint.predict import (
     ModulatorSchedule,
     PredictorSpec,
@@ -22,6 +25,9 @@ def test_spec_validation_and_rotator_entries():
         PredictorSpec((3.0, 3.0))
     with pytest.raises(ValueError, match="non-negative"):
         PredictorSpec((-1.0,))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            PredictorSpec((1.0, bad))
     with pytest.raises(ValueError):
         pspec.w_diag[0] = 0.0
 
@@ -265,3 +271,159 @@ def test_bank_ignores_boundaries_past_the_horizon():
                                (5.04, 1.0, 0.0)))
     result = predict_series(pspec, np.ones(10), sched, horizon=1.0, dt=0.1)
     assert len(result.times) == 21
+
+
+@pytest.mark.parametrize("segment", [
+    (float("nan"), 0.1, 0.1), (float("-inf"), 0.1, 0.1),
+    (0.0, float("nan"), 0.1), (0.0, float("inf"), 0.1),
+    (0.0, 0.1, float("nan")), (0.0, 0.1, float("-inf")),
+])
+def test_schedule_rejects_a_non_finite_start_or_gain(segment):
+    with pytest.raises(ValueError, match="must be finite"):
+        ModulatorSchedule(((-10.0, 0.1, 0.1), segment))
+
+
+# ---------------------------------------------------------------------------
+# The modal scan of long Euler pieces against the prediction_step loop.
+
+
+def _loop_only(monkeypatch):
+    """Every later ``predict_series`` advances its Euler pieces step by step."""
+    monkeypatch.setattr(oscint.predict, "_modal_basis", lambda matrix: None)
+
+
+def _spy_scans(monkeypatch):
+    """A list that records what each ``_modal_scan`` call returned."""
+    calls, real = [], oscint.predict._modal_scan
+
+    def scan(*args):
+        calls.append(real(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(oscint.predict, "_modal_scan", scan)
+    return calls
+
+
+def _assert_scan_matches_loop(monkeypatch, *args):
+    """Run ``predict_series(*args)`` with the scan, then by the loop alone;
+    the two agree to 1e-10 of the larger of 1 and max |y|.  Returns the
+    scanned result."""
+    scanned = predict_series(*args)
+    with monkeypatch.context() as patch:
+        _loop_only(patch)
+        looped = predict_series(*args)
+    assert looped.scan_pieces == 0
+    bound = 1e-10 * max(1.0, float(np.abs(looped.y).max()))
+    assert np.abs(scanned.y - looped.y).max() <= bound
+    assert np.abs(scanned.readout - looped.readout).max() <= 10 * bound
+    return scanned
+
+
+def test_scan_matches_the_loop_on_fig10(monkeypatch):
+    from oscint.scenarios import run_scenario
+
+    result = run_scenario("fig10")
+    assert result.trajectory.scan_pieces == 1
+    # The 0 Hz channel's map keeps it real, as the loop does, to the bit.
+    assert result.trajectory.freqs_hz[0] == 0.0
+    assert np.all(result.trajectory.y[:, 0].imag == 0.0)
+    extras = result.extras
+    _assert_scan_matches_loop(monkeypatch, extras["pspec"], extras["x_past"],
+                              extras["schedule"], 3000.0, 0.1)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scan_matches_the_loop_on_random_banks(monkeypatch, seed):
+    # 1-8 channels with b+ up to fig10's 0.01, and one schedule boundary
+    # inside each phase: four Euler pieces of 520 steps or more, whose ends
+    # fall inside 512-step blocks.
+    rng = np.random.default_rng(seed)
+    freqs = rng.choice(np.arange(0.0, 41.0, 2.0), int(rng.integers(1, 9)),
+                       replace=False)
+    pspec = PredictorSpec(tuple(freqs), tau_y=10.0)
+    dt = float(rng.choice([0.1, 0.25, 0.5]))
+    n_past, n_future = (int(n) for n in rng.integers(1100, 2000, size=2))
+    k_past = int(rng.integers(520, n_past - 520))
+    k_future = int(rng.integers(520, n_future - 520))
+    gain = lambda: float(rng.uniform(0.0, 2.0))
+    feed = lambda: float(rng.uniform(1e-4, 0.01))
+    segments = ((-n_past * dt, gain(), feed()), ((k_past - n_past) * dt, gain(), feed()),
+                (0.0, gain(), feed()), (k_future * dt, gain(), feed()))
+    x = rng.standard_normal(n_past)
+    result = _assert_scan_matches_loop(monkeypatch, pspec, x,
+                                       ModulatorSchedule(segments),
+                                       n_future * dt, dt)
+    assert result.scan_pieces == 4
+
+
+def test_free_piece_with_feedforward_gain_takes_the_scan(monkeypatch):
+    pspec = PredictorSpec((1.0, 2.0, 4.0))
+    x = np.sin(np.arange(1000) * 0.05)
+    sched = ModulatorSchedule(((-500.0, 0.01, 0.01), (0.0, 0.5, 0.005)))
+    result = _assert_scan_matches_loop(monkeypatch, pspec, x, sched, 400.0, 0.5)
+    assert result.scan_pieces == 2
+
+
+def test_map_over_the_condition_bound_takes_the_loop(monkeypatch):
+    pspec = PredictorSpec((1.0, 2.0, 4.0))
+    x = np.sin(np.arange(1000) * 0.05)
+    sched = ModulatorSchedule(((-500.0, 0.01, 0.01), (0.0, 0.5, 0.005)))
+    monkeypatch.setattr(oscint.model, "_MAX_EIG_COND", 0.5)
+    result = predict_series(pspec, x, sched, 400.0, 0.5)
+    assert result.scan_pieces == 0
+    _loop_only(monkeypatch)
+    assert np.array_equal(result.y, predict_series(pspec, x, sched, 400.0, 0.5).y)
+
+
+def test_piece_whose_mode_products_leave_the_range_takes_the_loop(monkeypatch):
+    # At dt/tau = 0.5 with the recurrent gate shut the fastest mode shrinks
+    # by more than half a step: its product over 512 steps is below 1e-150.
+    # The short driven piece before it takes the loop either way.
+    calls = _spy_scans(monkeypatch)
+    pspec = PredictorSpec((1.0, 2.0, 4.0))
+    sched = ModulatorSchedule(((-1e4, 0.0, 0.01), (0.0, 1e6, 0.5)))
+    result = predict_series(pspec, np.ones(100), sched, 5000.0, 5.0)
+    assert calls == [False] and result.scan_pieces == 0
+    _loop_only(monkeypatch)
+    assert np.array_equal(result.y, predict_series(pspec, np.ones(100), sched,
+                                                   5000.0, 5.0).y)
+
+
+def test_pieces_shorter_than_a_block_take_the_loop():
+    pspec = PredictorSpec((1.0, 2.0))
+    sched = ModulatorSchedule(((-1.0, 0.1, 0.1), (0.0, 0.0, 0.1)))
+    n = _BLOCK - 1
+    result = predict_series(pspec, np.ones(n), sched, horizon=n * 0.1, dt=0.1)
+    assert result.scan_pieces == 0
+
+
+def test_divergent_piece_raises_no_runtime_warning(monkeypatch):
+    # The divergent run of test_bank_names_the_first_non_finite_sample: the
+    # scan turns its 2000-step driven piece down at the first block (a mode
+    # product leaves the range), and the loop runs on into the overflow.
+    calls = _spy_scans(monkeypatch)
+    pspec = PredictorSpec((1.0, 2.0, 4.0))
+    sched = ModulatorSchedule(((-1e4, 0.0, 50.0), (0.0, 0.0, 50.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError, match=r"non-finite state at t = -1105 ms"):
+            predict_series(pspec, np.ones(2000), sched, horizon=2000.0, dt=5.0)
+    assert calls == [False]
+
+
+def test_divergence_inside_a_scanned_piece_is_named_at_the_loop_time(monkeypatch):
+    # Every mode's product stays in range over a block, but the fastest grows
+    # 1.417-fold a step: the scan advances the first blocks and a later one
+    # turns non-finite, which the loop re-runs to name the time.
+    args = (PredictorSpec((1.0, 2.0)), np.ones(3000),
+            ModulatorSchedule(((-1.5e4, 0.0, 5.0),)), 0.0, 5.0)
+    calls = _spy_scans(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(DivergenceError) as scanned:
+            predict_series(*args)
+    assert calls[0] is True and calls[-1] is False
+    _loop_only(monkeypatch)
+    with pytest.raises(DivergenceError) as looped:
+        predict_series(*args)
+    assert str(scanned.value) == str(looped.value)
