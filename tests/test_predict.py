@@ -25,11 +25,14 @@ def test_spec_validation_and_rotator_entries():
         PredictorSpec((3.0, 3.0))
     with pytest.raises(ValueError, match="non-negative"):
         PredictorSpec((-1.0,))
-    for bad in (float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            PredictorSpec((1.0, bad))
     with pytest.raises(ValueError):
         pspec.w_diag[0] = 0.0
+
+
+@pytest.mark.parametrize("freq", [float("nan"), float("inf")])
+def test_spec_rejects_a_non_finite_frequency(freq):
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        PredictorSpec((1.0, freq))
 
 
 @pytest.mark.parametrize("tau_y", [float("nan"), float("inf"), 0.0])
