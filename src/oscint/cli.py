@@ -11,10 +11,12 @@ Three subcommands:
 Each command reads argparse's namespace as it is.  ``run`` and ``analyze``
 take exactly one target; a run writes its record's artifacts through
 :func:`oscint.output.write_csv` and :func:`oscint.output.plot_series`,
-whether the record came from a preset or a ``--spec`` file.  Bad input
-exits 2 with one ``error:`` line.  The default output directory comes from
-``OSCINT_OUT`` (falling back to ``./out``).  A single ``--seed`` flag covers
-every random choice a command makes.
+whether the record came from a preset or a ``--spec`` file, the CSV on the
+1 ms grid of :func:`oscint.output.artifact_stride` unless
+``--full-resolution`` is given.  Bad input exits 2 with one ``error:`` line.
+The default output directory comes from ``OSCINT_OUT`` (falling back to
+``./out``).  A single ``--seed`` flag covers every random choice a command
+makes.
 """
 
 from __future__ import annotations
@@ -131,6 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sw.add_argument("--dt", type=_positive_float, default=None)
     p_sw.add_argument("--tau-scale", type=_positive_float, default=None)
     p_sw.add_argument("--no-plot", dest="plot", action="store_false")
+    for p in (p_run, p_sw):
+        p.add_argument("--full-resolution", action="store_true",
+                       help="write every step to the CSV (default: the coarsest "
+                            "grid within 1 ms that ends on the last sample)")
     return parser
 
 
@@ -150,18 +156,20 @@ def _report_lines(result: ScenarioResult) -> list[str]:
 
 
 def _write_artifacts(out_dir: Path, name: str, record: SampledRecord, title: str,
-                     plot: bool) -> None:
+                     plot: bool, full_resolution: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    output.write_csv(out_dir / f"{name}_trajectory.csv", record)
+    stride = 1 if full_resolution else output.artifact_stride(record)
+    output.write_csv(out_dir / f"{name}_trajectory.csv", record, stride)
     if plot:
         output.write_svg_lines(out_dir / f"{name}_y.svg", record.times,
                                output.plot_series(record), title=title,
                                y_label="response")
 
 
-def _write_scenario(out_dir: Path, result: ScenarioResult, plot: bool) -> None:
+def _write_scenario(out_dir: Path, result: ScenarioResult, plot: bool,
+                    full_resolution: bool) -> None:
     _write_artifacts(out_dir, result.name, result.trajectory,
-                     f"{result.name}: {result.description}", plot)
+                     f"{result.name}: {result.description}", plot, full_resolution)
     (out_dir / f"{result.name}_report.txt").write_text(
         "\n".join(_report_lines(result)) + "\n")
 
@@ -175,7 +183,7 @@ def _run_spec_file(ns: argparse.Namespace) -> int:
     x = np.zeros((steps_in_span(duration, dt) + 1, spec.n_inputs))
     traj = simulate(spec, x, 0.0, duration, dt)
     name = Path(ns.spec_path).stem
-    _write_artifacts(ns.out_dir, name, traj, name, ns.plot)
+    _write_artifacts(ns.out_dir, name, traj, name, ns.plot, ns.full_resolution)
     print(f"simulated {name}: {traj.n_samples} samples -> {ns.out_dir}")
     return 0
 
@@ -201,7 +209,7 @@ def cmd_run(ns: argparse.Namespace) -> int:
             seed=ns.seed,
             tau_scale=ns.tau_scale,
         )
-        _write_scenario(ns.out_dir, result, ns.plot)
+        _write_scenario(ns.out_dir, result, ns.plot, ns.full_resolution)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -263,7 +271,7 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     if bool(ns.constructor) == bool(ns.spec_path):
         return _usage_error("analyze: provide exactly one of --constructor or --spec")
     # Bad input (an unreadable or malformed config, a size the constructor
-    # rejects, a tau list of the wrong length) exits 2 with one line.
+    # rejects or memory cannot hold, a tau list of the wrong length) exits 2.
     try:
         if ns.spec_path:
             spec = config_mod.load_spec(ns.spec_path)
@@ -281,6 +289,9 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: not enough memory for this analysis: {exc}", file=sys.stderr)
+        return 2
     for line in _format_report(report):
         print(line)
     return 0
@@ -292,13 +303,13 @@ def cmd_analyze(ns: argparse.Namespace) -> int:
 
 def _sweep_one(name: str, out_dir: Path, dt: Optional[float],
                tau_scale: Optional[float], seed: Optional[int],
-               plot: bool) -> tuple[str, bool, str]:
+               plot: bool, full_resolution: bool) -> tuple[str, bool, str]:
     # Bad input, an unwritable output directory, a divergence and a run too
     # large to hold in memory each end this scenario in one FAIL line; the
     # other scenarios still run.
     try:
         result = run_scenario(name, dt=dt, seed=seed, tau_scale=tau_scale)
-        _write_scenario(out_dir, result, plot)
+        _write_scenario(out_dir, result, plot, full_resolution)
     except (OSError, ValueError, DivergenceError) as exc:
         return name, False, str(exc)
     except MemoryError as exc:
@@ -316,8 +327,8 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         return _usage_error("sweep: --scenarios names no scenario")
     if ns.workers < 1:
         return _usage_error(f"sweep: --workers must be at least 1, got {ns.workers}")
-    args = [(name, ns.out_dir, ns.dt, ns.tau_scale, ns.seed, ns.plot)
-            for name in ns.scenarios]
+    args = [(name, ns.out_dir, ns.dt, ns.tau_scale, ns.seed, ns.plot,
+             ns.full_resolution) for name in ns.scenarios]
     # The pool starts all its workers up front, so never ask for more than
     # there are scenarios to run or cores to run them on.
     workers = min(ns.workers, len(args), os.cpu_count() or 1)

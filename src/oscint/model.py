@@ -42,13 +42,17 @@ def steps_in_span(span: float, dt: float) -> int:
 
     Raises ValueError unless ``span`` is a non-negative whole number of steps,
     within a relative 1e-9, so no engine silently stops short of or runs past
-    the time it was asked for, and unless both are finite.
+    the time it was asked for, unless both are finite, and unless an array
+    can index that many samples.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
     if not (np.isfinite(span) and np.isfinite(dt)):
         raise ValueError(f"span {span:g} and dt = {dt:g} must be finite")
     ratio = span / dt
+    if not ratio < np.iinfo(np.intp).max:
+        raise ValueError(f"span {span:g} ms at dt = {dt:g} is {ratio:.4g} steps, "
+                         f"more samples than an array can index")
     n_steps = round(ratio)
     if n_steps < 0 or abs(ratio - n_steps) > 1e-9 * max(1.0, abs(ratio)):
         raise ValueError(f"span {span:g} is not a non-negative whole number "

@@ -6,9 +6,11 @@ or :class:`~oscint.predict.PredictionResult`), and :func:`plot_series` picks
 the traces an SVG of it draws, so a caller needs nothing but the record.
 
 CSV values are written with repr-quality precision (%.17g) so that a
-write/read/write cycle is byte-identical.  Rows stream to the file in
-blocks of about 2**16 cells, so the memory a write holds is bounded by one
-block, not by the record.  Columns that view the same memory (same data
+write/read/write cycle is byte-identical.  A writer writes every
+``stride``-th sample (all by default); the stride divides the step count, so
+the last sample is always written.  Rows stream to the file in blocks of
+about 2**16 cells, so the memory a write holds is bounded by one block, not
+by the record.  Columns that view the same memory (same data
 pointer, strides, shape and dtype), such as the broadcast views of gains
 every neuron shares, are formatted once per block.  The file is written
 beside its path and renamed onto it, so a write that fails leaves no
@@ -36,7 +38,22 @@ from .predict import PredictionResult
 _BLOCK_CELLS = 1 << 16
 
 
-def _write_rows(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+def artifact_stride(record: SampledRecord) -> int:
+    """The stride of the coarsest grid of whole steps that is no coarser than
+    1 ms and ends on ``record``'s last sample: the largest k <= 1 ms / dt,
+    within a relative 1e-9, that divides the record's step count."""
+    steps = record.n_samples - 1
+    limit = int(1.0 / record.dt * (1.0 + 1e-9))
+    return next((k for k in range(min(limit, steps), 1, -1) if steps % k == 0), 1)
+
+
+def _write_rows(path: Path, header: list[str], columns: list[np.ndarray],
+                stride: int = 1) -> None:
+    steps = len(columns[0]) - 1
+    if not isinstance(stride, (int, np.integer)) or stride < 1 or steps % stride:
+        raise ValueError(f"stride {stride!r} is not a whole number >= 1 that "
+                         f"divides the {steps} steps")
+    columns = [c[::stride] for c in columns]
     # A column viewed more than once enters the row format as text.
     keys = [(c.__array_interface__["data"][0], c.strides, c.shape, c.dtype.str)
             for c in columns]
@@ -72,11 +89,10 @@ def _per_unit(times: np.ndarray, tags, named: list[tuple[str, np.ndarray]]
     return header, columns
 
 
-def write_trajectory_csv(path: str | Path, traj: Trajectory) -> None:
+def write_trajectory_csv(path: str | Path, traj: Trajectory, stride: int = 1) -> None:
     """Columns: t, then re_y_j, im_y_j, a_j, b_j grouped per neuron."""
-    _write_rows(Path(path), *_per_unit(
-        traj.times, range(traj.y.shape[1]),
-        [("re_y", traj.y.real), ("im_y", traj.y.imag), ("a", traj.a), ("b", traj.b)]))
+    named = [("re_y", traj.y.real), ("im_y", traj.y.imag), ("a", traj.a), ("b", traj.b)]
+    _write_rows(Path(path), *_per_unit(traj.times, range(traj.y.shape[1]), named), stride)
 
 
 def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
@@ -97,33 +113,36 @@ def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
     return {"t": cols["t"], "y": y, "a": a, "b": b}
 
 
-def write_circuit_csv(path: str | Path, traj: CircuitTrajectory) -> None:
+def write_circuit_csv(path: str | Path, traj: CircuitTrajectory,
+                      stride: int = 1) -> None:
     """Same layout with per-compartment potential columns per neuron:
     v_plus_j, v_minus_j, va_plus_j, va_minus_j, vb_plus_j, vb_minus_j, a_j, b_j."""
     named = [(f"{stack}_{sign}", getattr(traj, stack)[:, side])
              for stack in ("v", "va", "vb")
              for side, sign in enumerate(("plus", "minus"))]
     _write_rows(Path(path), *_per_unit(traj.times, range(traj.a.shape[1]),
-                                       named + [("a", traj.a), ("b", traj.b)]))
+                                       named + [("a", traj.a), ("b", traj.b)]), stride)
 
 
-def write_prediction_csv(path: str | Path, result: PredictionResult) -> None:
+def write_prediction_csv(path: str | Path, result: PredictionResult,
+                         stride: int = 1) -> None:
     """Trajectory layout with channels labeled by frequency (re_y_2hz, ...),
     then the readout and quadrature columns."""
     header, columns = _per_unit(result.times, [f"{f:g}hz" for f in result.freqs_hz],
                                 [("re_y", result.y.real), ("im_y", result.y.imag)])
     _write_rows(Path(path), header + ["readout", "quadrature"],
-                columns + [result.readout, result.quadrature])
+                columns + [result.readout, result.quadrature], stride)
 
 
-def write_csv(path: str | Path, record: SampledRecord) -> None:
-    """Write ``record`` in its type's column layout (the writers above)."""
+def write_csv(path: str | Path, record: SampledRecord, stride: int = 1) -> None:
+    """Write every ``stride``-th sample of ``record`` in its type's column
+    layout (the writers above)."""
     if isinstance(record, CircuitTrajectory):
-        write_circuit_csv(path, record)
+        write_circuit_csv(path, record, stride)
     elif isinstance(record, PredictionResult):
-        write_prediction_csv(path, record)
+        write_prediction_csv(path, record, stride)
     elif isinstance(record, Trajectory):
-        write_trajectory_csv(path, record)
+        write_trajectory_csv(path, record, stride)
     else:
         raise TypeError(f"no CSV layout for {type(record).__name__}")
 

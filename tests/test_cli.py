@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 
 import oscint
-from oscint import cli
+from oscint import cli, output
 from oscint.batch import BatchDivergenceError
 from oscint.config import save_spec, spec_to_dict
 from oscint.model import DivergenceError, NetworkSpec
+from oscint.scenarios import run_scenario
 
 
 def test_run_scenario_writes_artifacts(tmp_path, capsys):
@@ -441,6 +442,31 @@ def test_run_too_long_to_hold_exits_2(tmp_path, target):
     assert "Unable to allocate" in lines[0]
 
 
+def test_analyze_too_large_to_hold_exits_2(tmp_path):
+    # A 100 000-unit ring is a 74.5 GiB matrix, over the child's 4 GiB.
+    src = str(Path(oscint.__file__).resolve().parents[1])
+    env = os.environ | {"PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "oscint.cli", "analyze",
+         "--constructor", "center-surround", "--n", "100000"],
+        capture_output=True, text=True, timeout=60, env=env,
+        preexec_fn=_address_space_4gb)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: not enough memory")
+    assert "Unable to allocate" in lines[0] and proc.stdout == ""
+
+
+def test_run_too_many_samples_to_index_exits_2(tmp_path, capsys):
+    code = cli.main(["--out", str(tmp_path / "out"), "run", "--scenario", "fig2",
+                     "--dt", "1e-300", "--duration", "1", "--no-plot"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == ("error: span 1 ms at dt = 1e-300 is 1e+300 steps, more "
+                   "samples than an array can index\n")
+
+
 def test_sweep_reports_memory_error_as_fail(tmp_path, capsys, monkeypatch):
     real = cli.run_scenario
 
@@ -511,3 +537,41 @@ def test_sweep_clamps_workers(tmp_path, capsys, monkeypatch,
     assert code == 0
     assert _RecordingPool.sizes == expected
     assert capsys.readouterr().out.count("PASS") == len(scenarios.split(","))
+
+
+def _csv_lines(path):
+    return path.read_text().splitlines()
+
+
+def test_run_writes_the_csv_on_a_1_ms_grid_unless_asked_for_every_step(tmp_path):
+    # fig7 steps 0.1 ms over 3200 ms: the default CSV keeps every 10th step.
+    full, grid = tmp_path / "full", tmp_path / "grid"
+    assert cli.main(["--out", str(full), "run", "--scenario", "fig7",
+                     "--full-resolution"]) == 0
+    assert cli.main(["--out", str(grid), "run", "--scenario", "fig7"]) == 0
+    full_lines = _csv_lines(full / "fig7_trajectory.csv")
+    grid_lines = _csv_lines(grid / "fig7_trajectory.csv")
+    assert len(full_lines) == 32_002 and len(grid_lines) == 3_202
+    assert grid_lines == full_lines[:1] + full_lines[1::10]
+    assert grid_lines[-1] == full_lines[-1] and grid_lines[-1].startswith("3200,")
+    # Every step is the library writer's full record; the plot and the
+    # report read the whole record either way.
+    direct = tmp_path / "direct.csv"
+    output.write_csv(direct, run_scenario("fig7").trajectory)
+    assert (full / "fig7_trajectory.csv").read_bytes() == direct.read_bytes()
+    for name in ("fig7_y.svg", "fig7_report.txt"):
+        assert (grid / name).read_bytes() == (full / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags", [[], ["--full-resolution"]],
+                         ids=["grid", "full-resolution"])
+def test_sweep_in_workers_writes_what_a_serial_sweep_writes(tmp_path, capsys, flags):
+    outs = {}
+    for workers in ("1", "2"):
+        out = tmp_path / workers
+        assert cli.main(["--out", str(out), "sweep", "--scenarios", "fig2,fig7",
+                         "--workers", workers, *flags]) == 0
+        outs[workers] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outs["1"]) == 6 and outs["1"] == outs["2"]
+    lines = outs["1"]["fig7_trajectory.csv"].count(b"\n")
+    assert lines == (32_002 if flags else 3_202)

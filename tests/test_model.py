@@ -24,6 +24,7 @@ from oscint.model import (
     predicted_series,
     rectify,
     recurrent_drive,
+    sample_times,
     steps_in_span,
 )
 from oscint.predict import (
@@ -369,6 +370,18 @@ def test_steps_in_span_rejects_off_grid_spans(n_steps, frac, dt):
 ])
 def test_steps_in_span_rejects_non_finite_spans_and_steps(span, dt):
     with pytest.raises(ValueError, match="must be finite"):
+        steps_in_span(span, dt)
+
+
+@pytest.mark.parametrize("span, dt, message", [
+    (1.0, 1e-300, r"span 1 ms at dt = 1e-300 is 1e\+300 steps"),
+    (1e10, 1e-310, r"span 1e\+10 ms at dt = 1e-310 is inf steps"),  # ratio overflows
+    (2.0 ** 63, 1.0, r"is 9.223e\+18 steps"),
+])
+def test_sample_times_rejects_more_samples_than_an_array_can_index(span, dt, message):
+    with pytest.raises(ValueError, match=message + ", more samples than an array"):
+        sample_times(0.0, span, dt)
+    with pytest.raises(ValueError, match="more samples than an array can index"):
         steps_in_span(span, dt)
 
 

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,9 +10,10 @@ from sampling import sampled
 
 from oscint.circuit import CircuitParams, CircuitTrajectory, simulate_circuit
 from oscint.dynamics import simulate
-from oscint.model import NetworkSpec, Trajectory
+from oscint.model import NetworkSpec, SampledRecord, Trajectory
 from oscint.output import (
     _BLOCK_CELLS,
+    artifact_stride,
     plot_series,
     read_trajectory_csv,
     write_circuit_csv,
@@ -279,6 +281,96 @@ def test_columns_of_other_memory_or_layout_are_formatted_apart(tmp_path, case):
     path = tmp_path / "traj.csv"
     write_trajectory_csv(path, record)
     assert path.read_bytes() == _trajectory_expected(record)
+
+
+def _every(record, stride):
+    """``record`` with every ``stride``-th sample of each array field."""
+    return replace(record, dt=record.dt * stride, **{
+        f.name: getattr(record, f.name)[::stride] for f in fields(record)
+        if isinstance(getattr(record, f.name), np.ndarray)})
+
+
+def _shared_gain_record(rows):
+    # a and b as simulate returns shared gains: broadcast views of one column.
+    record = _trajectory_record(rows, n=3)
+    record.a = np.broadcast_to(record.a[:, :1], (rows, 3))
+    record.b = np.broadcast_to(record.b[:, 1:2], (rows, 3))
+    return record
+
+
+_STRIDED = {kind: _WRITERS[kind] for kind in ("trajectory", "circuit", "prediction")}
+_STRIDED["shared-gains"] = (13, _shared_gain_record, write_trajectory_csv,
+                            _trajectory_expected)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 10])
+@pytest.mark.parametrize("kind", sorted(_STRIDED))
+@pytest.mark.parametrize("rows_from_block", [
+    lambda block: 1,
+    lambda block: block - 1,
+    lambda block: block + 1,
+    lambda block: 2 * block + 1,
+], ids=["one", "block-1", "block+1", "multi"])
+def test_strided_csv_matches_per_cell_reference(tmp_path, kind, rows_from_block, stride):
+    # ``written`` rows on the grid: a record of (written - 1) * stride steps.
+    n_columns, build, write, expected = _STRIDED[kind]
+    written = rows_from_block(max(1, _BLOCK_CELLS // n_columns))
+    record = build((written - 1) * stride + 1)
+    path = tmp_path / f"{kind}.csv"
+    write(path, record, stride)
+    text = path.read_bytes()
+    assert text.count(b"\n") == written + 1
+    assert text == expected(_every(record, stride))
+    assert text.rsplit(b"\n", 2)[1].startswith(b"%.17g," % record.times[-1])
+
+
+@pytest.mark.parametrize("kind", ["trajectory", "circuit", "prediction"])
+def test_write_csv_passes_the_stride_on(tmp_path, kind):
+    _, build, write, _ = _WRITERS[kind]
+    record = build(41)
+    write(tmp_path / "direct.csv", record, 10)
+    write_csv(tmp_path / "picked.csv", record, 10)
+    assert (tmp_path / "picked.csv").read_bytes() == (tmp_path / "direct.csv").read_bytes()
+    assert (tmp_path / "picked.csv").read_bytes().count(b"\n") == 6
+
+
+@pytest.mark.parametrize("kind", sorted(_WRITERS))
+@pytest.mark.parametrize("stride", [0, -1, 2.5, 3, np.float64(2.0)])
+def test_stride_off_the_step_count_is_rejected(tmp_path, kind, stride):
+    # 21 rows are 20 steps: 3 does not divide them, 2.5 and 2.0 are no strides.
+    _, build, write, _ = _WRITERS[kind]
+    path = tmp_path / f"{kind}.csv"
+    with pytest.raises(ValueError, match="divides the 20 steps"):
+        write(path, build(21), stride)
+    assert list(tmp_path.iterdir()) == []
+
+
+def _grid(dt, span):
+    return SampledRecord(dt=dt, times=dt * np.arange(round(span / dt) + 1))
+
+
+@pytest.mark.parametrize("dt, span, stride", [
+    (1.0, 3300.0, 1),       # fig2, fig3
+    (1.0, 3100.0, 1),       # fig4
+    (0.02, 3200.0, 50),     # fig5
+    (0.1, 3500.0, 10),      # fig6
+    (0.1, 3200.0, 10),      # fig7
+    (0.5, 3200.0, 2),       # fig8
+    (0.01, 1600.0, 100),    # fig9's circuit step, were it recorded every step
+    (0.1, 6000.0, 10),      # fig10
+    (2.0, 100.0, 1),        # steps longer than the grid
+    (1.5, 3.0, 1),
+    (0.3, 3000.0, 2),       # 10 000 steps: 3 does not divide them
+    (0.1, 1.3, 1),          # 13 steps, a prime above 1 ms / dt
+    (0.1, 0.7, 7),          # 7 steps, all under 1 ms
+    (0.1, 0.0, 1),          # one sample
+    (1e-3 * (1 + 1e-12), 1.0, 1000),    # 1 ms / dt within the slack
+])
+def test_artifact_stride_is_the_coarsest_grid_within_1_ms(dt, span, stride):
+    record = _grid(dt, span)
+    assert artifact_stride(record) == stride
+    assert (record.n_samples - 1) % stride == 0
+    assert stride == 1 or stride * dt <= 1.0 * (1 + 1e-9)
 
 
 def test_reader_round_trips_special_values(tmp_path):
