@@ -296,6 +296,8 @@ def simulate_circuit(
         if np.shape(value) != shape:
             raise ValueError(f"init.{name} has shape {np.shape(value)}, "
                              f"expected {shape}")
+        if not np.isfinite(value).all():
+            raise ValueError(f"init.{name} must be finite")
         rec[name] = np.zeros((n_rec,) + shape)
         rec[name][0] = value
 

@@ -52,6 +52,7 @@ from .model import (
     _gain_series,
     _modal_basis,
     _modal_scan,
+    _mode_powers,
     check_finite,
     input_drive,
     recurrent_drive,
@@ -150,6 +151,8 @@ def simulate(
         shape = np.shape(getattr(state, name))
         if shape != (n,):
             raise ValueError(f"init.{name} has shape {shape}, expected {(n,)}")
+        if not np.isfinite(getattr(state, name)).all():
+            raise ValueError(f"init.{name} must be finite")
 
     # Gains every neuron shares are formed and stored as one column.
     shared = (spec._gains_shared and bool(np.all(state.a == state.a[0]))
@@ -187,17 +190,20 @@ def _advance_steps(spec: NetworkSpec, traj: Trajectory) -> None:
 
 
 def _eigenbasis(spec: NetworkSpec) -> Optional[tuple[np.ndarray, ...]]:
-    """W_yy = V diag(lam) V⁻¹ for the scan as ``(lam, V, V⁻¹, drive)``, with
-    the drive weights projected by V⁻¹ (rows (V⁻¹ W_zx)ᵀ, V⁻¹ c_z, V⁻¹ c_yhat),
-    or None when the scan cannot be used: ``tau_y`` differs across neurons,
-    or cond(V) exceeds ``_MAX_EIG_COND``."""
+    """W_yy = V diag(lam) V⁻¹ for the scan as ``(lam, V, V⁻¹, drive, live)``,
+    with the drive weights projected by V⁻¹ (rows (V⁻¹ W_zx)ᵀ, V⁻¹ c_z,
+    V⁻¹ c_yhat) and ``live`` the channels with a W_zx column (None when c_z
+    or c_yhat is non-zero), or None when the scan cannot be used: ``tau_y``
+    differs across neurons, or cond(V) exceeds ``_MAX_EIG_COND``."""
     basis = (None if np.any(spec.tau_y != spec.tau_y[0])
              else _modal_basis(spec.w_yy))
     if basis is None:
         return None
     lam, v, v_inv = basis
     drive = np.vstack([spec.w_zx.T, spec.c_z, spec.c_yhat]) @ v_inv.T
-    return lam, v, v_inv, drive
+    live = (None if np.any(spec.c_z) or np.any(spec.c_yhat)
+            else np.flatnonzero(np.any(spec.w_zx, axis=0)))
+    return lam, v, v_inv, drive, live
 
 
 def _push(spec: NetworkSpec, rate, recur: np.ndarray, b_plus: np.ndarray,
@@ -208,6 +214,7 @@ def _push(spec: NetworkSpec, rate, recur: np.ndarray, b_plus: np.ndarray,
 
 
 def _scan_block(spec: NetworkSpec, basis: tuple[np.ndarray, ...], rate: float,
+                gate: np.ndarray, powers: Optional[np.ndarray],
                 recur: np.ndarray, b_plus: np.ndarray, x: np.ndarray,
                 y_rows: np.ndarray) -> bool:
     """Advance y over one block as N scalar recurrences in W_yy's eigenbasis.
@@ -215,22 +222,22 @@ def _scan_block(spec: NetworkSpec, basis: tuple[np.ndarray, ...], rate: float,
     ``y_rows[0]`` is the block's first sample; rows 1.. are written.  The
     gate g[i] = rate / (1+a+) must be shared by every neuron (the caller
     checks).  Then u = V⁻¹ y follows ``u[i+1] = mu[i] u[i] + q[i]`` with
-    ``mu = 1 - rate + g lam`` and ``q = V⁻¹ push``, solved by
-    :func:`oscint.model._modal_scan`, whose False (a mode product out of
-    range, or a non-finite row) leaves the rows to the y loop.
+    ``mu = 1 - rate + g lam`` (``powers`` is its mode-power table) and
+    ``q = V⁻¹ push``, zero and not formed when no ``live`` input is
+    non-zero, solved by :func:`oscint.model._modal_scan`, whose False (a
+    table out of range, or a non-finite row) leaves the rows to the y loop.
     """
-    lam, v, v_inv, drive = basis
-    gate = rate * recur[:, 0]
-    mu = np.multiply.outer(gate, lam)
-    mu += 1.0 - rate
-    if np.all(b_plus == b_plus[:, :1]):
+    lam, v, v_inv, drive, live = basis
+    if live is not None and not np.any(x[:-1, live]):
+        q = None
+    elif np.all(b_plus == b_plus[:, :1]):
         # V⁻¹ push = [rate beta x, rate beta, gate] @ drive: no N x N product.
         b_col = b_plus[:, :1]
         push_beta = rate * (b_col / (1.0 + b_col))
         q = np.hstack([push_beta * x[:-1], push_beta, gate[:, None]]) @ drive
     else:
         q = _push(spec, rate, recur, b_plus, x) @ v_inv.T
-    return _modal_scan(mu, q, v_inv @ y_rows[0], v.T, y_rows[1:])
+    return _modal_scan(powers, q, v_inv @ y_rows[0], v.T, y_rows[1:])
 
 
 def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
@@ -241,8 +248,9 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
     come from the drive before it); when ``traj.a`` and ``traj.b`` hold one
     column, the shared gains are formed from the first gain row alone.  When
     the block's gate is equal across neurons and W_yy has a usable eigenbasis
-    (:func:`_eigenbasis`), :func:`_scan_block` advances y;
-    otherwise, or when the scan turns the block down, a loop runs
+    (:func:`_eigenbasis`), :func:`_scan_block` advances y, from the last
+    mode-power table unless the gate's bits changed; otherwise, or when the
+    scan turns the block down, a loop runs
     ``y[i+1] = keep * y[i] + gate[i] * (W_yy @ y[i]) + push[i]`` with
     ``keep = 1 - dt/tau_y``, ``gate = (dt/tau_y) / (1+a+)`` and ``push`` from
     :func:`_push`.  Sample e starts the next block.
@@ -252,8 +260,10 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
     n_steps = traj.n_samples - 1
     rate = traj.dt / spec.tau_y
     keep = 1.0 - rate
-    # W_yy's eigenbasis, formed at the first block whose gate is shared.
-    basis, formed = None, False
+    rate_0 = float(rate[0])
+    # W_yy's eigenbasis, formed at the first block whose gate is shared, and
+    # the last gate column's bytes and mode-power table.
+    basis, formed, key, powers = None, False, None, None
     for s in range(0, n_steps, _BLOCK):
         e = min(s + _BLOCK, n_steps)
         x = traj.x[s:e + 1]
@@ -272,11 +282,17 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
             shared = bool(np.all(recur == recur[:, :1]))
             if shared and not formed:
                 basis, formed = _eigenbasis(spec), True
+            scanned = shared and basis is not None
+            if scanned:
+                gate = rate_0 * recur[:, 0]
+                if gate.tobytes() != key:
+                    key, powers = gate.tobytes(), _mode_powers(
+                        np.multiply.outer(gate, basis[0]) + (1.0 - rate_0))
+                scanned = _scan_block(spec, basis, rate_0, gate, powers,
+                                      recur, b_plus, x, y_all[s:e + 1])
             # A block the scan turns down, non-finite ones included, runs
             # through the loop, so a divergence is named at the loop's time.
-            if not (shared and basis is not None
-                    and _scan_block(spec, basis, float(rate[0]), recur, b_plus,
-                                    x, y_all[s:e + 1])):
+            if not scanned:
                 gate = rate * recur
                 push = _push(spec, rate, recur, b_plus, x)
                 y = y_all[s]
@@ -287,5 +303,7 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
                     y_next += keep * y
                     y = y_next
 
-        check_finite(traj.times[s + 1:e + 1], y_all[s + 1:e + 1],
-                     a_all[s + 1:e + 1], b_all[s + 1:e + 1])
+        # A scanned block's y rows are finite: the scan checked them.
+        rows = slice(s + 1, e + 1)
+        check_finite(traj.times[rows], a_all[rows], b_all[rows],
+                     *(() if scanned else (y_all[rows],)))

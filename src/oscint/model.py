@@ -97,10 +97,16 @@ def first_order(keep, push: np.ndarray, init) -> np.ndarray:
     ``push`` is (T, C), ``keep`` a scalar or ``push``'s shape and ``init``
     one value or one per column; returns the (T + 1, C) float64 series.
     Each column steps in order, so every value has a plain step loop's bits.
+    With no push, one keep >= 0 and no sign bit in ``init``, ``k*g + 0.0``
+    is ``g*k``, and the series is one running product.
     """
     out = np.empty((len(push) + 1, push.shape[1]))
     out[0] = init
-    if push.shape[1] > _COLUMN_STEPPED_MAX:
+    if (np.ndim(keep) == 0 and keep >= 0.0 and not np.any(push)
+            and not np.signbit(keep) and not np.signbit(out[0]).any()):
+        out[1:] = keep
+        np.cumprod(out, axis=0, out=out)
+    elif push.shape[1] > _COLUMN_STEPPED_MAX:
         keeps = np.broadcast_to(keep, push.shape)
         for g, g_next, k, p in zip(out, out[1:], keeps, push):
             np.multiply(k, g, out=g_next)
@@ -156,26 +162,35 @@ def _modal_basis(matrix: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
     return lam, v, np.linalg.inv(v)
 
 
-def _modal_scan(mu: np.ndarray, q: np.ndarray, u0: np.ndarray,
-                back: np.ndarray, out: np.ndarray) -> bool:
-    """Solve ``u[i+1] = mu[i] u[i] + q[i]`` from ``u[0] = u0``, one column
-    of the (L, K) ``mu`` and ``q`` (both overwritten) per mode, as the prefix
-    scan ``u = M (u0 + cumsum(q / M))`` with ``M = cumprod(mu)``, and write
-    ``out = u[1:] @ back``.  Returns False, for the caller's step loop to
-    re-run the block, when some |M| leaves ``_SCAN_RANGE`` (``out``
-    untouched) or a written row is non-finite."""
+def _mode_powers(mu: np.ndarray) -> Optional[np.ndarray]:
+    """The table ``M = cumprod(mu)`` of the (L, K) per-step mode factors
+    ``mu`` (overwritten), or None when some |M| leaves ``_SCAN_RANGE``."""
     np.cumprod(mu, axis=0, out=mu)
     m_abs = np.abs(mu)
     if not (m_abs.min() >= _SCAN_RANGE[0] and m_abs.max() <= _SCAN_RANGE[1]):
+        return None
+    return mu
+
+
+def _modal_scan(powers: Optional[np.ndarray], q: Optional[np.ndarray],
+                u0: np.ndarray, back: np.ndarray, out: np.ndarray) -> bool:
+    """Solve ``u[i+1] = mu[i] u[i] + q[i]`` from ``u[0] = u0`` for the L
+    rows of ``out``, one column of ``q`` (overwritten; None when zero) per
+    mode, as ``u = M (u0 + cumsum(q / M))`` with M the first L rows of the
+    :func:`_mode_powers` table ``powers`` (kept), and write ``out = u[1:] @
+    back``.  Returns False, for the caller's step loop to re-run the block,
+    when ``powers`` is None (``out`` untouched) or a row is non-finite."""
+    if powers is None:
         return False
-    if np.any(q):
-        q /= mu
+    powers = powers[:len(out)]
+    if q is not None and np.any(q):
+        q /= powers
         np.cumsum(q, axis=0, out=q)
         q += u0
-        mu *= q
+        u = np.multiply(powers, q, out=q)
     else:
-        mu *= u0
-    np.matmul(mu, back, out=out)
+        u = powers * u0
+    np.matmul(u, back, out=out)
     return bool(np.isfinite(out).all())
 
 

@@ -36,6 +36,7 @@ from .model import (
     SampledRecord,
     _modal_basis,
     _modal_scan,
+    _mode_powers,
     check_finite,
     steps_in_span,
 )
@@ -232,12 +233,13 @@ def _euler_piece(pspec: PredictorSpec, ys: np.ndarray, drive: np.ndarray,
     if basis is not None:
         lam, v, v_inv = basis
         q_unit = v_inv @ maps[-1]
+        # One mode-power table per piece; a short last block reads a prefix.
+        powers = _mode_powers(np.tile(lam, (_BLOCK, 1)))
         for start in range(i, j, _BLOCK):
             e = min(start + _BLOCK, j)
             u0 = v_inv @ np.concatenate([ys[start].real, ys[start].imag])
             rows = np.empty((e - start, 2 * c), dtype=np.complex128)
-            if not _modal_scan(np.tile(lam, (e - start, 1)),
-                               np.multiply.outer(drive[start:e], q_unit),
+            if not _modal_scan(powers, np.multiply.outer(drive[start:e], q_unit),
                                u0, v.T, rows):
                 break
             # [Re y; Im y] is real: dropping its rounding-level imaginary

@@ -470,16 +470,17 @@ def _build_fig5(ov: Overrides) -> _Built:
 
     expected_hz = 1000.0 / (n * 10.0)   # one lap of the ring per n tau
 
-    def held(win):
-        return magnitude_readout(encoder, traj.y[win].T).T
+    # Both late-delay checks read one readout of the window's magnitudes.
+    late_delay = (1500.0, timing.end_cue_on)
+    late = traj.window(*late_delay)
+    held = None if late is None else magnitude_readout(encoder, traj.y[late].T).T
 
     def constant(win):
-        mag = held(win)
-        drift = float(np.abs(mag - mag[0]).max())
+        drift = float(np.abs(held - held[0]).max())
         return drift < 1e-3, f"max drift {drift:.3e} over the late delay (tol 1e-3)"
 
     def matches_cue(win):
-        value_err = float(np.abs(held(win)[0] - np.abs(_UNIT_TARGET_2D)).max())
+        value_err = float(np.abs(held[0] - np.abs(_UNIT_TARGET_2D)).max())
         return value_err < 5e-3, (f"|readout| vs |target| differs by "
                                   f"{value_err:.3e} (tol 5e-3)")
 
@@ -490,7 +491,6 @@ def _build_fig5(ov: Overrides) -> _Built:
             f"spectral peak {peak:.3f} Hz vs {expected_hz:.3f} Hz "
             f"(bin {bin_hz:.3f} Hz)")
 
-    late_delay = (1500.0, timing.end_cue_on)
     checks = [
         _check("stored magnitudes constant", traj, *late_delay,
                "delay window", constant),
