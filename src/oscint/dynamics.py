@@ -25,7 +25,8 @@ one of two ways:
   ``_MAX_EIG_COND``, each of W_yy's eigenmodes is a scalar linear
   recurrence, solved for the whole block by the modal scan the bank shares
   (:func:`oscint.model._modal_scan`).  Each block re-anchors at its
-  recorded first sample.
+  recorded first sample; a block whose gate repeats the last one's bits
+  reuses its mode-power table, and one that no input drives skips q.
 * **loop** — otherwise, one ``W_yy @ y`` per step.  A block the scan turns
   down (a running mode product out of range, or a non-finite result) is
   re-run by the loop, so a divergence is named at the loop's time.

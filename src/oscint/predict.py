@@ -163,10 +163,11 @@ def predict_series(
     rounding when both gains are zero, regardless of channel frequency.
     Every other piece is forward Euler: one of at least ``_BLOCK`` steps
     whose map has cond(V) at most ``_MAX_EIG_COND`` advances by a modal
-    scan, counted in ``scan_pieces``; a shorter one, and the rest of a piece
-    from a block the scan turns down (a mode product out of range, or a
-    non-finite row), take one :func:`prediction_step` per step.  A
-    non-finite state raises :class:`DivergenceError` naming its first time.
+    scan from one mode-power table, counted in ``scan_pieces``; a shorter
+    one, and the rest of a piece from a block the scan turns down (a mode
+    product out of range, or a non-finite row), take one
+    :func:`prediction_step` per step.  A non-finite state raises
+    :class:`DivergenceError` naming its first time.
     """
     x_arr = np.asarray(x_samples, dtype=np.float64)
     if x_arr.ndim != 1:

@@ -283,6 +283,21 @@ def test_simulate_circuit_rejects_off_grid_span():
                          0.0, 1.05, dt=0.1)
 
 
+@pytest.mark.parametrize("gate_path", ["blocks", "steps"])
+@pytest.mark.parametrize("n_steps", [0, 3])
+@pytest.mark.parametrize("field", ["v", "va", "vb", "a", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simulate_circuit_rejects_non_finite_init(field, bad, n_steps, gate_path):
+    # Turned down before any step, also when there is no step to take.
+    w_ay = np.zeros((2, 2)) if gate_path == "blocks" else np.eye(2)
+    spec = NetworkSpec.build(2, 1, w_ay=w_ay)
+    init = CircuitState.zeros(2)
+    getattr(init, field)[..., 1] = bad
+    with pytest.raises(ValueError, match=f"init.{field} must be finite"):
+        simulate_circuit(spec, CircuitParams(), np.zeros((n_steps + 1, 1)),
+                         0.0, n_steps * 0.01, dt=0.01, init=init)
+
+
 def test_simulate_circuit_step_loop_raises_on_blow_up():
     # The same unstable gain unit on a spec whose gains read y, which takes
     # the thalamic_step + pfc_step loop.

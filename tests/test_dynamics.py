@@ -7,6 +7,7 @@ import pytest
 from sampling import sampled
 
 import oscint.dynamics
+import oscint.model
 import oscint.scenarios
 from oscint.dynamics import _BLOCK, simulate, step
 from oscint.model import DivergenceError, NetworkSpec, SimState
@@ -225,6 +226,21 @@ def test_simulate_rejects_wrong_shaped_init(field):
     setattr(init, field, np.zeros(1, dtype=getattr(init, field).dtype))
     with pytest.raises(ValueError, match=f"init.{field}"):
         simulate(spec, np.zeros((4, 1)), 0.0, 3.0, dt=1.0, init=init)
+
+
+@pytest.mark.parametrize("gate_path", ["blocks", "steps"])
+@pytest.mark.parametrize("n_steps", [0, 3])
+@pytest.mark.parametrize("field", ["y", "a", "b"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_simulate_rejects_non_finite_init(field, bad, n_steps, gate_path):
+    # Turned down before any step, also when there is no step to take.
+    w_ay = np.zeros((2, 2)) if gate_path == "blocks" else np.eye(2)
+    spec = NetworkSpec.build(2, 1, w_ay=w_ay)
+    init = SimState.zeros(spec)
+    getattr(init, field)[1] = bad
+    with pytest.raises(ValueError, match=f"init.{field} must be finite"):
+        simulate(spec, np.zeros((n_steps + 1, 1)), 0.0, float(n_steps),
+                 dt=1.0, init=init)
 
 
 def test_superposition_at_held_gains():
@@ -456,6 +472,133 @@ def test_specs_outside_the_scan_take_the_block_loop(monkeypatch, case):
     assert not any(scanned)
     _force_loop(monkeypatch)
     ref = simulate(spec, x, 0.0, n_steps * dt, dt=dt, init=init)
+    assert np.array_equal(traj.y, ref.y)
+
+
+# ---------------------------------------------------------------------------
+# Mode-power tables reused across blocks, and quiet blocks without q, against
+# a scan that builds every block's table and q itself.
+
+
+def _per_block_scan(spec, basis, rate, gate, powers, recur, b_plus, x, y_rows):
+    """Reference for ``_scan_block``: the block's own mode-power table from
+    its gate, and q always formed, as a block scanned alone would do."""
+    lam, v, v_inv, drive, _ = basis
+    mu = np.cumprod(np.multiply.outer(gate, lam) + (1.0 - rate), axis=0)
+    low, high = oscint.model._SCAN_RANGE
+    if not (np.abs(mu).min() >= low and np.abs(mu).max() <= high):
+        return False
+    if np.all(b_plus == b_plus[:, :1]):
+        beta = rate * (b_plus[:, :1] / (1.0 + b_plus[:, :1]))
+        q = np.hstack([beta * x[:-1], beta, gate[:, None]]) @ drive
+    else:
+        q = oscint.dynamics._push(spec, rate, recur, b_plus, x) @ v_inv.T
+    u0 = v_inv @ y_rows[0]
+    u = mu * (np.cumsum(q / mu, axis=0) + u0) if np.any(q) else mu * u0
+    y_rows[1:] = u @ v.T
+    return bool(np.isfinite(y_rows[1:]).all())
+
+
+def _spy_tables(monkeypatch):
+    """Lists of the tables ``_advance_blocks`` builds (None when out of
+    range) and of whether each scanned block formed its q."""
+    tables, formed_q = [], []
+    real_powers, real_scan = oscint.dynamics._mode_powers, oscint.dynamics._modal_scan
+
+    def powers(mu):
+        tables.append(real_powers(mu))
+        return tables[-1]
+
+    def scan(powers, q, *args):
+        formed_q.append(q is not None)
+        return real_scan(powers, q, *args)
+
+    monkeypatch.setattr(oscint.dynamics, "_mode_powers", powers)
+    monkeypatch.setattr(oscint.dynamics, "_modal_scan", scan)
+    return tables, formed_q
+
+
+def _pulse_then_quiet(shared_b, **extra):
+    """A spec the scan accepts whose drive reads input channel 2 alone, with
+    no drive offsets unless ``extra`` sets them, and a run of 4 blocks and 100
+    steps: the drive pulses in block 0 and the a-drive (channel 0) in blocks
+    0-1, after which a decays below 2**-53 and the gate repeats its bits."""
+    rng = np.random.default_rng(17)
+    n, m, dt = 6, 3, 0.5
+    w_zx = np.zeros((n, m), dtype=np.complex128)
+    w_zx[:, 2] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w_ax = np.zeros((n, m))
+    w_ax[:, 0] = 1.0
+    fields = dict(w_zx=w_zx, c_z=np.zeros(n), c_yhat=np.zeros(n),
+                  w_ax=w_ax, c_a=np.zeros(n), tau_a=2.0)
+    fields.update(extra)
+    spec = _shared_gate_spec(rng, n, m, shared_b, **fields)
+    n_steps = 4 * _BLOCK + 100
+    x = np.zeros((n_steps + 1, m))
+    x[:300, 2] = 1.0
+    x[:700, 0] = 0.5
+    x[:, 1] = 0.25
+    init = _shared_gate_init(rng, spec, 0.0)
+    init.a[:] = 0.0
+    return spec, x, n_steps * dt, dt, init
+
+
+def _gate_changes(traj, spec):
+    """Per block, whether its gate column differs in some bit from the
+    block's before it (always for the first)."""
+    n_steps, rate = traj.n_samples - 1, traj.dt / spec.tau_y[0]
+    keys = [(rate * (1.0 / (1.0 + np.maximum(traj.a[s:s + _BLOCK, 0], 0.0))))
+            [:n_steps - s].tobytes() for s in range(0, n_steps, _BLOCK)]
+    return [k != before for k, before in zip(keys, [None] + keys)]
+
+
+@pytest.mark.parametrize("shared_b", [True, False])
+def test_changed_gate_rebuilds_the_table_and_repeated_gate_reuses_it(
+        monkeypatch, shared_b):
+    spec, x, t_stop, dt, init = _pulse_then_quiet(shared_b)
+    tables, formed_q = _spy_tables(monkeypatch)
+    traj = simulate(spec, x, 0.0, t_stop, dt=dt, init=init)
+    changes = _gate_changes(traj, spec)
+    # Blocks 0-2 each have a new gate, block 3 repeats block 2's, and the
+    # short last block's shorter column is a new key.
+    assert changes == [True, True, True, False, True]
+    assert len(tables) == sum(changes) and all(t is not None for t in tables)
+    # Only block 0's inputs reach the drive.
+    assert formed_q == [True, False, False, False, False]
+    monkeypatch.setattr(oscint.dynamics, "_scan_block", _per_block_scan)
+    ref = simulate(spec, x, 0.0, t_stop, dt=dt, init=init)
+    assert np.array_equal(traj.y, ref.y)
+
+
+@pytest.mark.parametrize("offset", ["c_z", "c_yhat"])
+def test_drive_offsets_never_skip_q(monkeypatch, offset):
+    rng = np.random.default_rng(3)
+    value = 0.1 * (rng.standard_normal(6) + 1j * rng.standard_normal(6))
+    spec, x, t_stop, dt, init = _pulse_then_quiet(True, **{offset: value})
+    tables, formed_q = _spy_tables(monkeypatch)
+    traj = simulate(spec, x, 0.0, t_stop, dt=dt, init=init)
+    assert len(formed_q) == 5 and all(formed_q)
+    monkeypatch.setattr(oscint.dynamics, "_scan_block", _per_block_scan)
+    ref = simulate(spec, x, 0.0, t_stop, dt=dt, init=init)
+    assert np.array_equal(traj.y, ref.y)
+
+
+def test_out_of_range_table_sends_every_block_with_its_gate_to_the_loop(
+        monkeypatch):
+    # The one-unit mode factor 0.1 underflows |M| within each block, and
+    # the gate is the same in all three.
+    spec, _, init, _, dt = _one_unit(-8.0)
+    x = np.zeros((3 * _BLOCK + 1, 1))
+    tables, _ = _spy_tables(monkeypatch)
+    scanned = _count_scans(monkeypatch)
+    traj = simulate(spec, x, 0.0, 3 * _BLOCK * dt, dt=dt, init=init)
+    assert len(tables) == 1 and tables[0] is None
+    assert scanned == [False] * 3
+    monkeypatch.setattr(oscint.dynamics, "_scan_block", _per_block_scan)
+    ref = simulate(spec, x, 0.0, 3 * _BLOCK * dt, dt=dt, init=init)
+    assert np.array_equal(traj.y, ref.y)
+    _force_loop(monkeypatch)
+    ref = simulate(spec, x, 0.0, 3 * _BLOCK * dt, dt=dt, init=init)
     assert np.array_equal(traj.y, ref.y)
 
 

@@ -390,6 +390,47 @@ def test_piece_whose_mode_products_leave_the_range_takes_the_loop(monkeypatch):
                                                    5000.0, 5.0).y)
 
 
+def _per_block_bank_scan(powers, q, u0, back, out):
+    """Reference for the bank's ``_modal_scan``: each block builds its own
+    table of len(out) rows from the per-step factors (the piece table's
+    first row), as a block scanned alone would."""
+    if powers is None:
+        return False
+    mu = np.cumprod(np.tile(powers[0], (len(out), 1)), axis=0)
+    low, high = oscint.model._SCAN_RANGE
+    if not (np.abs(mu).min() >= low and np.abs(mu).max() <= high):
+        return False
+    u = mu * (np.cumsum(q / mu, axis=0) + u0) if np.any(q) else mu * u0
+    out[:] = u @ back
+    return bool(np.isfinite(out).all())
+
+
+def test_short_last_block_reads_a_prefix_of_the_piece_table(monkeypatch):
+    # Pieces of 1000 and 800 steps: each builds one 512-row table, and its
+    # short last block (488 and 288 rows) scans from a prefix of it.
+    args = (PredictorSpec((1.0, 2.0, 4.0)), np.sin(np.arange(1000) * 0.05),
+            ModulatorSchedule(((-500.0, 0.01, 0.01), (0.0, 0.5, 0.005))),
+            400.0, 0.5)
+    tables, rows, real = [], [], oscint.predict._mode_powers
+
+    def powers(mu):
+        tables.append(real(mu))
+        return tables[-1]
+
+    def scan(powers, q, u0, back, out):
+        rows.append((len(powers), len(out)))
+        return _per_block_bank_scan(powers, q, u0, back, out)
+
+    result = predict_series(*args)
+    monkeypatch.setattr(oscint.predict, "_mode_powers", powers)
+    monkeypatch.setattr(oscint.predict, "_modal_scan", scan)
+    ref = predict_series(*args)
+    assert result.scan_pieces == ref.scan_pieces == 2 and len(tables) == 2
+    assert rows == [(_BLOCK, _BLOCK), (_BLOCK, 488), (_BLOCK, _BLOCK),
+                    (_BLOCK, 288)]
+    assert np.array_equal(result.y, ref.y)
+
+
 def test_pieces_shorter_than_a_block_take_the_loop():
     pspec = PredictorSpec((1.0, 2.0))
     sched = ModulatorSchedule(((-1.0, 0.1, 0.1), (0.0, 0.0, 0.1)))
