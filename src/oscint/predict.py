@@ -234,7 +234,6 @@ def _euler_piece(pspec: PredictorSpec, ys: np.ndarray, drive: np.ndarray,
     if basis is not None:
         lam, v, v_inv = basis
         q_unit = v_inv @ maps[-1]
-        # One mode-power table per piece; a short last block reads a prefix.
         powers = _mode_powers(np.tile(lam, (_BLOCK, 1)))
         for start in range(i, j, _BLOCK):
             e = min(start + _BLOCK, j)

@@ -496,9 +496,11 @@ def _build_fig5(ov: Overrides) -> _Built:
                "delay window", constant),
         _check("stored magnitudes match cue", traj, *late_delay,
                "delay window", matches_cue),
-        _check("single-unit oscillation near 1 Hz", traj, timing.input_off,
-               timing.end_cue_on, "delay window", oscillates),
     ]
+    del held    # so the spectral check's FFT does not stack on the readout
+    checks.append(_check("single-unit oscillation near 1 Hz", traj,
+                         timing.input_off, timing.end_cue_on, "delay window",
+                         oscillates))
 
     return traj, checks, {"spec": spec, "encoder": encoder, "timing": timing,
                           "expected_hz": expected_hz}
