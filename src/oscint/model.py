@@ -97,16 +97,10 @@ def first_order(keep, push: np.ndarray, init) -> np.ndarray:
     ``push`` is (T, C), ``keep`` a scalar or ``push``'s shape and ``init``
     one value or one per column; returns the (T + 1, C) float64 series.
     Each column steps in order, so every value has a plain step loop's bits.
-    With no push and no sign bit in one keep or in ``init``, ``k*g + 0.0``
-    is ``g*k``, and the series is one running product.
     """
     out = np.empty((len(push) + 1, push.shape[1]))
     out[0] = init
-    if (np.ndim(keep) == 0 and not np.any(push)
-            and not np.signbit([keep, *out[0]]).any()):
-        out[1:] = keep
-        np.cumprod(out, axis=0, out=out)
-    elif push.shape[1] > _COLUMN_STEPPED_MAX:
+    if push.shape[1] > _COLUMN_STEPPED_MAX:
         keeps = np.broadcast_to(keep, push.shape)
         for g, g_next, k, p in zip(out, out[1:], keeps, push):
             np.multiply(k, g, out=g_next)

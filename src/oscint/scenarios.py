@@ -470,19 +470,27 @@ def _build_fig5(ov: Overrides) -> _Built:
 
     expected_hz = 1000.0 / (n * 10.0)   # one lap of the ring per n tau
 
-    # Both late-delay checks read one readout of the window's magnitudes.
     late_delay = (1500.0, timing.end_cue_on)
-    late = traj.window(*late_delay)
-    held = None if late is None else magnitude_readout(encoder, traj.y[late].T).T
 
-    def constant(win):
-        drift = float(np.abs(held - held[0]).max())
-        return drift < 1e-3, f"max drift {drift:.3e} over the late delay (tol 1e-3)"
+    def late_delay_checks() -> list[AssertionOutcome]:
+        # Both checks read one readout of the late-delay window (the window
+        # _check passes them), freed on return, before the spectral check.
+        late = traj.window(*late_delay)
+        held = None if late is None else magnitude_readout(encoder, traj.y[late].T).T
 
-    def matches_cue(win):
-        value_err = float(np.abs(held[0] - np.abs(_UNIT_TARGET_2D)).max())
-        return value_err < 5e-3, (f"|readout| vs |target| differs by "
-                                  f"{value_err:.3e} (tol 5e-3)")
+        def constant(win):
+            drift = float(np.abs(held - held[0]).max())
+            return drift < 1e-3, f"max drift {drift:.3e} over the late delay (tol 1e-3)"
+
+        def matches_cue(win):
+            value_err = float(np.abs(held[0] - np.abs(_UNIT_TARGET_2D)).max())
+            return value_err < 5e-3, (f"|readout| vs |target| differs by "
+                                      f"{value_err:.3e} (tol 5e-3)")
+
+        return [_check("stored magnitudes constant", traj, *late_delay,
+                       "delay window", constant),
+                _check("stored magnitudes match cue", traj, *late_delay,
+                       "delay window", matches_cue)]
 
     def oscillates(win):
         bin_hz = 1000.0 / ((win.stop - win.start) * dt)
@@ -492,15 +500,10 @@ def _build_fig5(ov: Overrides) -> _Built:
             f"(bin {bin_hz:.3f} Hz)")
 
     checks = [
-        _check("stored magnitudes constant", traj, *late_delay,
-               "delay window", constant),
-        _check("stored magnitudes match cue", traj, *late_delay,
-               "delay window", matches_cue),
+        *late_delay_checks(),
+        _check("single-unit oscillation near 1 Hz", traj, timing.input_off,
+               timing.end_cue_on, "delay window", oscillates),
     ]
-    del held    # so the spectral check's FFT does not stack on the readout
-    checks.append(_check("single-unit oscillation near 1 Hz", traj,
-                         timing.input_off, timing.end_cue_on, "delay window",
-                         oscillates))
 
     return traj, checks, {"spec": spec, "encoder": encoder, "timing": timing,
                           "expected_hz": expected_hz}

@@ -123,22 +123,6 @@ def test_first_order_matches_step_loop_bit_for_bit(cols, rows, per_row_keep,
     assert np.isinf(got[-1, -1]) == (rows > 1)
 
 
-@pytest.mark.parametrize("cols", [1, _COLUMN_STEPPED_MAX + 1])
-@pytest.mark.parametrize("keep", [0.9, 0.5, 0.0, -0.0, -0.5])
-@pytest.mark.parametrize("init", [0.0, -0.0, 1e-300, -0.25, "mixed"])
-def test_push_free_first_order_matches_step_loop_bit_for_bit(cols, keep, init):
-    # With no push the series may be one running product, whose bits are the
-    # loop's k*g + 0.0 only while no value carries a sign bit; 1e-300 * 0.5**k
-    # underflows to +0.0 within the 600 rows.
-    push = np.zeros((600, cols))
-    push[::7] = -0.0
-    if init == "mixed":
-        init = np.resize([0.0, -0.0, 1e-300, -0.25, 3.0], cols)
-    got = first_order(keep, push, init)
-    want = _first_order_loop(keep, push, init)
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 def test_energy_hand_case():
     # One neuron, no recurrence.  a = b = 1: the input weight is 1/2 and the
     # prediction weight 1/2; with y = 1, z = 0 and prediction 0 the energy is
