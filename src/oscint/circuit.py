@@ -51,7 +51,7 @@ the reference the block path is tested against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -83,9 +83,9 @@ class CircuitParams:
     g_leak_gain: float = 1.0
 
     def __post_init__(self) -> None:
-        if min(self.capacitance, self.g_leak_soma, self.r_apical,
-               self.r_basal, self.g_leak_gain) <= 0:
-            raise ValueError("capacitance, leaks and resistances must be positive")
+        if not all(np.isfinite(value) and value > 0 for value in astuple(self)):
+            raise ValueError("capacitance, leaks and resistances must be finite "
+                             "and positive")
 
 
 @dataclass
@@ -270,8 +270,8 @@ def simulate_circuit(
     non-finite sample: the block path checks once per block, the step loop
     after every step.
     """
-    if dt <= 0 or record_stride < 1:
-        raise ValueError("dt must be positive and record_stride >= 1")
+    if dt <= 0 or not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
+        raise ValueError("dt must be positive and record_stride a whole number >= 1")
     if np.any(spec.w_zx.imag) or np.any(spec.w_yy.imag):
         raise ValueError("circuit realization requires a real-valued network")
     n_steps = steps_in_span(t_stop - t_start, dt)

@@ -12,7 +12,7 @@ Each command reads argparse's namespace as it is.  ``run`` and ``analyze``
 take exactly one target; a run writes its record's artifacts through
 :func:`oscint.output.write_csv` and :func:`oscint.output.plot_series`,
 whether the record came from a preset or a ``--spec`` file, the CSV on the
-1 ms grid of :func:`oscint.output.artifact_stride` unless
+1 ms grid of :func:`oscint.model.grid_stride` unless
 ``--full-resolution`` is given.  Bad input exits 2 with one ``error:`` line.
 The default output directory comes from ``OSCINT_OUT`` (falling back to
 ``./out``).  A single ``--seed`` flag covers every random choice a command
@@ -33,7 +33,7 @@ import numpy as np
 from . import config as config_mod
 from . import output
 from .dynamics import simulate
-from .model import DivergenceError, SampledRecord, steps_in_span
+from .model import DivergenceError, SampledRecord, grid_stride, steps_in_span
 from .scenarios import SCENARIO_NAMES, ScenarioResult, run_scenario
 from .spectral import SpectralReport, analyze
 from .weights import (
@@ -158,7 +158,7 @@ def _report_lines(result: ScenarioResult) -> list[str]:
 def _write_artifacts(out_dir: Path, name: str, record: SampledRecord, title: str,
                      plot: bool, full_resolution: bool) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    stride = 1 if full_resolution else output.artifact_stride(record)
+    stride = 1 if full_resolution else grid_stride(record.n_samples - 1, record.dt)
     output.write_csv(out_dir / f"{name}_trajectory.csv", record, stride)
     if plot:
         output.write_svg_lines(out_dir / f"{name}_y.svg", record.times,

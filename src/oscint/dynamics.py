@@ -22,9 +22,10 @@ one of two ways:
 
 * **scan** — when ``tau_y`` is uniform, the block's gate 1/(1+a+) is equal
   across neurons and W_yy = V diag(lam) V⁻¹ has cond(V) at most
-  ``_MAX_EIG_COND``, each of W_yy's eigenmodes is a scalar linear
-  recurrence, solved for the whole block by the modal scan the bank shares
-  (:func:`oscint.model._modal_scan`).  Each block re-anchors at its
+  ``_MAX_EIG_COND`` (the spec decomposes W_yy once, on first use, and keeps
+  it: :attr:`oscint.model.NetworkSpec.modal_basis`), each of W_yy's
+  eigenmodes is a scalar linear recurrence, solved for the whole block by
+  the modal scan the bank shares (:func:`oscint.model._modal_scan`).  Each block re-anchors at its
   recorded first sample; a block whose gate repeats the last one's bits
   reuses its mode-power table, and one that no input drives skips q.
 * **loop** — otherwise, one ``W_yy @ y`` per step.  A block the scan turns
@@ -46,12 +47,10 @@ import numpy as np
 
 from .model import (
     _BLOCK,
-    _MAX_EIG_COND,
     NetworkSpec,
     SimState,
     Trajectory,
     _gain_series,
-    _modal_basis,
     _modal_scan,
     _mode_powers,
     check_finite,
@@ -191,13 +190,12 @@ def _advance_steps(spec: NetworkSpec, traj: Trajectory) -> None:
 
 
 def _eigenbasis(spec: NetworkSpec) -> Optional[tuple[np.ndarray, ...]]:
-    """W_yy = V diag(lam) V⁻¹ for the scan as ``(lam, V, V⁻¹, drive, live)``,
-    with the drive weights projected by V⁻¹ (rows (V⁻¹ W_zx)ᵀ, V⁻¹ c_z,
-    V⁻¹ c_yhat) and ``live`` the channels with a W_zx column (None when c_z
-    or c_yhat is non-zero), or None when the scan cannot be used: ``tau_y``
-    differs across neurons, or cond(V) exceeds ``_MAX_EIG_COND``."""
-    basis = (None if np.any(spec.tau_y != spec.tau_y[0])
-             else _modal_basis(spec.w_yy))
+    """The spec's held ``modal_basis`` for the scan as ``(lam, V, V⁻¹, drive,
+    live)``, with the drive weights projected by V⁻¹ (rows (V⁻¹ W_zx)ᵀ, V⁻¹
+    c_z, V⁻¹ c_yhat) and ``live`` the channels with a W_zx column (None when
+    c_z or c_yhat is non-zero), or None when the scan cannot be used:
+    ``tau_y`` differs across neurons, or the spec's basis is None."""
+    basis = None if np.any(spec.tau_y != spec.tau_y[0]) else spec.modal_basis
     if basis is None:
         return None
     lam, v, v_inv = basis
@@ -262,9 +260,8 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
     rate = traj.dt / spec.tau_y
     keep = 1.0 - rate
     rate_0 = float(rate[0])
-    # W_yy's eigenbasis, formed at the first block whose gate is shared, and
-    # the last gate column's bytes and mode-power table.
-    basis, formed, key, powers = None, False, None, None
+    # The scan's basis, and the last gate column's bytes and mode-power table.
+    basis, key, powers = _eigenbasis(spec), None, None
     for s in range(0, n_steps, _BLOCK):
         e = min(s + _BLOCK, n_steps)
         x = traj.x[s:e + 1]
@@ -280,10 +277,7 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             recur = 1.0 / (1.0 + rectify(a_all[s:e]))
             b_plus = rectify(b_all[s:e])
-            shared = bool(np.all(recur == recur[:, :1]))
-            if shared and not formed:
-                basis, formed = _eigenbasis(spec), True
-            scanned = shared and basis is not None
+            scanned = basis is not None and bool(np.all(recur == recur[:, :1]))
             if scanned:
                 gate = rate_0 * recur[:, 0]
                 if gate.tobytes() != key:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
-from functools import cache
+from functools import cache, cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -58,6 +58,13 @@ def steps_in_span(span: float, dt: float) -> int:
         raise ValueError(f"span {span:g} is not a non-negative whole number "
                          f"of steps of dt = {dt:g}")
     return int(n_steps)
+
+
+def grid_stride(n_steps: int, dt: float) -> int:
+    """The largest k <= 1 ms / dt, within a relative 1e-9, that divides
+    ``n_steps``: the stride of the coarsest whole-step grid within 1 ms."""
+    limit = int(1.0 / dt * (1.0 + 1e-9))
+    return next((k for k in range(min(limit, n_steps), 1, -1) if n_steps % k == 0), 1)
 
 
 def check_finite(times, *series: np.ndarray, what: str = "state") -> None:
@@ -307,8 +314,8 @@ class NetworkSpec:
             object.__setattr__(self, name, arr)
         if np.any(coerced["tau_y"] <= 0.0):
             raise ValueError("tau_y entries must be positive")
-        if not (self.tau_a > 0.0 and self.tau_b > 0.0):
-            raise ValueError("tau_a and tau_b must be positive")
+        if not all(np.isfinite(tau) and tau > 0.0 for tau in (self.tau_a, self.tau_b)):
+            raise ValueError("tau_a and tau_b must be finite and positive")
         object.__setattr__(self, "tau_a", float(self.tau_a))
         object.__setattr__(self, "tau_b", float(self.tau_b))
         # Gains that do not read y let the engines take their block paths.
@@ -352,6 +359,15 @@ class NetworkSpec:
             tau_b=tau_b,
             **values,
         )
+
+    @cached_property
+    def modal_basis(self) -> Optional[tuple[np.ndarray, ...]]:
+        """W_yy's :func:`_modal_basis` ``(lam, V, V⁻¹)`` or None, formed on
+        first use and kept, its arrays read-only like the spec's own."""
+        basis = _modal_basis(self.w_yy)
+        for arr in basis or ():
+            arr.flags.writeable = False
+        return basis
 
     def replace(self, **changes) -> "NetworkSpec":
         """Return a copy with the given fields replaced."""

@@ -38,15 +38,6 @@ from .predict import PredictionResult
 _BLOCK_CELLS = 1 << 16
 
 
-def artifact_stride(record: SampledRecord) -> int:
-    """The stride of the coarsest grid of whole steps that is no coarser than
-    1 ms and ends on ``record``'s last sample: the largest k <= 1 ms / dt,
-    within a relative 1e-9, that divides the record's step count."""
-    steps = record.n_samples - 1
-    limit = int(1.0 / record.dt * (1.0 + 1e-9))
-    return next((k for k in range(min(limit, steps), 1, -1) if steps % k == 0), 1)
-
-
 def _write_rows(path: Path, header: list[str], columns: list[np.ndarray],
                 stride: int = 1) -> None:
     steps = len(columns[0]) - 1

@@ -35,6 +35,7 @@ from .model import (
     SimState,
     Trajectory,
     _blas_threads,
+    grid_stride,
     readout_series,
     sample_times,
     steps_in_span,
@@ -45,6 +46,7 @@ from .spectral import (
     analyze,
     dominant_frequency,
     magnitude_readout,
+    sustained_dimensionality,
 )
 from .weights import (
     SpectrumRequest,
@@ -545,15 +547,12 @@ def _build_fig6(ov: Overrides) -> _Built:
     t_ref = 1200.0
     checks = [_check("10-d magnitudes constant", traj, t_ref, t_ref + 2000.0,
                      "delay window", constant)]
-    report = analyze(w, 10.0)
-    checks.append(_outcome(
-        "10 sustained dimensions",
-        report.dimensionality == 10,
-        f"analysis counts {report.dimensionality} sustained eigenvalues",
-    ))
+    dims = sustained_dimensionality(w)
+    checks.append(_outcome("10 sustained dimensions", dims == 10,
+                           f"analysis counts {dims} sustained eigenvalues"))
 
     return traj, checks, {"spec": spec, "encoder": encoder, "target": target,
-                          "request": req, "report": report}
+                          "request": req}
 
 
 # ---------------------------------------------------------------------------
@@ -680,12 +679,10 @@ def _calibrate_encode_scale(params: CircuitParams, timing: _MemoryTiming,
         Pulse(channel=0, t_on=0.0, t_off=timing.input_off, value=1.0),
         Pulse(channel=1, t_on=0.0, t_off=timing.cue_off, value=1.0),
     ]
-    # One recorded sample per ms.  The stride is formed after the input
-    # series, whose span check rejects a non-finite dt.
     traj = simulate_circuit(probe, params,
                             pulse_series(2, pulses, 0.0, t_settle, dt),
                             0.0, t_settle, dt,
-                            record_stride=max(1, round(1.0 / dt)))
+                            record_stride=grid_stride(steps_in_span(t_settle, dt), dt))
     held = float(traj.y_net[-1, 0])
     return 1.0 / held
 
@@ -719,7 +716,8 @@ def _build_fig9(ov: Overrides) -> _Built:
                          0.0, t_stop, dt_rate)
     circ_traj = simulate_circuit(
         circuit_spec, params, pulse_series(4, pulses, 0.0, t_stop, dt_circuit),
-        0.0, t_stop, dt_circuit, record_stride=max(1, round(1.0 / dt_circuit)))
+        0.0, t_stop, dt_circuit,
+        record_stride=grid_stride(steps_in_span(t_stop, dt_circuit), dt_circuit))
 
     def rate_gap(win, scale=1.0):
         # The rate run's samples at the circuit's recorded times.

@@ -17,8 +17,14 @@ failure) and asserts the same condition, so the suite doubles as a checklist:
 11. conductance circuit: delay fixed point identity and full-circuit match
 12. frequency-channel bank: continuation peaks, conservation, reset
 13. time warp: doubling every time constant halves the oscillation peak
+
+Last, every run of the results ledger (``tests/ledger.py``) is compared
+with the committed ``tests/ledger.json``.
 """
 
+import json
+
+import ledger
 import numpy as np
 import pytest
 from sampling import sampled
@@ -496,3 +502,26 @@ def test_criterion_13_time_warp_halves_the_peak(fig7_default, fig7_slow):
              ok,
              f"peaks {peaks[0]:.3f} Hz -> {peaks[1]:.3f} Hz, halving error "
              f"{abs(peaks[1] - peaks[0] / 2.0):.3f} Hz (bin {bin_hz:.2f} Hz)")
+
+
+# ---------------------------------------------------------------------------
+# The results ledger: each run's check names and verdicts, and the shape and
+# dtype of each of its arrays, as committed.  Details and hashes can move at
+# rounding level across CPUs, so ``python tests/ledger.py --check`` compares
+# those.
+
+_LEDGER = json.loads(ledger.LEDGER.read_text())["runs"]
+
+
+@pytest.mark.parametrize("label", list(ledger.RUNS))
+def test_run_matches_the_ledger(request, label):
+    name, overrides = ledger.RUNS[label]
+    result = (run_scenario(name, **overrides) if overrides
+              else request.getfixturevalue("fig7_default" if name == "fig7" else name))
+    committed = _LEDGER[label]
+    assert ([(c["name"], c["verdict"]) for c in ledger.checks(result)]
+            == [(c["name"], c["verdict"]) for c in committed["checks"]])
+    assert ({path: [list(a.shape), str(a.dtype)]
+             for path, a in ledger.arrays(result).items()}
+            == {path: [f["shape"], f["dtype"]]
+                for path, f in committed["arrays"].items()})

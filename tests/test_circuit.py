@@ -65,6 +65,16 @@ def test_params_validation():
         CircuitParams(g_leak_soma=-1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["capacitance", "g_leak_soma", "r_apical",
+                                  "r_basal", "g_leak_gain"])
+def test_params_reject_non_finite_constants(name, bad):
+    # min() of a tuple holding NaN is never <= 0, and an infinite gain leak
+    # used to end in a DivergenceError at the first step.
+    with pytest.raises(ValueError, match="must be finite and positive"):
+        CircuitParams(**{name: bad})
+
+
 @pytest.mark.parametrize("name", ["e_leak", "e_exc", "e_inh"])
 def test_params_have_no_reversal_settings(name):
     # The reversals are fixed at 0, +1 and -1 by the normalization; no
@@ -196,6 +206,9 @@ def test_simulate_circuit_recording():
     with pytest.raises(ValueError, match="record_stride"):
         simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
                          record_stride=3)
+    with pytest.raises(ValueError, match="record_stride a whole number"):
+        simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
+                         record_stride=2.5)
 
 
 def _paired_drive(w, x_pos, x_neg, c):

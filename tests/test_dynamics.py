@@ -451,7 +451,7 @@ def _loop_case(case):
     }.get(case, {})
     if case == "non-normal W":
         n = 2
-        assert np.linalg.cond(np.linalg.eig(ei_pair())[1]) > oscint.dynamics._MAX_EIG_COND
+        assert np.linalg.cond(np.linalg.eig(ei_pair())[1]) > oscint.model._MAX_EIG_COND
         extra = {"w_yy": ei_pair()}
     spec = _shared_gate_spec(rng, n, m, shared_b=False, **extra)
     return (spec, _random_input(rng, m), _shared_gate_init(rng, spec, 0.0),
@@ -473,6 +473,24 @@ def test_specs_outside_the_scan_take_the_block_loop(monkeypatch, case):
     _force_loop(monkeypatch)
     ref = simulate(spec, x, 0.0, n_steps * dt, dt=dt, init=init)
     assert np.array_equal(traj.y, ref.y)
+
+
+def test_a_spec_forms_its_eigenbasis_once(monkeypatch):
+    formed, real = [], oscint.model._modal_basis
+    monkeypatch.setattr(oscint.model, "_modal_basis",
+                        lambda matrix: formed.append(matrix) or real(matrix))
+    rng = np.random.default_rng(5)
+    spec = _shared_gate_spec(rng, 6, 3, shared_b=True)
+    init = _shared_gate_init(rng, spec, 0.0)
+    x = sampled(_random_input(rng, 3), 0.0, 3 * _BLOCK * 0.5, 0.5)
+    scanned = _count_scans(monkeypatch)
+    runs = [simulate(s, x, 0.0, 3 * _BLOCK * 0.5, dt=0.5, init=init)
+            for s in (spec, spec, spec.replace())]
+    assert len(formed) == 2 and all(scanned)
+    for name in ("y", "a", "b"):
+        assert np.array_equal(getattr(runs[1], name), getattr(runs[0], name))
+        assert np.array_equal(getattr(runs[2], name), getattr(runs[0], name))
+    assert not any(arr.flags.writeable for arr in spec.modal_basis)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +652,7 @@ def _random_shared_gains(channels=1):
     cplx = lambda *shape: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     w_yy = cplx(n, n)
     w_yy *= 0.9 / np.abs(np.linalg.eigvals(w_yy)).max()
-    assert np.linalg.cond(np.linalg.eig(w_yy)[1]) > oscint.dynamics._MAX_EIG_COND
+    assert np.linalg.cond(np.linalg.eig(w_yy)[1]) > oscint.model._MAX_EIG_COND
 
     def rows():
         w = np.zeros(m)

@@ -207,6 +207,13 @@ def test_spec_validation_errors():
         NetworkSpec.build(2, 1, w_yy=np.full((2, 2), np.inf))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["tau_a", "tau_b"])
+def test_spec_rejects_non_finite_gain_time_constants(name, bad):
+    with pytest.raises(ValueError, match="tau_a and tau_b must be finite"):
+        NetworkSpec.build(2, 1, **{name: bad})
+
+
 def test_spec_is_frozen_and_arrays_locked():
     spec = NetworkSpec.build(2, 1)
     with pytest.raises(dataclasses.FrozenInstanceError):

@@ -10,10 +10,9 @@ from sampling import sampled
 
 from oscint.circuit import CircuitParams, CircuitTrajectory, simulate_circuit
 from oscint.dynamics import simulate
-from oscint.model import NetworkSpec, SampledRecord, Trajectory
+from oscint.model import NetworkSpec, SampledRecord, Trajectory, grid_stride
 from oscint.output import (
     _BLOCK_CELLS,
-    artifact_stride,
     plot_series,
     read_trajectory_csv,
     write_circuit_csv,
@@ -368,7 +367,7 @@ def _grid(dt, span):
 ])
 def test_artifact_stride_is_the_coarsest_grid_within_1_ms(dt, span, stride):
     record = _grid(dt, span)
-    assert artifact_stride(record) == stride
+    assert grid_stride(record.n_samples - 1, record.dt) == stride
     assert (record.n_samples - 1) % stride == 0
     assert stride == 1 or stride * dt <= 1.0 * (1 + 1e-9)
 

@@ -152,6 +152,39 @@ def test_fig9_circuit_passes_at_coarser_step():
     assert 3.3 < result.extras["encode_scale"] < 3.9
 
 
+@pytest.mark.parametrize("dt", [0.4, 0.08])
+def test_fig9_records_on_the_1_ms_grid_at_any_step(dt):
+    # round(1 ms / dt), fig9's own stride once, divides neither the 1375 nor
+    # the 6875 steps of its 550 ms calibration run at these steps.
+    result = run_scenario("fig9", dt=dt)
+    _assert_checks_pass(result)
+    assert result.trajectory.dt == pytest.approx(0.8)
+
+
+@pytest.mark.parametrize("name, decompositions", [
+    ("fig4", [("eig", (16, 16)), ("eigvals", (8, 8))]),
+    ("fig6", [("eig", (100, 100))] * 2 + [("eigvals", (100, 100))]),
+    ("fig8", [("eig", (100, 100))] * 2),
+])
+def test_each_spec_decomposes_its_w_yy_once(monkeypatch, name, decompositions):
+    # fig4's five pieces share one spec and fig8's three runs another, so the
+    # scan's eigenbasis is formed once per spec; fig6 counts its sustained
+    # dimensions from one eigvals.  The rest are the encoders' eig (fig6,
+    # fig8) and center_surround's rescale (fig4).
+    calls = []
+
+    def counted(kind, real):
+        def wrapper(a, *args, **kwargs):
+            calls.append((kind, np.shape(a)))
+            return real(a, *args, **kwargs)
+        return wrapper
+
+    for kind in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
+    assert run_scenario(name).all_passed
+    assert sorted(calls) == sorted(decompositions)
+
+
 def test_fig10_continuation_passes():
     result = run_scenario("fig10")
     _assert_checks_pass(result)
