@@ -21,11 +21,10 @@ over :func:`oscint.model.first_order`).  Then y advances over the block in
 one of two ways:
 
 * **scan** — when ``tau_y`` is uniform, the block's gate 1/(1+a+) is equal
-  across neurons and W_yy = V diag(lam) V⁻¹ has cond(V) at most
-  ``_MAX_EIG_COND`` (the spec decomposes W_yy once, on first use, and keeps
-  it: :attr:`oscint.model.NetworkSpec.modal_basis`), each of W_yy's
-  eigenmodes is a scalar linear recurrence, solved for the whole block by
-  the modal scan the bank shares (:func:`oscint.model._modal_scan`).  Each block re-anchors at its
+  across neurons and the spec's held W_yy = V diag(lam) V⁻¹ has cond(V) at
+  most ``_MAX_EIG_COND``, each of W_yy's eigenmodes is a scalar linear
+  recurrence, solved for the whole block by the modal scan the bank shares
+  (:func:`oscint.model._modal_scan`).  Each block re-anchors at its
   recorded first sample; a block whose gate repeats the last one's bits
   reuses its mode-power table, and one that no input drives skips q.
 * **loop** — otherwise, one ``W_yy @ y`` per step.  A block the scan turns
@@ -260,8 +259,8 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
     rate = traj.dt / spec.tau_y
     keep = 1.0 - rate
     rate_0 = float(rate[0])
-    # The scan's basis, and the last gate column's bytes and mode-power table.
-    basis, key, powers = _eigenbasis(spec), None, None
+    # The basis, formed at the first shared gate; the last gate's bytes and table.
+    basis = key = powers = None
     for s in range(0, n_steps, _BLOCK):
         e = min(s + _BLOCK, n_steps)
         x = traj.x[s:e + 1]
@@ -277,7 +276,9 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             recur = 1.0 / (1.0 + rectify(a_all[s:e]))
             b_plus = rectify(b_all[s:e])
-            scanned = basis is not None and bool(np.all(recur == recur[:, :1]))
+            shared = bool(np.all(recur == recur[:, :1]))
+            basis = _eigenbasis(spec) if shared and basis is None else basis
+            scanned = shared and basis is not None
             if scanned:
                 gate = rate_0 * recur[:, 0]
                 if gate.tobytes() != key:

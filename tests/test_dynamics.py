@@ -493,6 +493,16 @@ def test_a_spec_forms_its_eigenbasis_once(monkeypatch):
     assert not any(arr.flags.writeable for arr in spec.modal_basis)
 
 
+def test_a_gate_never_shared_forms_no_eigenbasis(monkeypatch):
+    # The basis is formed at the first block the scan could take.
+    formed = []
+    monkeypatch.setattr(oscint.model, "_modal_basis", formed.append)
+    spec, input_fn, init, n_steps, dt = _loop_case("per-neuron gains")
+    x = sampled(input_fn, 0.0, n_steps * dt, dt)
+    simulate(spec, x, 0.0, n_steps * dt, dt=dt, init=init)
+    assert formed == []
+
+
 # ---------------------------------------------------------------------------
 # Mode-power tables reused across blocks, and quiet blocks without q, against
 # a scan that builds every block's table and q itself.
