@@ -423,15 +423,15 @@ def trajectory_from_result(
     integrator's (a, b); the conversion is (1+a+) = (1+b+)(1+alpha+).
     ``readout`` follows :func:`oscint.dynamics.simulate`'s rule.
     """
-    fwd = forward_pass(prob, result.y_series)
+    alpha, b = _gain_pair(prob, result.y_series)
     times = t_start + prob.dt * np.arange(prob.n_samples)
-    a_equiv = (1.0 + rectify(fwd.b)) * (1.0 + rectify(fwd.alpha)) - 1.0
+    a_equiv = (1.0 + rectify(b)) * (1.0 + rectify(alpha)) - 1.0
     return Trajectory(
         dt=prob.dt,
         times=times,
         x=prob.x_series,
         a=a_equiv,
-        b=fwd.b,
+        b=b,
         y=result.y_series,
         readout=readout_series(prob.spec, result.y_series),
     )

@@ -341,9 +341,9 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
       ``g[i+1] = (1 - s (G_sum[i] + g_leak)) g[i] + s G_diff[i]``, where
       G_diff = X W_gᵀ + c_g and G_sum = |X| |W_g|ᵀ + |c_g| are one matmul
       each over the block (the recursion is :func:`oscint.model.first_order`).
-      When every neuron shares its gains (``spec._gains_shared``) and the
-      initial a and b are each constant, one column per population is
-      stepped and repeated across the neurons;
+      When :meth:`~oscint.model.NetworkSpec.gain_columns` gives one column
+      (shared gains, and the initial a and b each constant), one column per
+      population is stepped and repeated across the neurons;
     * their rectified values give each step's dendritic leaks
       rect(a)/R_a and rect(b)/R_b;
     * the (3, 2N) compartment stack [v; va; vb] (ON half, then OFF half)
@@ -376,8 +376,7 @@ def _advance_blocks(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
     s = dt / params.capacitance
     ga, gb = 1.0 / params.r_apical, 1.0 / params.r_basal
 
-    cols = 1 if (spec._gains_shared and np.all(traj.a[0] == traj.a[0, 0])
-                 and np.all(traj.b[0] == traj.b[0, 0])) else n
+    cols = spec.gain_columns(traj.a[0], traj.b[0])
     w_g = np.vstack([spec.w_ax[:cols], spec.w_bx[:cols]])
     c_g = np.concatenate([spec.c_a[:cols], spec.c_b[:cols]])
     w_g_abs, c_g_abs = np.abs(w_g), np.abs(c_g)

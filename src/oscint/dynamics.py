@@ -23,7 +23,7 @@ one of two ways:
 * **scan** — when ``tau_y`` is uniform, the block's gate 1/(1+a+) is equal
   across neurons and the spec's held W_yy = V diag(lam) V⁻¹ has cond(V) at
   most ``_MAX_EIG_COND``, each of W_yy's eigenmodes is a scalar linear
-  recurrence, solved for the whole block by the modal scan the bank shares
+  recurrence, solved for the whole block by the modal scan
   (:func:`oscint.model._modal_scan`).  Each block re-anchors at its
   recorded first sample; a block whose gate repeats the last one's bits
   reuses its mode-power table, and one that no input drives skips q.
@@ -120,12 +120,12 @@ def simulate(
 
     When the spec's gains are shared by every neuron (``w_ay = w_by = 0`` and
     every row of ``w_ax``, ``w_bx``, ``c_a`` and ``c_b`` equal) and ``init.a``
-    and ``init.b`` are each constant, a and b are computed once and stored as
-    one column: ``traj.a`` and ``traj.b`` are then read-only
-    ``np.broadcast_to`` views of shape (T, N), so a caller copies them before
-    writing.  They match the per-neuron values bit for bit when each gain
-    drive ``x @ w.T + c`` sums exactly (every preset's does), and otherwise
-    to the rounding of that sum.
+    and ``init.b`` are each constant (:meth:`NetworkSpec.gain_columns`), a
+    and b are computed once and stored as one column: with N > 1, ``traj.a``
+    and ``traj.b`` are then read-only ``np.broadcast_to`` views of shape
+    (T, N), so a caller copies them before writing.  They match the
+    per-neuron values bit for bit when each gain drive ``x @ w.T + c`` sums
+    exactly (every preset's does), and otherwise to the rounding of that sum.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
@@ -153,10 +153,7 @@ def simulate(
         if not np.isfinite(getattr(state, name)).all():
             raise ValueError(f"init.{name} must be finite")
 
-    # Gains every neuron shares are formed and stored as one column.
-    shared = (spec._gains_shared and bool(np.all(state.a == state.a[0]))
-              and bool(np.all(state.b == state.b[0])))
-    cols = 1 if shared else n
+    cols = spec.gain_columns(state.a, state.b)
     xs = np.array(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
     as_ = np.zeros((n_samples, cols))
     bs = np.zeros((n_samples, cols))
@@ -168,7 +165,7 @@ def simulate(
         _advance_blocks(spec, traj)
     else:
         _advance_steps(spec, traj)
-    if shared:
+    if cols < n:
         traj.a = np.broadcast_to(as_, (n_samples, n))
         traj.b = np.broadcast_to(bs, (n_samples, n))
     traj.readout = readout_series(spec, ys)

@@ -145,22 +145,13 @@ _BLOCK = 512
 
 # The modal scan runs only on a map whose eigenvector matrix V has cond(V) at
 # most this, as its rounding error grows with cond(V): the shared-gate rate
-# presets' W_yy have 1.00 to 1.62 and fig10's driven bank 1.53, while
-# non-normal motifs such as ``ei_pair`` (3.19) keep the step loop.
+# presets' W_yy have 1.00 to 1.62, while non-normal motifs such as
+# ``ei_pair`` (3.19) keep the step loop.
 _MAX_EIG_COND = 2.0
 
 # Bounds on |M|, the running product of a mode's per-step factors within a
 # block; outside them the scan's q / M and M u lose range.
 _SCAN_RANGE = (1e-150, 1e150)
-
-
-def _modal_basis(matrix: np.ndarray) -> Optional[tuple[np.ndarray, ...]]:
-    """``(lam, V, V⁻¹)`` with ``matrix = V diag(lam) V⁻¹``, or None when
-    cond(V) exceeds ``_MAX_EIG_COND``."""
-    lam, v = np.linalg.eig(matrix)
-    if not np.linalg.cond(v) <= _MAX_EIG_COND:
-        return None
-    return lam, v, np.linalg.inv(v)
 
 
 def _mode_powers(mu: np.ndarray) -> Optional[np.ndarray]:
@@ -175,15 +166,14 @@ def _mode_powers(mu: np.ndarray) -> Optional[np.ndarray]:
 
 def _modal_scan(powers: Optional[np.ndarray], q: Optional[np.ndarray],
                 u0: np.ndarray, back: np.ndarray, out: np.ndarray) -> bool:
-    """Solve ``u[i+1] = mu[i] u[i] + q[i]`` from ``u[0] = u0`` for the L
-    rows of ``out``, one column of ``q`` (overwritten; None when zero) per
-    mode, as ``u = M (u0 + cumsum(q / M))`` with M the first L rows of the
-    :func:`_mode_powers` table ``powers`` (kept), and write ``out = u[1:] @
+    """Solve ``u[i+1] = mu[i] u[i] + q[i]`` from ``u[0] = u0`` for the rows
+    of ``out``, one column of ``q`` (overwritten; None when zero) per mode,
+    as ``u = M (u0 + cumsum(q / M))`` with M the :func:`_mode_powers` table
+    ``powers`` (kept), one row per row of ``out``, and write ``out = u[1:] @
     back``.  Returns False, for the caller's step loop to re-run the block,
     when ``powers`` is None (``out`` untouched) or a row is non-finite."""
     if powers is None:
         return False
-    powers = powers[:len(out)]
     if q is not None and np.any(q):
         q /= powers
         np.cumsum(q, axis=0, out=q)
@@ -360,12 +350,22 @@ class NetworkSpec:
             **values,
         )
 
+    def gain_columns(self, a0: np.ndarray, b0: np.ndarray) -> int:
+        """The gain columns an engine steps from initial gains ``a0``, ``b0``:
+        1 when every neuron shares its gains and each is constant, else N."""
+        shared = self._gains_shared and np.all(a0 == a0[0]) and np.all(b0 == b0[0])
+        return 1 if shared else self.n_neurons
+
     @cached_property
     def modal_basis(self) -> Optional[tuple[np.ndarray, ...]]:
-        """W_yy's :func:`_modal_basis` ``(lam, V, V⁻¹)`` or None, formed on
-        first use and kept, its arrays read-only like the spec's own."""
-        basis = _modal_basis(self.w_yy)
-        for arr in basis or ():
+        """``(lam, V, V⁻¹)`` with W_yy = V diag(lam) V⁻¹, or None when cond(V)
+        exceeds ``_MAX_EIG_COND``; formed on first use and kept, its arrays
+        read-only like the spec's own."""
+        lam, v = np.linalg.eig(self.w_yy)
+        if not np.linalg.cond(v) <= _MAX_EIG_COND:
+            return None
+        basis = lam, v, np.linalg.inv(v)
+        for arr in basis:
             arr.flags.writeable = False
         return basis
 

@@ -11,7 +11,7 @@ magnitude, continuing the signal; raising the recurrent-excess gain damps
 every channel back to zero.
 
 Within a schedule piece the gains are constant, so a long Euler piece
-advances by a modal scan of its one real-linear map; :func:`prediction_step`
+advances by one block operator read off :func:`prediction_step`, which
 stays the reference and the fallback (see :func:`predict_series`).
 
 Per-channel update (gains shared across channels):
@@ -31,16 +31,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    _BLOCK,
-    SampledRecord,
-    _modal_basis,
-    _modal_scan,
-    _mode_powers,
-    check_finite,
-    steps_in_span,
-)
+from .model import _BLOCK, SampledRecord, check_finite, steps_in_span
 from .weights import diagonal_oscillators
+
+# Steps per block operator product (:func:`_euler_piece`).  On fig10's driven
+# piece (one BLAS thread, 2-core x86-64 VM) 64 was fastest: 32 and 128 took up
+# to twice as long and 512 about ten times, as the operator grows as B².
+_OPERATOR_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -104,16 +101,17 @@ def prediction_step(
     real_input: bool = True,
 ) -> np.ndarray:
     """Advance the bank one Euler step; gains are scalars shared by all
-    channels and enter rectified."""
+    channels and enter rectified.  ``y`` is one (C,) state, or a (K, C)
+    stack of states stepped at once with ``x`` a (K, 1) input column."""
     y = np.asarray(y, dtype=np.complex128)
     a_plus = max(a, 0.0)
     b_plus = max(b, 0.0)
     beta = b_plus / (1.0 + b_plus)
     yhat = pspec.w_diag * y
     if real_input:
-        competition = y.real.sum() - y
+        competition = y.real.sum(axis=-1, keepdims=True) - y
     else:
-        competition = y.sum() - y
+        competition = y.sum(axis=-1, keepdims=True) - y
     drive = -y + beta * x + yhat / (1.0 + a_plus) - beta * competition
     return y + (dt / pspec.tau_y) * drive
 
@@ -127,7 +125,7 @@ class PredictionResult(SampledRecord):
     readout: np.ndarray         # (T,) sum of Re(y_j)
     quadrature: np.ndarray      # (T,) sum of Im(y_j)
     freqs_hz: tuple[float, ...]
-    scan_pieces: int = 0        # Euler pieces the modal scan advanced
+    scan_pieces: int = 0        # Euler pieces the block operator advanced
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -162,10 +160,9 @@ def predict_series(
     exp((w/(1+a+) - 1) dt / tau); channel magnitudes are then conserved to
     rounding when both gains are zero, regardless of channel frequency.
     Every other piece is forward Euler: one of at least ``_BLOCK`` steps
-    whose map has cond(V) at most ``_MAX_EIG_COND`` advances by a modal
-    scan from one mode-power table, counted in ``scan_pieces``; a shorter
-    one, and the rest of a piece from a block the scan turns down (a mode
-    product out of range, or a non-finite row), take one
+    advances ``_OPERATOR_STEPS`` steps at a time by its block operator
+    (:func:`_euler_piece`), counted in ``scan_pieces``; a shorter one, and
+    the rest of a piece from a block with a non-finite row, take one
     :func:`prediction_step` per step.  A non-finite state raises
     :class:`DivergenceError` naming its first time.
     """
@@ -222,30 +219,27 @@ def predict_series(
 def _euler_piece(pspec: PredictorSpec, ys: np.ndarray, drive: np.ndarray,
                  i: int, j: int, a: float, b: float, dt: float) -> bool:
     """Fill ``ys[i+1..j]`` by Euler steps under the gains (a, b); True when
-    the scan advanced them all.  Its map on [Re y; Im y] and input column are
-    :func:`prediction_step`'s images of the 2C unit states and a unit input."""
-    c, start, basis = pspec.n_channels, i, None
+    the block operator advanced them all.  The piece is linear and
+    time-invariant, so B = ``_OPERATOR_STEPS`` steps of :func:`prediction_step`
+    on the 2C unit states of [Re y; Im y] and on B zero states, each given a
+    unit input at one step, are its block operator: n <= B steps from y are
+    [Re y; Im y; u_0..u_(n-1)] times its first 2C + n rows and n steps."""
+    c, start = pspec.n_channels, i
     if j - i >= _BLOCK:
-        units = np.vstack([np.eye(c), 1j * np.eye(c), np.zeros((1, c))])
-        images = np.array([prediction_step(pspec, u, float(k == 2 * c), a, b, dt)
-                           for k, u in enumerate(units)])
-        maps = np.hstack([images.real, images.imag])
-        basis = _modal_basis(maps[:-1].T)
-    if basis is not None:
-        lam, v, v_inv = basis
-        q_unit = v_inv @ maps[-1]
-        powers = _mode_powers(np.tile(lam, (_BLOCK, 1)))
-        for start in range(i, j, _BLOCK):
-            e = min(start + _BLOCK, j)
-            u0 = v_inv @ np.concatenate([ys[start].real, ys[start].imag])
-            rows = np.empty((e - start, 2 * c), dtype=np.complex128)
-            if not _modal_scan(powers, np.multiply.outer(drive[start:e], q_unit),
-                               u0, v.T, rows):
+        y = np.vstack([np.eye(c), 1j * np.eye(c), np.zeros((_OPERATOR_STEPS, c))])
+        inputs = np.eye(len(y), _OPERATOR_STEPS, -2 * c)
+        steps = np.empty((len(y), _OPERATOR_STEPS, c), dtype=np.complex128)
+        for m in range(_OPERATOR_STEPS):
+            y = steps[:, m] = prediction_step(pspec, y, inputs[:, m:m + 1], a, b, dt)
+        # Real rows on interleaved (Re, Im) columns: step m, channel h at 2(mC + h).
+        operator = steps.reshape(len(y), -1).view(np.float64)
+        for start in range(i, j, _OPERATOR_STEPS):
+            n = min(_OPERATOR_STEPS, j - start)
+            head = np.concatenate([ys[start].real, ys[start].imag, drive[start:start + n]])
+            rows = head @ operator[:2 * c + n, :2 * n * c]
+            if not np.isfinite(rows).all():
                 break
-            # [Re y; Im y] is real: dropping its rounding-level imaginary
-            # part keeps a channel the map holds real (0 Hz) exactly real.
-            block = ys[start + 1:e + 1]
-            block.real, block.imag = rows[:, :c].real, rows[:, c:].real
+            ys[start + 1:start + n + 1] = rows.view(np.complex128).reshape(n, c)
         else:
             return True
     y = ys[start]

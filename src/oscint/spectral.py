@@ -42,10 +42,12 @@ def oscillation_frequencies(w_prime: np.ndarray, tol: float = CLASSIFY_TOL) -> n
     Takes every eigenvalue of W' with |Re| <= tol and Im > 0 (one per
     conjugate pair) and converts its imaginary part from rad/ms to Hz.
     """
-    lam = np.linalg.eigvals(np.asarray(w_prime))
+    return _frequencies(np.linalg.eigvals(np.asarray(w_prime)), tol)
+
+
+def _frequencies(lam: np.ndarray, tol: float) -> np.ndarray:
     keep = (np.abs(lam.real) <= tol) & (lam.imag > tol)
-    freqs = lam.imag[keep] * 1000.0 / (2.0 * np.pi)
-    return np.sort(freqs)
+    return np.sort(lam.imag[keep] * 1000.0 / (2.0 * np.pi))
 
 
 def classify_stability(w_prime: np.ndarray, tol: float = CLASSIFY_TOL) -> str:
@@ -56,7 +58,10 @@ def classify_stability(w_prime: np.ndarray, tol: float = CLASSIFY_TOL) -> str:
                                  nonzero imaginary part, else sustained
     * otherwise               -> decaying
     """
-    lam = np.linalg.eigvals(np.asarray(w_prime))
+    return _stability(np.linalg.eigvals(np.asarray(w_prime)), tol)
+
+
+def _stability(lam: np.ndarray, tol: float) -> str:
     max_re = float(lam.real.max())
     if max_re > tol:
         return UNSTABLE
@@ -75,7 +80,10 @@ def sustained_dimensionality(w_yy: np.ndarray, tol: float = ANALYSIS_TOL) -> int
     imaginary axis — the dimensionality of what the network can store without
     decay.
     """
-    lam = np.linalg.eigvals(np.asarray(w_yy))
+    return _dimensionality(np.linalg.eigvals(np.asarray(w_yy)), tol)
+
+
+def _dimensionality(lam: np.ndarray, tol: float) -> int:
     return int(np.sum(np.abs(lam.real - 1.0) <= tol))
 
 
@@ -93,13 +101,14 @@ class SpectralReport:
 def analyze(w_yy: np.ndarray, tau_y) -> SpectralReport:
     """Full spectral report for a recurrent matrix with given time constants."""
     w = np.asarray(w_yy)
-    w_prime = effective_matrix(w, tau_y)
+    lam = np.linalg.eigvals(w)
+    lam_prime = np.linalg.eigvals(effective_matrix(w, tau_y))
     return SpectralReport(
-        eigenvalues=np.linalg.eigvals(w),
-        eigenvalues_effective=np.linalg.eigvals(w_prime),
-        stability=classify_stability(w_prime),
-        frequencies_hz=oscillation_frequencies(w_prime),
-        dimensionality=sustained_dimensionality(w),
+        eigenvalues=lam,
+        eigenvalues_effective=lam_prime,
+        stability=_stability(lam_prime, CLASSIFY_TOL),
+        frequencies_hz=_frequencies(lam_prime, CLASSIFY_TOL),
+        dimensionality=_dimensionality(lam, ANALYSIS_TOL),
     )
 
 

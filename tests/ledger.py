@@ -7,11 +7,15 @@ SHA-256 and max |x|; a run that raises holds its error instead.  The header
 names the NumPy version, the machine and the host's BLAS thread count (each
 preset itself runs on one BLAS thread).
 
-    PYTHONPATH=src python tests/ledger.py            # write tests/ledger.json
-    PYTHONPATH=src python tests/ledger.py --check    # compare with it
+    PYTHONPATH=src python tests/ledger.py              # write tests/ledger.json
+    PYTHONPATH=src python tests/ledger.py --check      # compare with it
+    PYTHONPATH=src python tests/ledger.py --against REV
 
 ``--check`` prints every changed verdict, detail, shape, dtype and hash, and
-every run or array added or removed, and exits 1 when there is any.  Check
+every run or array added or removed, and exits 1 when there is any.
+``--against REV`` does the same against the ledger that REV's own
+``tests/ledger.py`` writes in a temporary ``git worktree`` of REV, removed
+afterwards, so the working tree is compared with REV's code itself.  Check
 details and hashes can move at rounding level between CPUs and NumPy builds,
 so tier-1 compares only names, verdicts, shapes and dtypes
 (``tests/test_acceptance.py``).
@@ -23,8 +27,11 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -149,17 +156,39 @@ def differences(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def ledger_at(rev: str) -> dict:
+    """The ledger REV's ``tests/ledger.py`` writes when run on REV's tree."""
+    root = LEDGER.parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "tree"
+        subprocess.run(["git", "worktree", "add", "--detach", "--quiet", str(tree), rev],
+                       cwd=root, check=True)
+        try:
+            env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+            subprocess.run([sys.executable, str(tree / "tests" / "ledger.py")],
+                           cwd=tree, env=env, check=True)
+            return json.loads((tree / "tests" / LEDGER.name).read_text())
+        finally:
+            subprocess.run(["git", "worktree", "remove", "--force", str(tree)],
+                           cwd=root, check=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help=f"compare with {LEDGER.name} instead of writing it")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--check", action="store_true",
+                      help=f"compare with {LEDGER.name} instead of writing it")
+    mode.add_argument("--against", metavar="REV",
+                      help="compare with the ledger of git revision REV")
     ns = parser.parse_args(argv)
+    old = ledger_at(ns.against) if ns.against else None
     new = {"header": header(), "runs": {label: run(label) for label in RUNS}}
-    if not ns.check:
+    if not (ns.check or ns.against):
         LEDGER.write_text(json.dumps(new, indent=1) + "\n")
         return 0
-    lines = differences(json.loads(LEDGER.read_text()), new)
-    print("\n".join(lines) if lines else f"no change against {LEDGER.name}")
+    lines = differences(old or json.loads(LEDGER.read_text()), new)
+    print("\n".join(lines) if lines else
+          f"no change against {ns.against or LEDGER.name}")
     return 1 if lines else 0
 
 

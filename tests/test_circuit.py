@@ -17,7 +17,8 @@ from oscint.circuit import (
     thalamic_step,
     total_conductance,
 )
-from oscint.model import DivergenceError, NetworkSpec, first_order, rectify
+from oscint.dynamics import simulate
+from oscint.model import DivergenceError, NetworkSpec, SimState, first_order, rectify
 
 
 def test_split_signed_partition():
@@ -661,3 +662,28 @@ def test_unequal_gains_stay_per_neuron(monkeypatch):
     init.b[2] = 0.1
     simulate_circuit(spec, CircuitParams(), x, 0.0, 6.0, 0.01, init=init)
     assert counts and set(counts) == {10}
+
+
+@pytest.mark.parametrize("rows, init_b2, cols", [
+    (np.full(5, 1.3), -0.1, 1),
+    (np.full(5, 1.3), 0.1, 5),
+    (np.array([1.3, 1.3, 1.3, 1.3, 1.2]), -0.1, 5),
+], ids=["shared, constant init", "shared, varied init", "unequal rows"])
+def test_both_engines_step_the_gain_columns_the_spec_names(monkeypatch, rows,
+                                                          init_b2, cols):
+    spec = _shared_gain_spec(rows)
+    a0, b0 = np.full(5, 0.4), np.full(5, -0.1)
+    b0[2] = init_b2
+    assert spec.gain_columns(a0, b0) == cols
+    x = sampled(lambda t: np.array([0.0, np.sin(0.05 * t), 1.0]), 0.0, 6.0, 0.01)
+    counts = _gain_columns(monkeypatch)
+    init = CircuitState.zeros(5)
+    init.a[:], init.b[:] = a0, b0
+    simulate_circuit(spec, CircuitParams(), x, 0.0, 6.0, 0.01, init=init)
+    assert counts and set(counts) == {2 * cols}
+    traj = simulate(spec, x, 0.0, 6.0, dt=0.01,
+                    init=SimState(y=np.zeros(5, dtype=np.complex128), a=a0, b=b0))
+    # One stored column reads as a broadcast view across the neurons.
+    for gains in (traj.a, traj.b):
+        assert gains.shape == (len(x), 5)
+        assert (gains.strides[1] == 0) == (cols == 1)

@@ -6,7 +6,6 @@ import warnings
 import numpy as np
 import pytest
 
-import oscint.model
 import oscint.predict
 from oscint.model import _BLOCK, DivergenceError
 from oscint.predict import (
@@ -288,30 +287,18 @@ def test_schedule_rejects_a_non_finite_start_or_gain(segment):
 
 
 # ---------------------------------------------------------------------------
-# The modal scan of long Euler pieces against the prediction_step loop.
+# The block operator of long Euler pieces against the prediction_step loop.
 
 
 def _loop_only(monkeypatch):
     """Every later ``predict_series`` advances its Euler pieces step by step."""
-    monkeypatch.setattr(oscint.predict, "_modal_basis", lambda matrix: None)
-
-
-def _spy_scans(monkeypatch):
-    """A list that records what each ``_modal_scan`` call returned."""
-    calls, real = [], oscint.predict._modal_scan
-
-    def scan(*args):
-        calls.append(real(*args))
-        return calls[-1]
-
-    monkeypatch.setattr(oscint.predict, "_modal_scan", scan)
-    return calls
+    monkeypatch.setattr(oscint.predict, "_BLOCK", 10 ** 12)
 
 
 def _assert_scan_matches_loop(monkeypatch, *args):
-    """Run ``predict_series(*args)`` with the scan, then by the loop alone;
-    the two agree to 1e-10 of the larger of 1 and max |y|.  Returns the
-    scanned result."""
+    """Run ``predict_series(*args)`` with the block operator, then by the
+    loop alone; the two agree to 1e-10 of the larger of 1 and max |y|.
+    Returns the operator's result."""
     scanned = predict_series(*args)
     with monkeypatch.context() as patch:
         _loop_only(patch)
@@ -320,6 +307,18 @@ def _assert_scan_matches_loop(monkeypatch, *args):
     bound = 1e-10 * max(1.0, float(np.abs(looped.y).max()))
     assert np.abs(scanned.y - looped.y).max() <= bound
     return scanned
+
+
+def test_prediction_step_steps_a_stack_of_states_row_by_row():
+    pspec = PredictorSpec((0.0, 1.0, 3.0, 7.0, 12.0))
+    rng = np.random.default_rng(5)
+    y = rng.standard_normal((9, 5)) + 1j * rng.standard_normal((9, 5))
+    x = rng.standard_normal((9, 1))
+    for real_input in (True, False):
+        stacked = prediction_step(pspec, y, x, 0.3, 0.7, 0.5, real_input)
+        rows = [prediction_step(pspec, yk, float(xk[0]), 0.3, 0.7, 0.5, real_input)
+                for yk, xk in zip(y, x)]
+        assert np.array_equal(stacked, np.array(rows))
 
 
 def test_scan_matches_the_loop_on_fig10(monkeypatch):
@@ -333,12 +332,9 @@ def test_scan_matches_the_loop_on_fig10(monkeypatch):
                               extras["schedule"], 3000.0, 0.1)
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_scan_matches_the_loop_on_random_banks(monkeypatch, seed):
-    # 1-8 channels with b+ up to fig10's 0.01, and one schedule boundary
-    # inside each phase: four Euler pieces of 520 steps or more, whose ends
-    # fall inside 512-step blocks.
-    rng = np.random.default_rng(seed)
+def _random_bank(rng, feed_max):
+    """1-8 channels with b+ up to ``feed_max``, and one schedule boundary
+    inside each phase: four Euler pieces of 520 steps or more."""
     freqs = rng.choice(np.arange(0.0, 41.0, 2.0), int(rng.integers(1, 9)),
                        replace=False)
     pspec = PredictorSpec(tuple(freqs), tau_y=10.0)
@@ -347,17 +343,42 @@ def test_scan_matches_the_loop_on_random_banks(monkeypatch, seed):
     k_past = int(rng.integers(520, n_past - 520))
     k_future = int(rng.integers(520, n_future - 520))
     gain = lambda: float(rng.uniform(0.0, 2.0))
-    feed = lambda: float(rng.uniform(1e-4, 0.01))
+    feed = lambda: float(rng.uniform(1e-4, feed_max))
     segments = ((-n_past * dt, gain(), feed()), ((k_past - n_past) * dt, gain(), feed()),
                 (0.0, gain(), feed()), (k_future * dt, gain(), feed()))
-    x = rng.standard_normal(n_past)
-    result = _assert_scan_matches_loop(monkeypatch, pspec, x,
-                                       ModulatorSchedule(segments),
-                                       n_future * dt, dt)
-    assert result.scan_pieces == 4
+    return (pspec, rng.standard_normal(n_past), ModulatorSchedule(segments),
+            n_future * dt, dt)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scan_matches_the_loop_on_random_banks(monkeypatch, seed):
+    # b+ up to fig10's 0.01.
+    args = _random_bank(np.random.default_rng(seed), 0.01)
+    assert _assert_scan_matches_loop(monkeypatch, *args).scan_pieces == 4
+
+
+@pytest.mark.parametrize("seed", range(100, 112))
+def test_operator_matches_the_loop_on_strongly_coupled_banks(monkeypatch, seed):
+    # b+ up to 0.1: the real-input competition makes the map far from
+    # normal (its eigenvectors have cond(V) above 2 on 21 of these 48
+    # pieces); the operator needs no eigenbasis.
+    args = _random_bank(np.random.default_rng(seed), 0.1)
+    assert _assert_scan_matches_loop(monkeypatch, *args).scan_pieces == 4
+
+
+def test_channel_selection_bank_takes_the_operator(monkeypatch):
+    # The b = 0.1 bank of test_channels_select_their_own_frequency: its one
+    # 12 500-step driven piece.
+    pspec = PredictorSpec((1.0, 2.0, 4.0, 8.0), tau_y=10.0)
+    past_t = np.arange(-2500.0, 0.0, 0.2)
+    x = np.sin(2 * np.pi * 4e-3 * past_t)
+    sched = ModulatorSchedule(((-2500.0, 0.1, 0.1), (0.0, 0.0, 0.0)))
+    result = _assert_scan_matches_loop(monkeypatch, pspec, x, sched, 0.0, 0.2)
+    assert result.scan_pieces == 1
 
 
 def test_free_piece_with_feedforward_gain_takes_the_scan(monkeypatch):
+    # Pieces of 1000 and 800 steps, whose last operator blocks are short.
     pspec = PredictorSpec((1.0, 2.0, 4.0))
     x = np.sin(np.arange(1000) * 0.05)
     sched = ModulatorSchedule(((-500.0, 0.01, 0.01), (0.0, 0.5, 0.005)))
@@ -365,70 +386,45 @@ def test_free_piece_with_feedforward_gain_takes_the_scan(monkeypatch):
     assert result.scan_pieces == 2
 
 
-def test_map_over_the_condition_bound_takes_the_loop(monkeypatch):
-    pspec = PredictorSpec((1.0, 2.0, 4.0))
-    x = np.sin(np.arange(1000) * 0.05)
-    sched = ModulatorSchedule(((-500.0, 0.01, 0.01), (0.0, 0.5, 0.005)))
-    monkeypatch.setattr(oscint.model, "_MAX_EIG_COND", 0.5)
-    result = predict_series(pspec, x, sched, 400.0, 0.5)
-    assert result.scan_pieces == 0
-    _loop_only(monkeypatch)
-    assert np.array_equal(result.y, predict_series(pspec, x, sched, 400.0, 0.5).y)
-
-
-def test_piece_whose_mode_products_leave_the_range_takes_the_loop(monkeypatch):
+def test_fast_decaying_piece_takes_the_operator(monkeypatch):
     # At dt/tau = 0.5 with the recurrent gate shut the fastest mode shrinks
-    # by more than half a step: its product over 512 steps is below 1e-150.
-    # The short driven piece before it takes the loop either way.
-    calls = _spy_scans(monkeypatch)
+    # by more than half a step, to below 1e-150 over 512 steps; the operator
+    # holds no such product.  The short driven piece before it takes the loop.
     pspec = PredictorSpec((1.0, 2.0, 4.0))
     sched = ModulatorSchedule(((-1e4, 0.0, 0.01), (0.0, 1e6, 0.5)))
-    result = predict_series(pspec, np.ones(100), sched, 5000.0, 5.0)
-    assert calls == [False] and result.scan_pieces == 0
-    _loop_only(monkeypatch)
-    assert np.array_equal(result.y, predict_series(pspec, np.ones(100), sched,
-                                                   5000.0, 5.0).y)
+    result = _assert_scan_matches_loop(monkeypatch, pspec, np.ones(100), sched,
+                                       5000.0, 5.0)
+    assert result.scan_pieces == 1
 
 
-def _per_block_bank_scan(powers, q, u0, back, out):
-    """Reference for the bank's ``_modal_scan``: each block builds its own
-    table of len(out) rows from the per-step factors (the piece table's
-    first row), as a block scanned alone would."""
-    if powers is None:
-        return False
-    mu = np.cumprod(np.tile(powers[0], (len(out), 1)), axis=0)
-    low, high = oscint.model._SCAN_RANGE
-    if not (np.abs(mu).min() >= low and np.abs(mu).max() <= high):
-        return False
-    u = mu * (np.cumsum(q / mu, axis=0) + u0) if np.any(q) else mu * u0
-    out[:] = u @ back
-    return bool(np.isfinite(out).all())
+def _operator_walk(pspec, x, a, b, dt, steps):
+    """Reference for one driven piece from zero: each block of up to
+    ``steps`` steps is its own probe run (unit states, then unit inputs)
+    of that many steps, applied to the block's first state and inputs."""
+    c = pspec.n_channels
+    ys = [np.zeros(c, dtype=np.complex128)]
+    for start in range(0, len(x), steps):
+        u = x[start:start + steps]
+        n = len(u)
+        probes = np.vstack([np.eye(c), 1j * np.eye(c), np.zeros((n, c))])
+        inputs = np.eye(2 * c + n, n, -2 * c)
+        head = np.concatenate([ys[-1].real, ys[-1].imag, u])
+        for m in range(n):
+            probes = prediction_step(pspec, probes, inputs[:, m:m + 1], a, b, dt)
+            ys.append(head @ probes)
+    return np.array(ys)
 
 
-def test_short_last_block_reads_a_prefix_of_the_piece_table(monkeypatch):
-    # Pieces of 1000 and 800 steps: each builds one 512-row table, and its
-    # short last block (488 and 288 rows) scans from a prefix of it.
-    args = (PredictorSpec((1.0, 2.0, 4.0)), np.sin(np.arange(1000) * 0.05),
-            ModulatorSchedule(((-500.0, 0.01, 0.01), (0.0, 0.5, 0.005))),
-            400.0, 0.5)
-    tables, rows, real = [], [], oscint.predict._mode_powers
-
-    def powers(mu):
-        tables.append(real(mu))
-        return tables[-1]
-
-    def scan(powers, q, u0, back, out):
-        rows.append((len(powers), len(out)))
-        return _per_block_bank_scan(powers, q, u0, back, out)
-
-    result = predict_series(*args)
-    monkeypatch.setattr(oscint.predict, "_mode_powers", powers)
-    monkeypatch.setattr(oscint.predict, "_modal_scan", scan)
-    ref = predict_series(*args)
-    assert result.scan_pieces == ref.scan_pieces == 2 and len(tables) == 2
-    assert rows == [(_BLOCK, _BLOCK), (_BLOCK, 488), (_BLOCK, _BLOCK),
-                    (_BLOCK, 288)]
-    assert np.array_equal(result.y, ref.y)
+def test_short_last_block_reads_a_prefix_of_the_piece_operator():
+    # A 1000-step piece: 15 blocks of 64 steps and a last one of 40, whose
+    # operator is the first 2C + 40 rows and 40 steps of the piece's.
+    pspec = PredictorSpec((1.0, 2.0, 4.0))
+    x = np.sin(np.arange(1000) * 0.05)
+    sched = ModulatorSchedule(((-500.0, 0.01, 0.01),))
+    result = predict_series(pspec, x, sched, 0.0, 0.5)
+    assert result.scan_pieces == 1
+    ref = _operator_walk(pspec, x, 0.01, 0.01, 0.5, oscint.predict._OPERATOR_STEPS)
+    assert np.abs(result.y - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 def test_pieces_shorter_than_a_block_take_the_loop():
@@ -439,33 +435,31 @@ def test_pieces_shorter_than_a_block_take_the_loop():
     assert result.scan_pieces == 0
 
 
-def test_divergent_piece_raises_no_runtime_warning(monkeypatch):
-    # The divergent run of test_bank_names_the_first_non_finite_sample: the
-    # scan turns its 2000-step driven piece down at the first block (a mode
-    # product leaves the range), and the loop runs on into the overflow.
-    calls = _spy_scans(monkeypatch)
-    pspec = PredictorSpec((1.0, 2.0, 4.0))
-    sched = ModulatorSchedule(((-1e4, 0.0, 50.0), (0.0, 0.0, 50.0)))
+def _divergence_message(*args):
+    """The DivergenceError ``predict_series(*args)`` raises, with every
+    RuntimeWarning an error."""
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DivergenceError, match=r"non-finite state at t = -1105 ms"):
-            predict_series(pspec, np.ones(2000), sched, horizon=2000.0, dt=5.0)
-    assert calls == [False]
+        with pytest.raises(DivergenceError) as raised:
+            predict_series(*args)
+    return str(raised.value)
+
+
+def test_divergent_piece_raises_no_runtime_warning():
+    # The divergent run of test_bank_names_the_first_non_finite_sample: the
+    # operator advances its 2000-step driven piece until a block turns
+    # non-finite, and the loop runs on from there into the overflow.
+    args = (PredictorSpec((1.0, 2.0, 4.0)), np.ones(2000),
+            ModulatorSchedule(((-1e4, 0.0, 50.0), (0.0, 0.0, 50.0))), 2000.0, 5.0)
+    assert _divergence_message(*args) == "non-finite state at t = -1105 ms"
 
 
 def test_divergence_inside_a_scanned_piece_is_named_at_the_loop_time(monkeypatch):
-    # Every mode's product stays in range over a block, but the fastest grows
-    # 1.417-fold a step: the scan advances the first blocks and a later one
-    # turns non-finite, which the loop re-runs to name the time.
+    # The fastest mode grows 1.417-fold a step: the operator advances the
+    # first blocks and a later one turns non-finite, which the loop re-runs
+    # to name the time.
     args = (PredictorSpec((1.0, 2.0)), np.ones(3000),
             ModulatorSchedule(((-1.5e4, 0.0, 5.0),)), 0.0, 5.0)
-    calls = _spy_scans(monkeypatch)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(DivergenceError) as scanned:
-            predict_series(*args)
-    assert calls[0] is True and calls[-1] is False
+    scanned = _divergence_message(*args)
     _loop_only(monkeypatch)
-    with pytest.raises(DivergenceError) as looped:
-        predict_series(*args)
-    assert str(scanned.value) == str(looped.value)
+    assert scanned == _divergence_message(*args) == "non-finite state at t = -4770 ms"

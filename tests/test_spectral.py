@@ -17,7 +17,14 @@ from oscint.spectral import (
     oscillation_frequencies,
     sustained_dimensionality,
 )
-from oscint.weights import center_surround, ei_pair, eigen_encoder, synfire
+from oscint.weights import (
+    SpectrumRequest,
+    center_surround,
+    ei_pair,
+    eigen_encoder,
+    random_spectral,
+    synfire,
+)
 
 
 def test_effective_matrix_hand_case():
@@ -62,6 +69,31 @@ def test_sustained_dimensionality():
     assert sustained_dimensionality(np.eye(5)) == 5
     assert sustained_dimensionality(synfire(100)) == 1
     assert sustained_dimensionality(0.9 * np.eye(3)) == 0
+
+
+@pytest.mark.parametrize("w, tau", [
+    (ei_pair(), (10.0, 12.5)),
+    (ei_pair(), (10.0, 10.0)),
+    (synfire(20), 10.0),
+    (center_surround(8), 10.0),
+    (random_spectral(SpectrumRequest(n=12, d=3, seed=4)), 10.0),
+], ids=["ei_pair-12.5", "ei_pair-10", "synfire", "center_surround", "random_spectral"])
+def test_analyze_takes_each_spectrum_once(monkeypatch, w, tau):
+    # The report the public functions give one at a time, each from its
+    # own spectrum, against analyze's two eigvals calls.
+    w_prime = effective_matrix(w, tau)
+    want = {"eigenvalues": np.linalg.eigvals(w),
+            "eigenvalues_effective": np.linalg.eigvals(w_prime),
+            "stability": classify_stability(w_prime),
+            "frequencies_hz": oscillation_frequencies(w_prime),
+            "dimensionality": sustained_dimensionality(w)}
+    calls, real = [], np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: calls.append(a) or real(a))
+    report = analyze(w, tau)
+    assert len(calls) == 2
+    for name, value in want.items():
+        assert np.array_equal(getattr(report, name), value), name
 
 
 def test_analyze_report_fields():
