@@ -34,9 +34,9 @@ import numpy as np
 from .model import _BLOCK, SampledRecord, check_finite, steps_in_span
 from .weights import diagonal_oscillators
 
-# Steps per block operator product (:func:`_euler_piece`).  On fig10's driven
-# piece (one BLAS thread, 2-core x86-64 VM) 64 was fastest: 32 and 128 took up
-# to twice as long and 512 about ten times, as the operator grows as B².
+# Steps per block operator product (:func:`_euler_piece`).  fig10's driven piece
+# took 7.0 ms at 64, 7.6 at 32, 12.5 at 16, 15 at 128 and 110 at 512 (the
+# operator grows as B²); best of 7, one BLAS thread, 2-core x86-64 VM.
 _OPERATOR_STEPS = 64
 
 

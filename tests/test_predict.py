@@ -130,13 +130,15 @@ def test_free_run_conserves_channel_magnitudes():
     assert drift < 1e-12 * mags0.max()
 
 
-def test_channels_select_their_own_frequency():
+def test_channels_select_their_own_frequency(monkeypatch):
+    # At b = 0.1 the one 12 500-step driven piece takes the block operator.
     pspec = PredictorSpec((1.0, 2.0, 4.0, 8.0), tau_y=10.0)
     dt = 0.2
     past_t = np.arange(-2500.0, 0.0, dt)
     x = np.sin(2 * np.pi * 4e-3 * past_t)
     sched = ModulatorSchedule(((-2500.0, 0.1, 0.1), (0.0, 0.0, 0.0)))
-    result = predict_series(pspec, x, sched, horizon=0.0, dt=dt)
+    result = _assert_scan_matches_loop(monkeypatch, pspec, x, sched, 0.0, dt)
+    assert result.scan_pieces == 1
     mags = np.abs(result.y[-1])
     assert int(np.argmax(mags)) == 2
     assert mags[2] > 3.0 * np.delete(mags, 2).max()
@@ -366,17 +368,6 @@ def test_operator_matches_the_loop_on_strongly_coupled_banks(monkeypatch, seed):
     assert _assert_scan_matches_loop(monkeypatch, *args).scan_pieces == 4
 
 
-def test_channel_selection_bank_takes_the_operator(monkeypatch):
-    # The b = 0.1 bank of test_channels_select_their_own_frequency: its one
-    # 12 500-step driven piece.
-    pspec = PredictorSpec((1.0, 2.0, 4.0, 8.0), tau_y=10.0)
-    past_t = np.arange(-2500.0, 0.0, 0.2)
-    x = np.sin(2 * np.pi * 4e-3 * past_t)
-    sched = ModulatorSchedule(((-2500.0, 0.1, 0.1), (0.0, 0.0, 0.0)))
-    result = _assert_scan_matches_loop(monkeypatch, pspec, x, sched, 0.0, 0.2)
-    assert result.scan_pieces == 1
-
-
 def test_free_piece_with_feedforward_gain_takes_the_scan(monkeypatch):
     # Pieces of 1000 and 800 steps, whose last operator blocks are short.
     pspec = PredictorSpec((1.0, 2.0, 4.0))
@@ -463,3 +454,15 @@ def test_divergence_inside_a_scanned_piece_is_named_at_the_loop_time(monkeypatch
     scanned = _divergence_message(*args)
     _loop_only(monkeypatch)
     assert scanned == _divergence_message(*args) == "non-finite state at t = -4770 ms"
+
+
+def test_operator_that_overflows_leaves_a_quiet_piece_to_the_loop():
+    # At dt/tau = 1e5 the map grows about 2e5-fold a step, so the 64-step
+    # operator overflows, while a bank at rest with no input stays at zero:
+    # the operator's non-finite rows send the piece to the loop.
+    pspec = PredictorSpec((1.0, 2.0, 4.0))
+    sched = ModulatorSchedule(((-1e12, 0.0, 1e6),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = predict_series(pspec, np.zeros(600), sched, 0.0, 1e6)
+    assert result.scan_pieces == 0 and np.all(result.y == 0)
