@@ -68,7 +68,6 @@ from .model import (
     predicted_series,
     readout_series,
     rectify,
-    residual_energy,
 )
 
 
@@ -130,6 +129,8 @@ class BatchProblem:
         for name in ("alpha0", "b0"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} must be finite")
+            if np.iscomplexobj(getattr(self, name)):
+                raise ValueError(f"{name} must be real")
 
     @property
     def n_samples(self) -> int:
@@ -201,13 +202,6 @@ def backward_pass(
     target_recur = fwd.yhat / (1.0 + alpha_plus)
     grad = beta * (y_series - fwd.z) + (1.0 - beta) * (y_series - target_recur)
     return y_series - prob.rate * grad
-
-
-def _series_energy(prob: BatchProblem, y: np.ndarray, fwd: ForwardOutputs) -> float:
-    b_plus = rectify(fwd.b)
-    return residual_energy(prob.dt, b_plus / (1.0 + b_plus), y - fwd.z,
-                           1.0 / (1.0 + b_plus),
-                           y - fwd.yhat / (1.0 + rectify(fwd.alpha)))
 
 
 @dataclass

@@ -265,7 +265,8 @@ def simulate_circuit(
     :func:`thalamic_step` and one :func:`pfc_step` per step.  The two paths
     agree to rounding; ``map_blocks`` on the record counts the blocks
     advanced by powers of one affine map (0 on the step loop).  Complex
-    ``w_zx`` or ``w_yy`` raise ValueError before any step.  A non-finite
+    ``w_zx`` or ``w_yy``, or an ``init`` field that is complex, misshapen or
+    non-finite, raise ValueError before any step.  A non-finite
     state raises :class:`DivergenceError` naming the time of the first
     non-finite sample: the block path checks once per block, the step loop
     after every step.
@@ -298,6 +299,8 @@ def simulate_circuit(
                              f"expected {shape}")
         if not np.isfinite(value).all():
             raise ValueError(f"init.{name} must be finite")
+        if np.iscomplexobj(value):
+            raise ValueError(f"init.{name} must be real")
         rec[name] = np.zeros((n_rec,) + shape)
         rec[name][0] = value
 

@@ -241,6 +241,8 @@ def _constructor_matrix(ns: argparse.Namespace) -> np.ndarray:
     if name == "ei-pair":
         return ei_pair()
     if name == "identity":
+        if ns.n < 1:
+            raise ValueError("identity needs n >= 1")
         return np.eye(ns.n)
     raise ValueError(f"unknown constructor {name!r}")
 

@@ -20,13 +20,13 @@ first-order recursion every engine shares (:func:`oscint.model._gain_series`
 over :func:`oscint.model.first_order`).  Then y advances over the block in
 one of two ways:
 
-* **scan** — when ``tau_y`` is uniform, the block's gate 1/(1+a+) is equal
-  across neurons and the spec's held W_yy = V diag(lam) V⁻¹ has cond(V) at
-  most ``_MAX_EIG_COND``, each of W_yy's eigenmodes is a scalar linear
-  recurrence, solved for the whole block by the modal scan
-  (:func:`oscint.model._modal_scan`).  Each block re-anchors at its
-  recorded first sample; a block whose gate repeats the last one's bits
-  reuses its mode-power table, and one that no input drives skips q.
+* **scan** — when the block's gate 1/(1+a+) is equal across neurons and
+  the spec has a ``modal_basis`` (uniform ``tau_y``, W_yy = V diag(lam) V⁻¹
+  with cond(V) at most ``_MAX_EIG_COND``), each of W_yy's eigenmodes is a
+  scalar linear recurrence, solved for the whole block in prefix form by
+  :func:`_scan_block`.  Each block re-anchors at its recorded first sample;
+  a block whose gate repeats the last one's bits reuses its mode-power
+  table, and one that no input drives skips q.
 * **loop** — otherwise, one ``W_yy @ y`` per step.  A block the scan turns
   down (a running mode product out of range, or a non-finite result) is
   re-run by the loop, so a divergence is named at the loop's time.
@@ -50,8 +50,6 @@ from .model import (
     SimState,
     Trajectory,
     _gain_series,
-    _modal_scan,
-    _mode_powers,
     check_finite,
     input_drive,
     recurrent_drive,
@@ -103,7 +101,8 @@ def simulate(
 
     ``x`` is the input series: row ``i`` is the length-M input at
     ``t_start + i*dt``, one row per recorded sample (ValueError for any other
-    shape, or for a non-finite entry).  Sample ``i`` records the state at
+    shape, or for a non-finite entry; likewise for an ``init`` field, and for
+    a complex ``init.a`` or ``init.b``).  Sample ``i`` records the state at
     ``t_start + i*dt`` alongside row ``i``; the final sample at ``t_stop`` is
     recorded without stepping past it.  ``traj.x`` is a float64 or, for
     complex ``x``, complex128 copy of ``x``; the drive z is not recorded, as
@@ -152,6 +151,8 @@ def simulate(
             raise ValueError(f"init.{name} has shape {shape}, expected {(n,)}")
         if not np.isfinite(getattr(state, name)).all():
             raise ValueError(f"init.{name} must be finite")
+        if name != "y" and np.iscomplexobj(getattr(state, name)):
+            raise ValueError(f"init.{name} must be real")
 
     cols = spec.gain_columns(state.a, state.b)
     xs = np.array(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
@@ -185,22 +186,6 @@ def _advance_steps(spec: NetworkSpec, traj: Trajectory) -> None:
         traj.y[i] = state.y
 
 
-def _eigenbasis(spec: NetworkSpec) -> Optional[tuple[np.ndarray, ...]]:
-    """The spec's held ``modal_basis`` for the scan as ``(lam, V, V⁻¹, drive,
-    live)``, with the drive weights projected by V⁻¹ (rows (V⁻¹ W_zx)ᵀ, V⁻¹
-    c_z, V⁻¹ c_yhat) and ``live`` the channels with a W_zx column (None when
-    c_z or c_yhat is non-zero), or None when the scan cannot be used:
-    ``tau_y`` differs across neurons, or the spec's basis is None."""
-    basis = None if np.any(spec.tau_y != spec.tau_y[0]) else spec.modal_basis
-    if basis is None:
-        return None
-    lam, v, v_inv = basis
-    drive = np.vstack([spec.w_zx.T, spec.c_z, spec.c_yhat]) @ v_inv.T
-    live = (None if np.any(spec.c_z) or np.any(spec.c_yhat)
-            else np.flatnonzero(np.any(spec.w_zx, axis=0)))
-    return lam, v, v_inv, drive, live
-
-
 def _push(spec: NetworkSpec, rate, recur: np.ndarray, b_plus: np.ndarray,
           x: np.ndarray) -> np.ndarray:
     """``(dt/tau_y) (beta z + c_yhat / (1+a+))`` for each step of a block."""
@@ -208,31 +193,76 @@ def _push(spec: NetworkSpec, rate, recur: np.ndarray, b_plus: np.ndarray,
     return rate * (b_plus / (1.0 + b_plus) * z[:-1] + spec.c_yhat * recur)
 
 
-def _scan_block(spec: NetworkSpec, basis: tuple[np.ndarray, ...], rate: float,
-                gate: np.ndarray, powers: Optional[np.ndarray],
-                recur: np.ndarray, b_plus: np.ndarray, x: np.ndarray,
-                y_rows: np.ndarray) -> bool:
-    """Advance y over one block as N scalar recurrences in W_yy's eigenbasis.
+# Bounds on |M|, the running product of a mode's per-step factors within a
+# block; outside them the scan's q / M and M u lose range.
+_SCAN_RANGE = (1e-150, 1e150)
 
-    ``y_rows[0]`` is the block's first sample; rows 1.. are written.  The
-    gate g[i] = rate / (1+a+) must be shared by every neuron (the caller
-    checks).  Then u = V⁻¹ y follows ``u[i+1] = mu[i] u[i] + q[i]`` with
-    ``mu = 1 - rate + g lam`` (``powers`` is its mode-power table) and
-    ``q = V⁻¹ push``, zero and not formed when no ``live`` input is
-    non-zero, solved by :func:`oscint.model._modal_scan`, whose False (a
-    table out of range, or a non-finite row) leaves the rows to the y loop.
-    """
-    lam, v, v_inv, drive, live = basis
+
+def _mode_powers(gate: np.ndarray, lam: np.ndarray, rate: float) -> Optional[np.ndarray]:
+    """The table M = cumprod(mu) of a block's per-step mode factors
+    ``mu[i] = 1 - rate + gate[i] lam``, one row per step and one column per
+    mode, or None when some |M| leaves ``_SCAN_RANGE``."""
+    mu = np.multiply.outer(gate, lam) + (1.0 - rate)
+    np.cumprod(mu, axis=0, out=mu)
+    m_abs = np.abs(mu)
+    if not (m_abs.min() >= _SCAN_RANGE[0] and m_abs.max() <= _SCAN_RANGE[1]):
+        return None
+    return mu
+
+
+def _modal_push(spec: NetworkSpec, rate: float, gate: np.ndarray, recur: np.ndarray,
+                b_plus: np.ndarray, x: np.ndarray) -> Optional[np.ndarray]:
+    """q = V⁻¹ push for each step of a scanned block, or None when no
+    ``live`` input of the spec's ``modal_basis`` is non-zero, so q is zero."""
+    _, _, v_inv, drive, live = spec.modal_basis
     if live is not None and not np.any(x[:-1, live]):
-        q = None
-    elif np.all(b_plus == b_plus[:, :1]):
+        return None
+    if np.all(b_plus == b_plus[:, :1]):
         # V⁻¹ push = [rate beta x, rate beta, gate] @ drive: no N x N product.
         b_col = b_plus[:, :1]
         push_beta = rate * (b_col / (1.0 + b_col))
-        q = np.hstack([push_beta * x[:-1], push_beta, gate[:, None]]) @ drive
+        return np.hstack([push_beta * x[:-1], push_beta, gate[:, None]]) @ drive
+    return _push(spec, rate, recur, b_plus, x) @ v_inv.T
+
+
+def _scan_block(spec: NetworkSpec, rate: float, recur: np.ndarray,
+                b_plus: np.ndarray, x: np.ndarray, y_rows: np.ndarray,
+                table: list) -> bool:
+    """Advance y over one block in W_yy's eigenbasis, or return False for
+    the loop to run the block.
+
+    ``y_rows[0]`` is the block's first sample; rows 1.. are written.  The scan
+    runs only when, in turn: the gate g[i] = rate / (1+a+) is equal across
+    neurons (``recur`` = 1/(1+a+)), the spec has a ``modal_basis``, the gate's
+    :func:`_mode_powers` table is in range, and every row written is finite.
+    ``table`` holds the last gate's bytes and table, updated in place, so a
+    gate that repeats those bytes reuses it.  u = V⁻¹ y follows ``u[i+1] =
+    mu[i] u[i] + q[i]`` (q from :func:`_modal_push`), solved in prefix form
+    as ``u = M (u0 + cumsum(q / M))``.
+    """
+    if not np.all(recur == recur[:, :1]):
+        return False
+    basis = spec.modal_basis
+    if basis is None:
+        return False
+    lam, v, v_inv, _, _ = basis
+    gate = rate * recur[:, 0]
+    if gate.tobytes() != table[0]:
+        table[:] = gate.tobytes(), _mode_powers(gate, lam, rate)
+    powers = table[1]
+    if powers is None:
+        return False
+    q = _modal_push(spec, rate, gate, recur, b_plus, x)
+    u0 = v_inv @ y_rows[0]
+    if q is not None and np.any(q):
+        q /= powers
+        np.cumsum(q, axis=0, out=q)
+        q += u0
+        u = np.multiply(powers, q, out=q)
     else:
-        q = _push(spec, rate, recur, b_plus, x) @ v_inv.T
-    return _modal_scan(powers, q, v_inv @ y_rows[0], v.T, y_rows[1:])
+        u = powers * u0
+    np.matmul(u, v.T, out=y_rows[1:])
+    return bool(np.isfinite(y_rows[1:]).all())
 
 
 def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
@@ -241,11 +271,9 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
     Valid only when the gains do not read y.  Block ``[s, e]`` reads input
     rows s..e and forms a and b for samples s..e at once (sample e's gains
     come from the drive before it); when ``traj.a`` and ``traj.b`` hold one
-    column, the shared gains are formed from the first gain row alone.  When
-    the block's gate is equal across neurons and W_yy has a usable eigenbasis
-    (:func:`_eigenbasis`), :func:`_scan_block` advances y, from the last
-    mode-power table unless the gate's bits changed; otherwise, or when the
-    scan turns the block down, a loop runs
+    column, the shared gains are formed from the first gain row alone.
+    :func:`_scan_block` decides whether the scan advances y, and reuses the
+    last gate's mode-power table; when it turns the block down, a loop runs
     ``y[i+1] = keep * y[i] + gate[i] * (W_yy @ y[i]) + push[i]`` with
     ``keep = 1 - dt/tau_y``, ``gate = (dt/tau_y) / (1+a+)`` and ``push`` from
     :func:`_push`.  Sample e starts the next block.
@@ -255,9 +283,7 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
     n_steps = traj.n_samples - 1
     rate = traj.dt / spec.tau_y
     keep = 1.0 - rate
-    rate_0 = float(rate[0])
-    # The basis, formed at the first shared gate; the last gate's bytes and table.
-    basis = key = powers = None
+    table = [None, None]    # the last scanned gate's bytes and its table
     for s in range(0, n_steps, _BLOCK):
         e = min(s + _BLOCK, n_steps)
         x = traj.x[s:e + 1]
@@ -273,16 +299,8 @@ def _advance_blocks(spec: NetworkSpec, traj: Trajectory) -> None:
         with np.errstate(over="ignore", invalid="ignore"):
             recur = 1.0 / (1.0 + rectify(a_all[s:e]))
             b_plus = rectify(b_all[s:e])
-            shared = bool(np.all(recur == recur[:, :1]))
-            basis = _eigenbasis(spec) if shared and basis is None else basis
-            scanned = shared and basis is not None
-            if scanned:
-                gate = rate_0 * recur[:, 0]
-                if gate.tobytes() != key:
-                    key, powers = gate.tobytes(), _mode_powers(
-                        np.multiply.outer(gate, basis[0]) + (1.0 - rate_0))
-                scanned = _scan_block(spec, basis, rate_0, gate, powers,
-                                      recur, b_plus, x, y_all[s:e + 1])
+            scanned = _scan_block(spec, float(rate[0]), recur, b_plus, x,
+                                  y_all[s:e + 1], table)
             # A block the scan turns down, non-finite ones included, runs
             # through the loop, so a divergence is named at the loop's time.
             if not scanned:

@@ -149,42 +149,6 @@ _BLOCK = 512
 # ``ei_pair`` (3.19) keep the step loop.
 _MAX_EIG_COND = 2.0
 
-# Bounds on |M|, the running product of a mode's per-step factors within a
-# block; outside them the scan's q / M and M u lose range.
-_SCAN_RANGE = (1e-150, 1e150)
-
-
-def _mode_powers(mu: np.ndarray) -> Optional[np.ndarray]:
-    """The table ``M = cumprod(mu)`` of the (L, K) per-step mode factors
-    ``mu`` (overwritten), or None when some |M| leaves ``_SCAN_RANGE``."""
-    np.cumprod(mu, axis=0, out=mu)
-    m_abs = np.abs(mu)
-    if not (m_abs.min() >= _SCAN_RANGE[0] and m_abs.max() <= _SCAN_RANGE[1]):
-        return None
-    return mu
-
-
-def _modal_scan(powers: Optional[np.ndarray], q: Optional[np.ndarray],
-                u0: np.ndarray, back: np.ndarray, out: np.ndarray) -> bool:
-    """Solve ``u[i+1] = mu[i] u[i] + q[i]`` from ``u[0] = u0`` for the rows
-    of ``out``, one column of ``q`` (overwritten; None when zero) per mode,
-    as ``u = M (u0 + cumsum(q / M))`` with M the :func:`_mode_powers` table
-    ``powers`` (kept), one row per row of ``out``, and write ``out = u[1:] @
-    back``.  Returns False, for the caller's step loop to re-run the block,
-    when ``powers`` is None (``out`` untouched) or a row is non-finite."""
-    if powers is None:
-        return False
-    if q is not None and np.any(q):
-        q /= powers
-        np.cumsum(q, axis=0, out=q)
-        q += u0
-        u = np.multiply(powers, q, out=q)
-    else:
-        u = powers * u0
-    np.matmul(u, back, out=out)
-    return bool(np.isfinite(out).all())
-
-
 @cache
 def _openblas_thread_calls():
     """The thread-count getter and setter of NumPy's bundled OpenBLAS
@@ -357,16 +321,27 @@ class NetworkSpec:
         return 1 if shared else self.n_neurons
 
     @cached_property
-    def modal_basis(self) -> Optional[tuple[np.ndarray, ...]]:
-        """``(lam, V, V⁻¹)`` with W_yy = V diag(lam) V⁻¹, or None when cond(V)
-        exceeds ``_MAX_EIG_COND``; formed on first use and kept, its arrays
-        read-only like the spec's own."""
+    def modal_basis(self) -> Optional[tuple[Optional[np.ndarray], ...]]:
+        """What the rate engine's eigenbasis scan derives from the spec alone,
+        as ``(lam, V, V⁻¹, drive, live)``: W_yy = V diag(lam) V⁻¹, the drive
+        rows (V⁻¹ W_zx)ᵀ, V⁻¹ c_z and V⁻¹ c_yhat, and ``live`` the input
+        channels with a non-zero W_zx column (None when c_z or c_yhat is
+        non-zero, so every step is driven).  None when ``tau_y`` differs
+        across neurons or cond(V) exceeds ``_MAX_EIG_COND``.  Formed on first
+        use and kept, its arrays read-only like the spec's own."""
+        if np.any(self.tau_y != self.tau_y[0]):
+            return None
         lam, v = np.linalg.eig(self.w_yy)
         if not np.linalg.cond(v) <= _MAX_EIG_COND:
             return None
-        basis = lam, v, np.linalg.inv(v)
+        v_inv = np.linalg.inv(v)
+        drive = np.vstack([self.w_zx.T, self.c_z, self.c_yhat]) @ v_inv.T
+        live = (None if np.any(self.c_z) or np.any(self.c_yhat)
+                else np.flatnonzero(np.any(self.w_zx, axis=0)))
+        basis = lam, v, v_inv, drive, live
         for arr in basis:
-            arr.flags.writeable = False
+            if arr is not None:
+                arr.flags.writeable = False
         return basis
 
     def replace(self, **changes) -> "NetworkSpec":

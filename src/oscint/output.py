@@ -86,24 +86,6 @@ def write_trajectory_csv(path: str | Path, traj: Trajectory, stride: int = 1) ->
     _write_rows(Path(path), *_per_unit(traj.times, range(traj.y.shape[1]), named), stride)
 
 
-def read_trajectory_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Parse a trajectory CSV back into named arrays (t, y, a, b)."""
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split(",")
-        data = np.loadtxt(f, delimiter=",", ndmin=2)
-    cols = {name: data[:, i] for i, name in enumerate(header)}
-    n = (len(header) - 1) // 4
-    y = np.empty((data.shape[0], n), dtype=np.complex128)
-    a = np.empty((data.shape[0], n))
-    b = np.empty((data.shape[0], n))
-    for j in range(n):
-        y.real[:, j] = cols[f"re_y_{j}"]
-        y.imag[:, j] = cols[f"im_y_{j}"]
-        a[:, j] = cols[f"a_{j}"]
-        b[:, j] = cols[f"b_{j}"]
-    return {"t": cols["t"], "y": y, "a": a, "b": b}
-
-
 def write_circuit_csv(path: str | Path, traj: CircuitTrajectory,
                       stride: int = 1) -> None:
     """Same layout with per-compartment potential columns per neuron:

@@ -44,9 +44,10 @@ _OPERATOR_STEPS = 64
 class ModulatorSchedule:
     """Piecewise-constant gain schedule.
 
-    ``segments`` is a sorted sequence of finite (start_time, a_value, b_value);
-    each entry holds from its start time until the next entry's, and the
-    first also before its start (see :func:`predict_series`).
+    ``segments`` is a sorted sequence of finite (start_time, a_value, b_value)
+    triples, kept as floats (any other form raises ValueError); each entry
+    holds from its start time until the next entry's, and the first also
+    before its start (see :func:`predict_series`).
     """
 
     segments: tuple[tuple[float, float, float], ...]
@@ -54,12 +55,18 @@ class ModulatorSchedule:
     def __post_init__(self) -> None:
         if not self.segments:
             raise ValueError("schedule needs at least one segment")
-        if not np.isfinite(self.segments).all():
+        try:
+            table = np.array(self.segments, dtype=np.float64)
+        except (TypeError, ValueError):
+            table = None
+        if table is None or table.ndim != 2 or table.shape[1] != 3:
+            raise ValueError("each schedule segment must be a (start, a, b) triple "
+                             "of real numbers")
+        if not np.isfinite(table).all():
             raise ValueError("schedule starts and gains must be finite")
-        starts = [s[0] for s in self.segments]
-        if sorted(starts) != starts:
+        if np.any(np.diff(table[:, 0]) < 0):
             raise ValueError("schedule segments must be sorted by start time")
-        object.__setattr__(self, "segments", tuple(tuple(s) for s in self.segments))
+        object.__setattr__(self, "segments", tuple(map(tuple, table.tolist())))
 
 
 @dataclass(frozen=True)

@@ -12,18 +12,21 @@ preset itself runs on one BLAS thread).
     PYTHONPATH=src python tests/ledger.py --against REV
 
 ``--check`` prints every changed verdict, detail, shape, dtype and hash, and
-every run or array added or removed, and exits 1 when there is any.
+every run or array added or removed, and exits 1 when there is any.  The
+header also names OpenBLAS's core and NumPy's enabled CPU dispatch targets.
 ``--against REV`` does the same against the ledger that REV's own
 ``tests/ledger.py`` writes in a temporary ``git worktree`` of REV, removed
 afterwards, so the working tree is compared with REV's code itself.  Check
 details and hashes can move at rounding level between CPUs and NumPy builds,
-so tier-1 compares only names, verdicts, shapes and dtypes
-(``tests/test_acceptance.py``).
+so tier-1 (``tests/test_acceptance.py``) compares names, verdicts, shapes and
+dtypes everywhere, and details only where every ``HOST_KEYS`` entry of the
+header equals the host's.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -108,10 +111,35 @@ def run(label: str) -> dict:
     return entry(result)
 
 
+def _blas_core() -> str | None:
+    """The CPU core name NumPy's bundled OpenBLAS runs its kernels for
+    (such as "SkylakeX"), or None without one."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas*"))
+    try:
+        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    except (IndexError, OSError, AttributeError):
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _cpu_dispatch() -> list[str]:
+    """The CPU dispatch targets NumPy built and this host enables."""
+    umath = np._core._multiarray_umath
+    return [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+
+
+# The header keys on which check details depend: tier-1 compares details
+# only on a host where all of them equal the ledger's.
+HOST_KEYS = ("numpy", "machine", "blas_core", "cpu_dispatch")
+
+
 def header() -> dict:
     calls = _openblas_thread_calls()
     return {"numpy": np.__version__, "machine": platform.machine(),
-            "blas_threads": calls[0]() if calls else None}
+            "blas_threads": calls[0]() if calls else None,
+            "blas_core": _blas_core(), "cpu_dispatch": _cpu_dispatch()}
 
 
 def _outcome(run_entry: dict) -> str:

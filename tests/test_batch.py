@@ -12,7 +12,6 @@ from sampling import sampled
 from oscint.batch import (
     BatchDivergenceError,
     BatchProblem,
-    _series_energy,
     _sweep_weights,
     backward_pass,
     fixed_point,
@@ -21,7 +20,7 @@ from oscint.batch import (
     trajectory_from_result,
 )
 from oscint.dynamics import simulate
-from oscint.model import _BLOCK, NetworkSpec, SimState, energy
+from oscint.model import _BLOCK, NetworkSpec, SimState, energy, rectify, residual_energy
 from oscint.scenarios import run_scenario
 
 
@@ -256,6 +255,14 @@ def test_trajectory_from_result_records_readout_by_the_spec():
     spec = prob.spec.replace(n_readout=2, w_ry=w_ry, c_r=c_r)
     traj = trajectory_from_result(dataclasses.replace(prob, spec=spec), result)
     assert np.array_equal(traj.readout, result.y_series @ w_ry.T + c_r)
+
+
+def _series_energy(prob, y, fwd):
+    """The energy of response ``y`` against the forward outputs ``fwd``."""
+    b_plus = rectify(fwd.b)
+    return residual_energy(prob.dt, b_plus / (1.0 + b_plus), y - fwd.z,
+                           1.0 / (1.0 + b_plus),
+                           y - fwd.yhat / (1.0 + rectify(fwd.alpha)))
 
 
 def _reference_solve(prob, y_init=None):
@@ -527,7 +534,7 @@ def test_fixed_point_rejects_gains_that_read_y(case):
     ("dt", math.nan), ("dt", 0.0), ("dt", -1.0), ("dt", math.inf),
     ("rate", math.nan), ("rate", -0.1), ("rate", math.inf),
     ("tau_alpha", 0.0), ("tau_alpha", -1.0), ("tau_alpha", math.nan),
-    ("alpha0", math.nan), ("b0", math.inf),
+    ("alpha0", math.nan), ("b0", math.inf), ("alpha0", 1j), ("b0", 1j),
 ])
 def test_problem_rejects_bad_arguments(field, value):
     spec = NetworkSpec.build(2, 1)

@@ -1,6 +1,7 @@
 """Conductance-circuit realization: gain units, compartment cells, simulator."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -310,6 +311,22 @@ def test_simulate_circuit_rejects_non_finite_init(field, bad, n_steps, gate_path
     with pytest.raises(ValueError, match=f"init.{field} must be finite"):
         simulate_circuit(spec, CircuitParams(), np.zeros((n_steps + 1, 1)),
                          0.0, n_steps * 0.01, dt=0.01, init=init)
+
+
+@pytest.mark.parametrize("gate_path", ["blocks", "steps"])
+@pytest.mark.parametrize("field", ["v", "va", "vb", "a", "b"])
+def test_simulate_circuit_rejects_complex_init(field, gate_path):
+    # Every circuit state is real: a complex field is turned down before
+    # any step, not cast to real with a ComplexWarning.
+    w_ay = np.zeros((2, 2)) if gate_path == "blocks" else np.eye(2)
+    spec = NetworkSpec.build(2, 1, w_ay=w_ay)
+    init = CircuitState.zeros(2)
+    setattr(init, field, getattr(init, field) + 0.5j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"init.{field} must be real"):
+            simulate_circuit(spec, CircuitParams(), np.zeros((4, 1)),
+                             0.0, 0.03, dt=0.01, init=init)
 
 
 def test_simulate_circuit_step_loop_raises_on_blow_up():

@@ -169,6 +169,7 @@ def test_analyze_without_target_exits_2(capsys):
     (["--constructor", "random-spectral", "--n", "4", "--d", "10"], "d must"),
     (["--constructor", "center-surround", "--n", "0"], "n >= 3"),
     (["--constructor", "synfire", "--n", "-3"], "n >= 2"),
+    (["--constructor", "identity", "--n", "0"], "n >= 1"),
 ])
 def test_analyze_bad_input_exits_2(capsys, args, message):
     code = cli.main(["analyze", *args])

@@ -243,6 +243,22 @@ def test_simulate_rejects_non_finite_init(field, bad, n_steps, gate_path):
                  dt=1.0, init=init)
 
 
+@pytest.mark.parametrize("gate_path", ["blocks", "steps"])
+@pytest.mark.parametrize("field", ["a", "b"])
+def test_simulate_rejects_complex_gains_in_init(field, gate_path):
+    # Gains are real: a complex init.a or init.b is turned down before any
+    # step, not cast to real with a ComplexWarning.  init.y may be complex.
+    w_ay = np.zeros((2, 2)) if gate_path == "blocks" else np.eye(2)
+    spec = NetworkSpec.build(2, 1, w_ay=w_ay)
+    init = SimState.zeros(spec)
+    init.y = init.y + 0.5j
+    setattr(init, field, getattr(init, field) + 0.5j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"init.{field} must be real"):
+            simulate(spec, np.zeros((4, 1)), 0.0, 3.0, dt=1.0, init=init)
+
+
 def test_superposition_at_held_gains():
     # With the gains pinned at a fixed point (offset drive, no input coupling)
     # the response is linear in the input.
@@ -329,7 +345,7 @@ def test_simulate_rejects_off_grid_span():
 
 def _force_loop(monkeypatch):
     """Every later ``simulate`` advances y through the block loop."""
-    monkeypatch.setattr(oscint.dynamics, "_eigenbasis", lambda spec: None)
+    monkeypatch.setattr(NetworkSpec, "modal_basis", property(lambda spec: None))
 
 
 def _count_scans(monkeypatch):
@@ -490,7 +506,9 @@ def test_a_spec_forms_its_eigenbasis_once(monkeypatch):
     for name in ("y", "a", "b"):
         assert np.array_equal(getattr(runs[1], name), getattr(runs[0], name))
         assert np.array_equal(getattr(runs[2], name), getattr(runs[0], name))
-    assert not any(arr.flags.writeable for arr in spec.modal_basis)
+    # The spec's drive offsets drive every step, so no channel set is live.
+    *arrays, live = spec.modal_basis
+    assert live is None and not any(arr.flags.writeable for arr in arrays)
 
 
 def test_a_gate_never_shared_forms_no_eigenbasis(monkeypatch):
@@ -504,17 +522,41 @@ def test_a_gate_never_shared_forms_no_eigenbasis(monkeypatch):
     assert formed == []
 
 
+def test_modal_basis_holds_what_the_scan_derives_from_the_spec(monkeypatch):
+    # A spec whose drive reads input channel 2 alone, with no drive offsets.
+    spec = _pulse_then_quiet(True)[0]
+    lam, v, v_inv, drive, live = spec.modal_basis
+    assert spec.modal_basis is spec.modal_basis
+    assert np.allclose(v * lam @ v_inv, spec.w_yy, atol=1e-12)
+    assert np.array_equal(
+        drive, np.vstack([spec.w_zx.T, spec.c_z, spec.c_yhat]) @ v_inv.T)
+    assert np.array_equal(live, [2])
+    assert not any(arr.flags.writeable for arr in spec.modal_basis)
+    # No basis for a non-normal W_yy, nor, without an eig, for per-neuron tau_y.
+    assert spec.replace(w_yy=np.zeros((6, 6)) + np.diag(np.ones(5), 1)
+                        ).modal_basis is None
+    formed, real = [], np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig",
+                        lambda matrix: formed.append(matrix) or real(matrix))
+    tau_y = np.linspace(5.0, 10.0, 6)
+    assert spec.replace(tau_y=tau_y).modal_basis is None and formed == []
+
+
 # ---------------------------------------------------------------------------
 # Mode-power tables reused across blocks, and quiet blocks without q, against
 # a scan that builds every block's table and q itself.
 
 
-def _per_block_scan(spec, basis, rate, gate, powers, recur, b_plus, x, y_rows):
+def _per_block_scan(spec, rate, recur, b_plus, x, y_rows, table):
     """Reference for ``_scan_block``: the block's own mode-power table from
     its gate, and q always formed, as a block scanned alone would do."""
+    basis = spec.modal_basis
+    if not np.all(recur == recur[:, :1]) or basis is None:
+        return False
     lam, v, v_inv, drive, _ = basis
+    gate = rate * recur[:, 0]
     mu = np.cumprod(np.multiply.outer(gate, lam) + (1.0 - rate), axis=0)
-    low, high = oscint.model._SCAN_RANGE
+    low, high = oscint.dynamics._SCAN_RANGE
     if not (np.abs(mu).min() >= low and np.abs(mu).max() <= high):
         return False
     if np.all(b_plus == b_plus[:, :1]):
@@ -529,21 +571,22 @@ def _per_block_scan(spec, basis, rate, gate, powers, recur, b_plus, x, y_rows):
 
 
 def _spy_tables(monkeypatch):
-    """Lists of the tables ``_advance_blocks`` builds (None when out of
-    range) and of whether each scanned block formed its q."""
+    """Lists of the tables ``_scan_block`` builds (None when out of range)
+    and of whether each block it scans forms its q."""
     tables, formed_q = [], []
-    real_powers, real_scan = oscint.dynamics._mode_powers, oscint.dynamics._modal_scan
+    real_powers, real_push = oscint.dynamics._mode_powers, oscint.dynamics._modal_push
 
-    def powers(mu):
-        tables.append(real_powers(mu))
+    def powers(*args):
+        tables.append(real_powers(*args))
         return tables[-1]
 
-    def scan(powers, q, *args):
+    def push(*args):
+        q = real_push(*args)
         formed_q.append(q is not None)
-        return real_scan(powers, q, *args)
+        return q
 
     monkeypatch.setattr(oscint.dynamics, "_mode_powers", powers)
-    monkeypatch.setattr(oscint.dynamics, "_modal_scan", scan)
+    monkeypatch.setattr(oscint.dynamics, "_modal_push", push)
     return tables, formed_q
 
 

@@ -14,7 +14,6 @@ from oscint.model import NetworkSpec, SampledRecord, Trajectory, grid_stride
 from oscint.output import (
     _BLOCK_CELLS,
     plot_series,
-    read_trajectory_csv,
     write_circuit_csv,
     write_csv,
     write_prediction_csv,
@@ -27,6 +26,24 @@ from oscint.predict import (
     PredictorSpec,
     predict_series,
 )
+
+
+def read_trajectory_csv(path):
+    """Parse a trajectory CSV back into named arrays (t, y, a, b)."""
+    with open(path) as f:
+        header = f.readline().rstrip("\n").split(",")
+        data = np.loadtxt(f, delimiter=",", ndmin=2)
+    cols = {name: data[:, i] for i, name in enumerate(header)}
+    n = (len(header) - 1) // 4
+    y = np.empty((data.shape[0], n), dtype=np.complex128)
+    a = np.empty((data.shape[0], n))
+    b = np.empty((data.shape[0], n))
+    for j in range(n):
+        y.real[:, j] = cols[f"re_y_{j}"]
+        y.imag[:, j] = cols[f"im_y_{j}"]
+        a[:, j] = cols[f"a_{j}"]
+        b[:, j] = cols[f"b_{j}"]
+    return {"t": cols["t"], "y": y, "a": a, "b": b}
 
 
 @pytest.fixture()

@@ -288,6 +288,21 @@ def test_schedule_rejects_a_non_finite_start_or_gain(segment):
         ModulatorSchedule(((-10.0, 0.1, 0.1), segment))
 
 
+@pytest.mark.parametrize("segments", [
+    ((0.0, 1.0),),
+    ((0.0, 1.0, 0.0, 5.0),),
+    ((-1.0, 0.1, 0.1), (0.0, 1.0)),
+    ((0.0, (1.0, 2.0), 0.0),),
+    ((0.0, 0.1j, 0.0),),
+    (0.0, 0.1, 0.1),
+], ids=["pair", "quadruple", "ragged", "nested", "complex", "flat"])
+def test_schedule_rejects_a_segment_that_is_not_a_triple(segments):
+    # Turned down when the schedule is built, with one message naming the
+    # form, not deep inside predict_series or NumPy.
+    with pytest.raises(ValueError, match=r"\(start, a, b\) triple"):
+        ModulatorSchedule(segments)
+
+
 # ---------------------------------------------------------------------------
 # The block operator of long Euler pieces against the prediction_step loop.
 
