@@ -42,6 +42,7 @@ from .model import (
     energy,
     input_drive,
     mismatch_gain,
+    readout_series,
     recurrent_drive,
     rectify,
 )
@@ -138,6 +139,7 @@ __all__ = [
     "prediction_step",
     "pulse_series",
     "random_spectral",
+    "readout_series",
     "recurrent_drive",
     "rectify",
     "rescale_spectrum",

@@ -66,7 +66,6 @@ from .model import (
     Trajectory,
     _gain_series,
     predicted_series,
-    readout_series,
     rectify,
 )
 
@@ -415,7 +414,6 @@ def trajectory_from_result(
 
     The gain columns carry the solver's (alpha, b) pair rather than the
     integrator's (a, b); the conversion is (1+a+) = (1+b+)(1+alpha+).
-    ``readout`` follows :func:`oscint.dynamics.simulate`'s rule.
     """
     alpha, b = _gain_pair(prob, result.y_series)
     times = t_start + prob.dt * np.arange(prob.n_samples)
@@ -427,5 +425,4 @@ def trajectory_from_result(
         a=a_equiv,
         b=b,
         y=result.y_series,
-        readout=readout_series(prob.spec, result.y_series),
     )

@@ -184,6 +184,12 @@ def thalamic_step(
             advance(state.b, spec.w_bx, spec.w_by, spec.c_b))
 
 
+def _require_real(spec: NetworkSpec) -> None:
+    """Rates are real: ValueError for an imaginary part in any field a step reads."""
+    if any(np.any(getattr(spec, f).imag) for f in ("w_zx", "w_yy", "c_z", "c_yhat")):
+        raise ValueError("circuit realization requires a real-valued network")
+
+
 def pfc_step(
     spec: NetworkSpec,
     params: CircuitParams,
@@ -197,8 +203,7 @@ def pfc_step(
     gain-unit update lives in :func:`thalamic_step` and both read the same
     pre-step state, keeping the whole circuit synchronous.
     """
-    if np.any(spec.w_zx.imag) or np.any(spec.w_yy.imag):
-        raise ValueError("circuit realization requires a real-valued network")
+    _require_real(spec)
     scale = dt / params.capacitance
     g_va = rectify(state.a) / params.r_apical
     g_vb = rectify(state.b) / params.r_basal
@@ -265,16 +270,16 @@ def simulate_circuit(
     :func:`thalamic_step` and one :func:`pfc_step` per step.  The two paths
     agree to rounding; ``map_blocks`` on the record counts the blocks
     advanced by powers of one affine map (0 on the step loop).  Complex
-    ``w_zx`` or ``w_yy``, or an ``init`` field that is complex, misshapen or
-    non-finite, raise ValueError before any step.  A non-finite
-    state raises :class:`DivergenceError` naming the time of the first
-    non-finite sample: the block path checks once per block, the step loop
-    after every step.
+    ``w_zx``, ``w_yy``, ``c_z`` or ``c_yhat``, a bool ``record_stride``, or
+    an ``init`` field that is complex, misshapen or non-finite, raise
+    ValueError before any step.  A non-finite state raises
+    :class:`DivergenceError` naming the time of the first non-finite sample:
+    the block path checks once per block, the step loop after every step.
     """
-    if dt <= 0 or not isinstance(record_stride, (int, np.integer)) or record_stride < 1:
+    if (dt <= 0 or isinstance(record_stride, bool)
+            or not isinstance(record_stride, (int, np.integer)) or record_stride < 1):
         raise ValueError("dt must be positive and record_stride a whole number >= 1")
-    if np.any(spec.w_zx.imag) or np.any(spec.w_yy.imag):
-        raise ValueError("circuit realization requires a real-valued network")
+    _require_real(spec)
     n_steps = steps_in_span(t_stop - t_start, dt)
     if n_steps % record_stride != 0:
         raise ValueError("record_stride must divide the step count")

@@ -53,7 +53,6 @@ from .model import (
     check_finite,
     input_drive,
     recurrent_drive,
-    readout_series,
     rectify,
     sample_times,
 )
@@ -105,10 +104,8 @@ def simulate(
     a complex ``init.a`` or ``init.b``).  Sample ``i`` records the state at
     ``t_start + i*dt`` alongside row ``i``; the final sample at ``t_stop`` is
     recorded without stepping past it.  ``traj.x`` is a float64 or, for
-    complex ``x``, complex128 copy of ``x``; the drive z is not recorded, as
-    ``traj.x`` gives it.  ``traj.readout`` is the linear readout of every
-    sample when the spec has readout rows
-    (:func:`oscint.model.readout_series`), None otherwise.  Identical
+    complex ``x``, complex128 copy of ``x``; neither the drive z nor the
+    readout is recorded, as ``traj.x`` and ``traj.y`` give them.  Identical
     arguments produce bit-identical trajectories.
 
     When ``w_ay`` and ``w_by`` are zero the run advances in blocks of
@@ -126,10 +123,6 @@ def simulate(
     per-neuron values bit for bit when each gain drive ``x @ w.T + c`` sums
     exactly (every preset's does), and otherwise to the rounding of that sum.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    if t_stop < t_start:
-        raise ValueError("t_stop must be >= t_start")
     if dt > float(np.min(spec.tau_y)) / 10.0 + 1e-12:
         raise ValueError(
             f"dt = {dt} exceeds min(tau_y)/10 = {float(np.min(spec.tau_y)) / 10.0}"
@@ -169,7 +162,6 @@ def simulate(
     if cols < n:
         traj.a = np.broadcast_to(as_, (n_samples, n))
         traj.b = np.broadcast_to(bs, (n_samples, n))
-    traj.readout = readout_series(spec, ys)
     return traj
 
 

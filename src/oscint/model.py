@@ -434,9 +434,8 @@ class Trajectory(SampledRecord):
     Sample ``i`` holds the state *at* ``times[i]`` together with the input
     evaluated at that instant (the value that advances the state to sample
     ``i + 1``).  The feedforward drive is not stored; it is
-    ``x @ w_zx.T + c_z``.  ``readout`` is the linear readout
-    ``y @ w_ry.T + c_r`` (:func:`readout_series`) when the spec has readout
-    rows, None when it has none.  ``a`` and ``b`` may be read-only
+    ``x @ w_zx.T + c_z``, and the linear readout is
+    :func:`readout_series` of ``y``.  ``a`` and ``b`` may be read-only
     ``np.broadcast_to`` views of one column when every neuron shares its
     gains (:func:`oscint.dynamics.simulate`); copy them before writing.
     """
@@ -445,7 +444,6 @@ class Trajectory(SampledRecord):
     a: np.ndarray           # (T, N) real, unrectified
     b: np.ndarray           # (T, N) real, unrectified
     y: np.ndarray           # (T, N) complex
-    readout: Optional[np.ndarray] = None    # (T, K) complex, optional
 
 
 def readout_series(spec: NetworkSpec, y_series: np.ndarray) -> Optional[np.ndarray]:

@@ -41,7 +41,8 @@ _BLOCK_CELLS = 1 << 16
 def _write_rows(path: Path, header: list[str], columns: list[np.ndarray],
                 stride: int = 1) -> None:
     steps = len(columns[0]) - 1
-    if not isinstance(stride, (int, np.integer)) or stride < 1 or steps % stride:
+    if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
+            or stride < 1 or steps % stride):
         raise ValueError(f"stride {stride!r} is not a whole number >= 1 that "
                          f"divides the {steps} steps")
     columns = [c[::stride] for c in columns]

@@ -152,7 +152,8 @@ def predict_series(
 
     ``x_samples`` are input values at ``-n dt, ..., -dt`` for n samples: the
     drive ends at time 0 and the free phase runs, with zero input, to
-    ``horizon``.  Non-finite samples raise ValueError before any step.
+    ``horizon``.  Complex or non-finite samples raise ValueError before any
+    step.
 
     The run is walked once, piece by piece.  It is cut at the end of the
     drive and at the sample where each schedule entry takes effect: sample
@@ -173,9 +174,10 @@ def predict_series(
     :func:`prediction_step` per step.  A non-finite state raises
     :class:`DivergenceError` naming its first time.
     """
-    x_arr = np.asarray(x_samples, dtype=np.float64)
-    if x_arr.ndim != 1:
-        raise ValueError("x_samples must be 1-d")
+    x_arr = np.asarray(x_samples)
+    if np.iscomplexobj(x_arr) or x_arr.ndim != 1:
+        raise ValueError("x_samples must be real and 1-d")
+    x_arr = x_arr.astype(np.float64, copy=False)
     if not np.isfinite(x_arr).all():
         raise ValueError("x_samples must be finite")
     n_past = len(x_arr)

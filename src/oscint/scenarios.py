@@ -208,7 +208,7 @@ def _build_fig2(ov: Overrides) -> _Built:
     traj = simulate(spec, pulse_series(4, pulses, 0.0, t_stop, dt), 0.0, t_stop, dt)
 
     def delay_readout(win):
-        err = float(np.abs(traj.readout[win] - _UNIT_TARGET_2D).max())
+        err = float(np.abs(readout_series(spec, traj.y[win]) - _UNIT_TARGET_2D).max())
         return err < 1e-3, (f"max |readout - target| = {err:.3e} over the "
                             f"delay (tol 1e-3)")
 
@@ -361,12 +361,10 @@ def double_step_loop(
 
     def cat(name):
         parts = [getattr(p, name) for p in pieces]
-        if parts[0] is None:
-            return None
         return np.concatenate([parts[0]] + [part[1:] for part in parts[1:]])
 
     full = Trajectory(dt=dt, **{name: cat(name) for name in
-                                ("times", "x", "a", "b", "y", "readout")})
+                                ("times", "x", "a", "b", "y")})
     return full, discharges
 
 
@@ -436,7 +434,7 @@ def _build_fig4(ov: Overrides) -> _Built:
     }
 
     def positions(win, exp1, exp2):
-        got = traj.readout[win.start].real
+        got = readout_series(spec, traj.y[win])[0].real
         err = float(max(np.abs(got[:2] - exp1).max(), np.abs(got[2:] - exp2).max()))
         return err < 5e-2, (
             f"readout ({got[0]:+.3f},{got[1]:+.3f} | {got[2]:+.3f},{got[3]:+.3f}) "

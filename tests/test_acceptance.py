@@ -31,7 +31,7 @@ from sampling import sampled
 
 from oscint.circuit import CircuitParams, steady_state_vs, total_conductance
 from oscint.dynamics import simulate, step
-from oscint.model import NetworkSpec, SimState
+from oscint.model import NetworkSpec, SimState, readout_series
 from oscint.predict import PredictorSpec, prediction_step
 from oscint.scenarios import pulse_series, run_scenario
 from oscint.spectral import dominant_frequency
@@ -241,7 +241,8 @@ def test_criterion_03_delay_memory_and_reset(fig2):
 
     lo = traj.sample_index(timing.input_off + 500.0)
     hi = traj.sample_index(timing.end_cue_on)
-    read_err = float(np.abs(traj.readout[lo:hi + 1] - target).max())
+    readout = readout_series(fig2.extras["spec"], traj.y[lo:hi + 1])
+    read_err = float(np.abs(readout - target).max())
 
     t_reset = timing.end_cue_on + 20.0 * 10.0
     resid = float(np.abs(traj.y[traj.sample_index(t_reset):]).max())
@@ -273,14 +274,15 @@ def test_criterion_04_orthogonal_encoder_perturbation(fig2):
 
     w_zx = spec.w_zx.copy()
     w_zx[:, : encoder.shape[1]] += perp
-    perturbed = simulate(spec.replace(w_zx=w_zx),
+    perturbed_spec = spec.replace(w_zx=w_zx)
+    perturbed = simulate(perturbed_spec,
                          pulse_series(4, pulses, 0.0, timing.t_stop, 1.0),
                          0.0, timing.t_stop, 1.0)
 
     lo = base.sample_index(timing.input_off + 500.0)
     hi = base.sample_index(timing.end_cue_on)
-    diff = float(np.abs(perturbed.readout[lo:hi + 1]
-                        - base.readout[lo:hi + 1]).max())
+    diff = float(np.abs(readout_series(perturbed_spec, perturbed.y[lo:hi + 1])
+                        - readout_series(spec, base.y[lo:hi + 1])).max())
     ok = overlap < 1e-12 and diff < 1e-6
     _verdict(4, "orthogonal encoder component leaves the readout unchanged",
              ok,

@@ -245,18 +245,6 @@ def test_trajectory_from_result_round_trip():
     assert np.isfinite(energy(prob.spec, traj))
 
 
-def test_trajectory_from_result_records_readout_by_the_spec():
-    rng = np.random.default_rng(9)
-    prob = _frozen_gain_problem(rng, t_len=25)
-    result = solve(prob)
-    assert trajectory_from_result(prob, result).readout is None
-    w_ry = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-    c_r = np.array([0.5, -1.0j])
-    spec = prob.spec.replace(n_readout=2, w_ry=w_ry, c_r=c_r)
-    traj = trajectory_from_result(dataclasses.replace(prob, spec=spec), result)
-    assert np.array_equal(traj.readout, result.y_series @ w_ry.T + c_r)
-
-
 def _series_energy(prob, y, fwd):
     """The energy of response ``y`` against the forward outputs ``fwd``."""
     b_plus = rectify(fwd.b)

@@ -159,11 +159,14 @@ def test_equilibrium_matches_steady_state_formula():
 
 
 def test_circuit_rejects_complex_weights():
-    spec = NetworkSpec.build(1, 1, w_yy=np.array([[0.5 + 0.5j]]))
+    # Every field the step reads the real part of: no imaginary part is dropped.
     params = CircuitParams()
     state = CircuitState.zeros(1)
-    with pytest.raises(ValueError, match="real-valued"):
-        pfc_step(spec, params, state, np.zeros(1), 0.01)
+    for field, value in [("w_yy", [[0.5 + 0.5j]]), ("w_zx", [[0.5 + 0.5j]]),
+                         ("c_z", [0.3 + 1j]), ("c_yhat", [0.3 + 1j])]:
+        spec = NetworkSpec.build(1, 1, **{field: np.array(value)})
+        with pytest.raises(ValueError, match="real-valued"):
+            pfc_step(spec, params, state, np.zeros(1), 0.01)
 
 
 def test_circuit_accepts_complex_dtype_with_zero_imag():
@@ -208,9 +211,10 @@ def test_simulate_circuit_recording():
     with pytest.raises(ValueError, match="record_stride"):
         simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
                          record_stride=3)
-    with pytest.raises(ValueError, match="record_stride a whole number"):
-        simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
-                         record_stride=2.5)
+    for stride in (2.5, True):
+        with pytest.raises(ValueError, match="record_stride a whole number"):
+            simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
+                             record_stride=stride)
 
 
 def _paired_drive(w, x_pos, x_neg, c):
@@ -463,12 +467,13 @@ def test_step_loop_names_first_non_finite_sample():
     assert abs(named - first) <= dt
 
 
-@pytest.mark.parametrize("field", ["w_zx", "w_yy"])
+@pytest.mark.parametrize("field", ["w_zx", "w_yy", "c_z", "c_yhat"])
 @pytest.mark.parametrize("reads_y", [False, True])
 def test_simulate_circuit_rejects_complex_weights(field, reads_y):
     # The weights are checked first: the input series given here is
     # misshapen and complex as well.
-    weights = {field: np.array([[0.5 + 0.5j]])}
+    value = [0.3 + 1j] if field.startswith("c_") else [[0.5 + 0.5j]]
+    weights = {field: np.array(value)}
     if reads_y:
         weights["w_ay"] = np.array([[0.5]])
     spec = NetworkSpec.build(1, 1, **weights)

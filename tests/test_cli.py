@@ -92,6 +92,23 @@ def test_run_spec_file(tmp_path):
     assert (tmp_path / "net_y.svg").exists()
 
 
+def test_run_spec_file_scales_tau_before_the_run(tmp_path, monkeypatch):
+    # tau_y = 5 ms admits dt <= 0.5 ms; scaled by 2 it admits dt = 1 ms.
+    path = tmp_path / "net.json"
+    save_spec(NetworkSpec.build(2, 1, tau_y=5.0, c_z=np.array([0.2, 0.0]),
+                                c_b=np.ones(2)), path)
+    args = ["--out", str(tmp_path), "run", "--spec", str(path),
+            "--duration", "20", "--dt", "1", "--no-plot"]
+    assert cli.main(args) == 2
+    ran = []
+    simulate = cli.simulate
+    monkeypatch.setattr(cli, "simulate",
+                        lambda spec, *rest: ran.append(spec) or simulate(spec, *rest))
+    assert cli.main(args + ["--tau-scale", "2"]) == 0
+    assert np.array_equal(ran[0].tau_y, [10.0, 10.0])
+    assert (tmp_path / "net_trajectory.csv").exists()
+
+
 @pytest.mark.parametrize("args, message", [
     (["run", "--scenario", "fig2", "--spec", "{spec}"], "--scenario or --spec"),
     (["analyze", "--constructor", "synfire", "--spec", "{spec}"],
@@ -235,8 +252,10 @@ def test_argument_error_is_one_error_line(tmp_path, capsys, args):
     (["--bogus", "run", "--scenario", "fig2"], "unrecognized arguments: --bogus"),
     (["run", "--scenario", "fig2", "--bogus"], "unrecognized arguments: --bogus"),
     ([], "the following arguments are required: subcommand"),
+    (["analyze", "--constructor", "identity", "--tau", "10,abc"],
+     "argument --tau: bad tau list '10,abc'"),
 ], ids=["flag-alone", "flag-before-subcommand", "flag-after-subcommand",
-        "no-subcommand"])
+        "no-subcommand", "tau-not-a-number"])
 def test_argument_error_names_what_is_wrong(tmp_path, capsys, args, message):
     # An unknown flag is named wherever it stands, also with no subcommand.
     with pytest.raises(SystemExit) as exc:

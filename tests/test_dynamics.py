@@ -10,7 +10,7 @@ import oscint.dynamics
 import oscint.model
 import oscint.scenarios
 from oscint.dynamics import _BLOCK, simulate, step
-from oscint.model import DivergenceError, NetworkSpec, SimState
+from oscint.model import DivergenceError, NetworkSpec, SimState, readout_series
 from oscint.scenarios import run_scenario
 from oscint.weights import center_surround, ei_pair, eigen_encoder, synfire
 
@@ -308,7 +308,23 @@ def test_dt_guard():
                  0.0, 10.0, dt=2.0)
 
 
+@pytest.mark.parametrize("dt, t_stop", [(0.0, 10.0), (-1.0, 10.0), (1.0, -5.0)],
+                         ids=["dt-zero", "dt-negative", "t-stop-before-t-start"])
+def test_simulate_rejects_a_span_no_step_covers(dt, t_stop):
+    spec = NetworkSpec.build(2, 1, tau_y=10.0)
+    with pytest.raises(ValueError, match="dt must be positive|non-negative whole number"):
+        simulate(spec, np.zeros((11, 1)), 0.0, t_stop, dt)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0])
+def test_step_rejects_a_non_positive_dt(dt):
+    spec = NetworkSpec.build(2, 1, tau_y=10.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        step(spec, SimState.zeros(spec), np.zeros(1), dt)
+
+
 def test_readout_recording():
+    # The record holds y only; readout_series reads it out of any samples.
     spec = NetworkSpec.build(
         2, 1, n_readout=1,
         w_ry=np.array([[1.0, -1.0]]),
@@ -317,10 +333,14 @@ def test_readout_recording():
     )
     traj = simulate(spec, sampled(lambda t: np.zeros(1), 0.0, 20.0, 1.0),
                     0.0, 20.0, dt=1.0)
-    assert traj.readout is not None
-    assert traj.readout.shape == (traj.n_samples, 1)
+    assert not hasattr(traj, "readout")
+    readout = readout_series(spec, traj.y)
+    assert readout.shape == (traj.n_samples, 1)
     expected = traj.y @ np.array([[1.0, -1.0]]).T + 0.5
-    assert np.abs(traj.readout - expected).max() < 1e-14
+    assert np.abs(readout - expected).max() < 1e-14
+    assert np.array_equal(readout_series(spec, traj.y[5:9]), readout[5:9])
+    assert readout_series(spec.replace(n_readout=0, w_ry=np.zeros((0, 2)),
+                                       c_r=np.zeros(0)), traj.y) is None
 
 
 def test_recorded_samples_are_pre_step_states():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from sampling import sampled
 
+import oscint.output
 from oscint.circuit import CircuitParams, CircuitTrajectory, simulate_circuit
 from oscint.dynamics import simulate
 from oscint.model import NetworkSpec, SampledRecord, Trajectory, grid_stride
@@ -351,9 +352,10 @@ def test_write_csv_passes_the_stride_on(tmp_path, kind):
 
 
 @pytest.mark.parametrize("kind", sorted(_WRITERS))
-@pytest.mark.parametrize("stride", [0, -1, 2.5, 3, np.float64(2.0)])
+@pytest.mark.parametrize("stride", [0, -1, 2.5, 3, np.float64(2.0), True])
 def test_stride_off_the_step_count_is_rejected(tmp_path, kind, stride):
-    # 21 rows are 20 steps: 3 does not divide them, 2.5 and 2.0 are no strides.
+    # 21 rows are 20 steps: 3 does not divide them, 2.5, 2.0 and True are no
+    # strides.
     _, build, write, _ = _WRITERS[kind]
     path = tmp_path / f"{kind}.csv"
     with pytest.raises(ValueError, match="divides the 20 steps"):
@@ -433,9 +435,11 @@ def test_write_replaces_existing_file(tmp_path, small_trajectory):
     assert [p.name for p in tmp_path.iterdir()] == ["traj.csv"]
 
 
-def test_streamed_write_memory_is_bounded_by_a_block(tmp_path):
+def test_streamed_write_memory_is_bounded_by_a_block(tmp_path, monkeypatch):
+    # Blocks of 2**12 cells: 401 columns stream 10 rows at a time.
+    monkeypatch.setattr(oscint.output, "_BLOCK_CELLS", 1 << 12)
     rng = np.random.default_rng(0)
-    rows, n = 8_000, 100  # 401 columns, 50 blocks
+    rows, n = 1_000, 100
     traj = Trajectory(dt=0.25, times=_times(rows), x=np.zeros((rows, 1)),
                       a=rng.standard_normal((rows, n)), b=rng.standard_normal((rows, n)),
                       y=rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
@@ -448,7 +452,9 @@ def test_streamed_write_memory_is_bounded_by_a_block(tmp_path):
         tracemalloc.stop()
     written = path.stat().st_size
     path.unlink()
-    assert written > 50e6
+    # At about 20 bytes a cell the file spans ~98 blocks; written as one
+    # block, the record peaks at over 3 times its size.
+    assert written > 50 * 20 * oscint.output._BLOCK_CELLS
     assert peak < written / 8, (peak, written)
 
 
@@ -464,6 +470,14 @@ def test_plot_series_draws_every_kth_unit(n, labels):
     assert list(series) == labels
     for label, values in series.items():
         assert np.array_equal(values, traj.y[:, int(label[5:])].real, equal_nan=True)
+
+
+def test_plot_series_draws_y_net_of_every_kth_circuit_unit():
+    record = _circuit_record(5, n=16)
+    series = plot_series(record)
+    assert list(series) == [f"y_net_{j}" for j in range(0, 16, 2)]
+    for label, values in series.items():
+        assert np.array_equal(values, record.y_net[:, int(label[6:])], equal_nan=True)
 
 
 def test_plot_series_draws_bank_channels_and_readout():

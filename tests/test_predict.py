@@ -116,6 +116,15 @@ def test_predict_series_timeline_and_index():
         predict_series(pspec, np.zeros((5, 2)), sched, horizon=10.0, dt=0.5)
 
 
+@pytest.mark.parametrize("x_samples", [np.array([0.5, 1.0 + 1.0j]), [0.5, 1.0 + 1.0j]],
+                         ids=["complex-array", "list-with-complex"])
+def test_complex_samples_are_rejected(x_samples):
+    # Neither loses its imaginary part to a cast, nor fails with a TypeError.
+    sched = ModulatorSchedule(((-10.0, 0.1, 0.1),))
+    with pytest.raises(ValueError, match="x_samples"):
+        predict_series(PredictorSpec((1.0,)), x_samples, sched, horizon=10.0, dt=0.5)
+
+
 def test_free_run_conserves_channel_magnitudes():
     pspec = PredictorSpec((2.0, 8.0), tau_y=10.0)
     dt = 0.1

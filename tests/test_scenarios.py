@@ -10,7 +10,7 @@ import oscint.circuit
 import oscint.model
 import oscint.scenarios
 from blas import blas_thread_count, blas_threads, needs_openblas
-from oscint.model import Trajectory
+from oscint.model import Trajectory, readout_series
 from oscint.predict import PredictionResult
 from oscint.scenarios import (
     _PRESETS,
@@ -107,7 +107,9 @@ def test_fig2_passes_and_is_deterministic():
     assert isinstance(first.trajectory, Trajectory)
     assert first.description
     assert np.array_equal(first.trajectory.y, second.trajectory.y)
-    assert np.array_equal(first.trajectory.readout, second.trajectory.readout)
+    spec = first.extras["spec"]
+    assert np.array_equal(readout_series(spec, first.trajectory.y),
+                          readout_series(spec, second.trajectory.y))
 
 
 def test_fig4_remapping_passes():
