@@ -64,7 +64,10 @@ from .model import (
     DivergenceError,
     NetworkSpec,
     Trajectory,
+    _coerce,
     _gain_series,
+    _positive,
+    _whole,
     predicted_series,
     rectify,
 )
@@ -81,8 +84,9 @@ class BatchProblem:
 
     ``x_series`` has one row per sample, sampled every ``dt`` ms.  The alpha
     weight family defaults to the network's a-gain family; pass explicit
-    (possibly zero) arrays to pin the excess gain independently.  ``alpha0``
-    and ``b0`` seed the gain recursions at the first sample.
+    (possibly zero) arrays of its shapes to pin the excess gain independently.
+    ``alpha0`` and ``b0`` (one value, or one per neuron) seed the gain
+    recursions at the first sample.  Bad input raises ValueError naming it.
     """
 
     spec: NetworkSpec
@@ -99,37 +103,28 @@ class BatchProblem:
     b0: float = 0.0
 
     def __post_init__(self) -> None:
-        self.x_series = np.asarray(self.x_series)
-        if (self.x_series.ndim != 2 or self.x_series.shape[0] < 1
-                or self.x_series.shape[1] != self.spec.n_inputs):
-            raise ValueError("x_series must have shape (n_samples >= 1, n_inputs)")
-        if not np.all(np.isfinite(self.x_series)):
-            raise ValueError("x_series must be finite")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError("dt must be finite and positive")
+        spec = self.spec
+        self.x_series = _coerce(self.x_series, (None, spec.n_inputs), None, "x_series")
+        _whole(len(self.x_series), "x_series sample count", 1)
+        _positive(self.dt, "dt")
         # Rates of 2 and above are accepted: solve reports the divergence.
-        if not (np.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError("rate must be finite and >= 0")
-        if (not isinstance(self.max_iters, (int, np.integer))
-                or isinstance(self.max_iters, bool) or self.max_iters < 1):
-            raise ValueError("max_iters must be an integer >= 1")
-        if not (np.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise ValueError("tolerance must be finite and >= 0")
-        if self.w_alpha_x is None:
-            self.w_alpha_x = self.spec.w_ax
-        if self.w_alpha_y is None:
-            self.w_alpha_y = self.spec.w_ay
-        if self.c_alpha is None:
-            self.c_alpha = self.spec.c_a
+        _positive(self.rate, "rate", zero=True)
+        _whole(self.max_iters, "max_iters", 1)
+        _positive(self.tolerance, "tolerance", zero=True)
         if self.tau_alpha is None:
-            self.tau_alpha = self.spec.tau_a
-        if not (np.isfinite(self.tau_alpha) and self.tau_alpha > 0):
-            raise ValueError("tau_alpha must be finite and positive")
+            self.tau_alpha = spec.tau_a
+        _positive(self.tau_alpha, "tau_alpha")
+        layout = NetworkSpec.layout(spec.n_neurons, spec.n_inputs, spec.n_readout)
+        for name, like in (("w_alpha_x", "w_ax"), ("w_alpha_y", "w_ay"),
+                           ("c_alpha", "c_a")):
+            value = getattr(self, name)
+            setattr(self, name, _coerce(getattr(spec, like) if value is None else value,
+                                        *layout[like], name))
         for name in ("alpha0", "b0"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ValueError(f"{name} must be finite")
-            if np.iscomplexobj(getattr(self, name)):
-                raise ValueError(f"{name} must be real")
+            value = getattr(self, name)
+            arr = _coerce(value, (spec.n_neurons,) if np.ndim(value) else (),
+                          np.float64, name)
+            setattr(self, name, arr if arr.ndim else float(arr))
 
     @property
     def n_samples(self) -> int:
@@ -179,9 +174,8 @@ def forward_pass(prob: BatchProblem, y_series: np.ndarray) -> ForwardOutputs:
 def _gain_pair(prob: BatchProblem, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (alpha, b) series driven by the input and the response ``y``."""
     spec, x = prob.spec, prob.x_series
-    x_real = x.real if np.iscomplexobj(x) else x
-    alpha_drive = x_real @ prob.w_alpha_x.T + (y @ prob.w_alpha_y.T).real + prob.c_alpha
-    b_drive = x_real @ spec.w_bx.T + (y @ spec.w_by.T).real + spec.c_b
+    alpha_drive = x.real @ prob.w_alpha_x.T + (y @ prob.w_alpha_y.T).real + prob.c_alpha
+    b_drive = x.real @ spec.w_bx.T + (y @ spec.w_by.T).real + spec.c_b
     alpha = _gain_series(alpha_drive, prob.tau_alpha, prob.dt, prob.alpha0)
     b = _gain_series(b_drive, spec.tau_b, prob.dt, prob.b0)
     return alpha, b
@@ -259,7 +253,7 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     when the gains read y, computes every block.  ``block_updates`` in the
     result counts the blocks computed.
 
-    ``y_init`` (zeros by default) must be finite; ValueError otherwise.
+    ``y_init`` (zeros by default) passes :func:`oscint.model._coerce`.
 
     Convergence: relative energy decrease below ``prob.tolerance``.
     Divergence raises :class:`BatchDivergenceError` with the iteration index:
@@ -269,11 +263,9 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     is not the test.
     """
     spec = prob.spec
-    y = prob.zero_series() if y_init is None else np.array(y_init, dtype=np.complex128)
-    if y.shape != (prob.n_samples, spec.n_neurons):
-        raise ValueError("y_init has wrong shape")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y_init must be finite")
+    y = (prob.zero_series() if y_init is None else
+         _coerce(y_init, (prob.n_samples, spec.n_neurons), np.complex128, "y_init",
+                 copy=True))
 
     n_samples = prob.n_samples
     gains_read_y = prob.gains_read_y

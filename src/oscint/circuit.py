@@ -60,6 +60,9 @@ from .model import (
     _BLOCK,
     NetworkSpec,
     SampledRecord,
+    _coerce,
+    _positive,
+    _whole,
     check_finite,
     first_order,
     rectify,
@@ -169,6 +172,7 @@ def thalamic_step(
     rates, g_e - g_i = W_x x + W_y (y+ - y-) + c and
     g_e + g_i = |W_x| |x| + |W_y| (y+ + y-) + |c|.  Returns the new (a, b).
     """
+    _positive(dt, "dt")
     x = np.asarray(x)
     x_abs = np.abs(x)
     y_net = y_plus - y_minus
@@ -203,6 +207,7 @@ def pfc_step(
     gain-unit update lives in :func:`thalamic_step` and both read the same
     pre-step state, keeping the whole circuit synchronous.
     """
+    _positive(dt, "dt")
     _require_real(spec)
     scale = dt / params.capacitance
     g_va = rectify(state.a) / params.r_apical
@@ -258,8 +263,8 @@ def simulate_circuit(
 
     ``x`` is a real input series sampled as :func:`oscint.dynamics.simulate`
     takes it, row ``i`` at ``t_start + i*dt``; row ``i`` drives the step from
-    sample ``i``, so the last row is unused.  Another shape, a complex
-    series or a non-finite entry raises ValueError.
+    sample ``i``, so the last row is unused.  It and the ``init`` fields
+    pass :func:`oscint.model._coerce`, as real arrays.
 
     Gain units and compartment cells advance synchronously from the same
     pre-step state.  The compartment coupling is stiff (axial conductances up
@@ -270,44 +275,29 @@ def simulate_circuit(
     :func:`thalamic_step` and one :func:`pfc_step` per step.  The two paths
     agree to rounding; ``map_blocks`` on the record counts the blocks
     advanced by powers of one affine map (0 on the step loop).  Complex
-    ``w_zx``, ``w_yy``, ``c_z`` or ``c_yhat``, a bool ``record_stride``, or
-    an ``init`` field that is complex, misshapen or non-finite, raise
+    ``w_zx``, ``w_yy``, ``c_z`` or ``c_yhat``, a bad ``dt`` or
+    ``record_stride`` (each with its own message), ``x`` or ``init``, raise
     ValueError before any step.  A non-finite state raises
     :class:`DivergenceError` naming the time of the first non-finite sample:
     the block path checks once per block, the step loop after every step.
     """
-    if (dt <= 0 or isinstance(record_stride, bool)
-            or not isinstance(record_stride, (int, np.integer)) or record_stride < 1):
-        raise ValueError("dt must be positive and record_stride a whole number >= 1")
+    _positive(dt, "dt")
+    record_stride = _whole(record_stride, "record_stride", 1)
     _require_real(spec)
     n_steps = steps_in_span(t_stop - t_start, dt)
     if n_steps % record_stride != 0:
         raise ValueError("record_stride must divide the step count")
     n_rec = n_steps // record_stride + 1
-    x = np.asarray(x)
-    if x.shape != (n_steps + 1, spec.n_inputs) or np.iscomplexobj(x):
-        raise ValueError(f"x must be a real series of shape "
-                         f"{(n_steps + 1, spec.n_inputs)}, got {x.dtype} "
-                         f"{x.shape}")
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-    x = x.astype(np.float64, copy=False)
+    x = _coerce(x, (n_steps + 1, spec.n_inputs), np.float64, "x")
 
     n = spec.n_neurons
-    state = init if init is not None else CircuitState.zeros(n, t=t_start)
     rec = {}
     for name in _STATE_FIELDS:
-        value = getattr(state, name)
         shape = (n,) if name in ("a", "b") else (2, n)
-        if np.shape(value) != shape:
-            raise ValueError(f"init.{name} has shape {np.shape(value)}, "
-                             f"expected {shape}")
-        if not np.isfinite(value).all():
-            raise ValueError(f"init.{name} must be finite")
-        if np.iscomplexobj(value):
-            raise ValueError(f"init.{name} must be real")
         rec[name] = np.zeros((n_rec,) + shape)
-        rec[name][0] = value
+        if init is not None:
+            rec[name][0] = _coerce(getattr(init, name), shape, np.float64,
+                                   f"init.{name}")
 
     times = t_start + dt * record_stride * np.arange(n_rec)
     traj = CircuitTrajectory(dt=dt * record_stride, times=times, **rec)
@@ -315,15 +305,16 @@ def simulate_circuit(
         traj.map_blocks = _advance_blocks(spec, params, x, traj, dt,
                                           record_stride)
     else:
-        _advance_steps(spec, params, x, traj, dt, record_stride, state)
+        _advance_steps(spec, params, x, traj, dt, record_stride)
     return traj
 
 
 def _advance_steps(spec: NetworkSpec, params: CircuitParams, xs: np.ndarray,
-                   traj: CircuitTrajectory, dt: float, stride: int,
-                   state: CircuitState) -> None:
+                   traj: CircuitTrajectory, dt: float, stride: int) -> None:
     """Fill ``traj`` past its first sample with one :func:`thalamic_step`
     and one :func:`pfc_step` per step."""
+    state = CircuitState(*(getattr(traj, name)[0] for name in _STATE_FIELDS),
+                         t=float(traj.times[0]))
     for i, x in enumerate(xs[:-1]):
         y = rectify(state.v)
         a_new, b_new = thalamic_step(spec, params, state, x, y[0], y[1], dt)

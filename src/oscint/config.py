@@ -1,8 +1,8 @@
 """JSON (de)serialization of network descriptions.
 
-Matrices are nested row lists.  Every entry is either a plain number (real
-field) or a two-element list ``[re, im]`` (complex field), so values
-round-trip exactly without a separate dtype marker.
+Matrices are nested row lists of JSON numbers (not bools or strings): each
+entry is a number (real field) or a pair ``[re, im]`` (complex field), so
+values round-trip exactly without a dtype marker.  Counts are JSON integers.
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import NetworkSpec
+from .model import _ARRAY_FIELDS, NetworkSpec, _coerce
 
 _SCALAR_FIELDS = ("n_neurons", "n_inputs", "n_readout", "tau_a", "tau_b")
-_DTYPES = {name: dtype for name, (_, dtype) in NetworkSpec.layout(0, 0, 0).items()}
+_DTYPES = {name: dtype for name, (_, dtype) in _ARRAY_FIELDS.items()}
 _COMPLEX_FIELDS = tuple(name for name, t in _DTYPES.items() if t == np.complex128)
 _REAL_FIELDS = tuple(name for name, t in _DTYPES.items() if t == np.float64)
 
@@ -32,20 +32,27 @@ def _encode_array(arr: np.ndarray) -> list:
     return [[enc(v) for v in row] for row in arr]
 
 
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
 def _decode_entry(entry) -> complex | float:
     if isinstance(entry, list):
         if len(entry) != 2:
             raise ValueError(f"complex entries must be [re, im] pairs, got {entry!r}")
-        return complex(float(entry[0]), float(entry[1]))
-    return float(entry)
+        return complex(_number(entry[0]), _number(entry[1]))
+    return _number(entry)
 
 
-def _decode_array(data: list, shape: tuple, dtype) -> np.ndarray:
+def _decode_array(data: list, shape: tuple, dtype, name: str) -> np.ndarray:
     if len(shape) == 2:
-        entries = [_decode_entry(e) for row in data for e in row]
+        entries = [[_decode_entry(e) for e in row] for row in data]
     else:
         entries = [_decode_entry(e) for e in data]
-    return np.array(entries, dtype=dtype).reshape(shape)
+    # An empty list has no row length: it reads as zero rows.
+    return _coerce(entries or np.empty((0,) + shape[1:]), shape, dtype, name)
 
 
 def spec_to_dict(spec: NetworkSpec) -> dict:
@@ -79,18 +86,18 @@ def spec_from_dict(data: dict) -> NetworkSpec:
         except (TypeError, ValueError) as exc:
             raise ValueError(f"network config key {name!r}: {exc}") from exc
 
-    n, m, k = (decode(name, int) for name in ("n_neurons", "n_inputs", "n_readout"))
+    n, m, k = (data[name] for name in ("n_neurons", "n_inputs", "n_readout"))
     layout = NetworkSpec.layout(n, m, k)
     kwargs = {
         "n_neurons": n,
         "n_inputs": m,
         "n_readout": k,
-        "tau_a": decode("tau_a", float),
-        "tau_b": decode("tau_b", float),
+        "tau_a": decode("tau_a", _number),
+        "tau_b": decode("tau_b", _number),
     }
     for name in _COMPLEX_FIELDS + _REAL_FIELDS:
         shape, dtype = layout[name]
-        kwargs[name] = decode(name, _decode_array, shape, dtype)
+        kwargs[name] = decode(name, _decode_array, shape, dtype, name)
     return NetworkSpec(**kwargs)
 
 

@@ -49,7 +49,9 @@ from .model import (
     NetworkSpec,
     SimState,
     Trajectory,
+    _coerce,
     _gain_series,
+    _positive,
     check_finite,
     input_drive,
     recurrent_drive,
@@ -63,10 +65,8 @@ def step(spec: NetworkSpec, state: SimState, x: np.ndarray, dt: float) -> SimSta
     Returns a fresh state at ``state.t + dt``; the argument is not modified.
     Raises :class:`DivergenceError` if any component leaves the finite range.
     """
+    _positive(dt, "dt")
     x = np.asarray(x)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-
     a_plus = rectify(state.a)
     b_plus = rectify(state.b)
     beta = b_plus / (1.0 + b_plus)
@@ -78,9 +78,8 @@ def step(spec: NetworkSpec, state: SimState, x: np.ndarray, dt: float) -> SimSta
     )
 
     # Gain populations are real; complex responses contribute their real part.
-    x_real = x.real if np.iscomplexobj(x) else x
-    a_in = spec.c_a + spec.w_ax @ x_real + (spec.w_ay @ state.y).real
-    b_in = spec.c_b + spec.w_bx @ x_real + (spec.w_by @ state.y).real
+    a_in = spec.c_a + spec.w_ax @ x.real + (spec.w_ay @ state.y).real
+    b_in = spec.c_b + spec.w_bx @ x.real + (spec.w_by @ state.y).real
     a_new = state.a + (dt / spec.tau_a) * (-state.a + a_in)
     b_new = state.b + (dt / spec.tau_b) * (-state.b + b_in)
 
@@ -99,9 +98,9 @@ def simulate(
     """Integrate from ``t_start`` to ``t_stop`` and record every sample.
 
     ``x`` is the input series: row ``i`` is the length-M input at
-    ``t_start + i*dt``, one row per recorded sample (ValueError for any other
-    shape, or for a non-finite entry; likewise for an ``init`` field, and for
-    a complex ``init.a`` or ``init.b``).  Sample ``i`` records the state at
+    ``t_start + i*dt``, one row per recorded sample; it and the ``init``
+    fields pass :func:`oscint.model._coerce` (``init.a`` and ``init.b``
+    real) before any step.  Sample ``i`` records the state at
     ``t_start + i*dt`` alongside row ``i``; the final sample at ``t_stop`` is
     recorded without stepping past it.  ``traj.x`` is a float64 or, for
     complex ``x``, complex128 copy of ``x``; neither the drive z nor the
@@ -130,29 +129,16 @@ def simulate(
 
     times = sample_times(t_start, t_stop, dt)
     n_samples, n = len(times), spec.n_neurons
-    x = np.asarray(x)
-    if x.shape != (n_samples, spec.n_inputs):
-        raise ValueError(f"x has shape {x.shape}, expected "
-                         f"{(n_samples, spec.n_inputs)}")
-    if not np.isfinite(x).all():
-        raise ValueError("x must be finite")
-
+    xs = _coerce(x, (n_samples, spec.n_inputs), None, "x", copy=True)
     state = init if init is not None else SimState.zeros(spec, t=t_start)
-    for name in ("y", "a", "b"):
-        shape = np.shape(getattr(state, name))
-        if shape != (n,):
-            raise ValueError(f"init.{name} has shape {shape}, expected {(n,)}")
-        if not np.isfinite(getattr(state, name)).all():
-            raise ValueError(f"init.{name} must be finite")
-        if name != "y" and np.iscomplexobj(getattr(state, name)):
-            raise ValueError(f"init.{name} must be real")
+    y0 = _coerce(state.y, (n,), np.complex128, "init.y")
+    a0, b0 = (_coerce(getattr(state, g), (n,), np.float64, f"init.{g}") for g in "ab")
 
-    cols = spec.gain_columns(state.a, state.b)
-    xs = np.array(x, dtype=np.complex128 if np.iscomplexobj(x) else np.float64)
+    cols = spec.gain_columns(a0, b0)
     as_ = np.zeros((n_samples, cols))
     bs = np.zeros((n_samples, cols))
     ys = np.zeros((n_samples, n), dtype=np.complex128)
-    ys[0], as_[0], bs[0] = state.y, state.a[:cols], state.b[:cols]
+    ys[0], as_[0], bs[0] = y0, a0[:cols], b0[:cols]
 
     traj = Trajectory(dt=dt, times=times, x=xs, a=as_, b=bs, y=ys)
     if spec._w_ay_zero and spec._w_by_zero:

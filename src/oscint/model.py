@@ -20,6 +20,7 @@ Shapes and units
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache, cached_property
@@ -192,12 +193,47 @@ def _blas_threads(n: int):
         put(previous)
 
 
-def _coerce(value, shape: tuple, dtype, name: str) -> np.ndarray:
-    """A fresh ``dtype`` copy of ``value``; ValueError unless it has ``shape``."""
-    out = np.array(value, dtype=dtype, copy=True)
-    if out.shape != shape:
-        raise ValueError(f"{name} must have shape {shape}, got {out.shape}")
-    return out
+def _coerce(value, shape: tuple, dtype, name: str, copy: bool = False) -> np.ndarray:
+    """Input from outside the program as a ``dtype`` engine array: ValueError
+    naming ``name`` unless it is numeric, of ``shape`` (None matches any
+    length), real when ``dtype`` is real, and finite.  ``dtype`` None is
+    float64, or complex128 for complex input.  Copies, in ``value``'s memory
+    order, only when the dtype changes or ``copy`` is set."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or not np.issubdtype(arr.dtype, np.number):
+        raise ValueError(f"{name} must be numeric")
+    if len(arr.shape) != len(shape) or any(
+            want is not None and got != want for got, want in zip(arr.shape, shape)):
+        expected = str(tuple("n" if d is None else d for d in shape)).replace("'", "")
+        raise ValueError(f"{name} has shape {arr.shape}, expected {expected}")
+    if dtype is None:
+        dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+    elif np.iscomplexobj(arr) and not np.issubdtype(dtype, np.complexfloating):
+        raise ValueError(f"{name} must be real")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite")
+    return np.array(arr, dtype=dtype, copy=True) if copy else np.asarray(arr, dtype=dtype)
+
+
+def _whole(value, name: str, minimum: int) -> int:
+    """``value`` as an int: ValueError unless an integer (not a bool) >= ``minimum``."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < minimum):
+        raise ValueError(f"{name} must be a whole number >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, name: str, zero: bool = False) -> None:
+    """ValueError naming ``name`` unless ``value`` is a real number, not a
+    bool, that is finite and > 0 (>= 0 with ``zero``)."""
+    if (isinstance(value, bool)
+            or not isinstance(value, (int, float, np.integer, np.floating))
+            or not math.isfinite(value) or value < 0 or (value == 0 and not zero)):
+        raise ValueError(f"{name} must be {'>= 0' if zero else 'positive'} "
+                         f"and finite, got {value!r}")
 
 
 # Each array field of a NetworkSpec: its shape over the sizes n (neurons),
@@ -250,36 +286,32 @@ class NetworkSpec:
 
     @staticmethod
     def layout(n: int, m: int, k: int) -> dict[str, tuple[tuple[int, ...], type]]:
-        """Shape and dtype of each array field for N = n, M = m, K = k."""
-        sizes = {"n": n, "m": m, "k": k}
+        """Shape and dtype of each array field for whole N = n >= 1, M = m, K = k >= 0."""
+        sizes = {"n": _whole(n, "n_neurons", 1), "m": _whole(m, "n_inputs", 0),
+                 "k": _whole(k, "n_readout", 0)}
         return {name: (tuple(sizes[d] for d in dims), dtype)
                 for name, (dims, dtype) in _ARRAY_FIELDS.items()}
 
     def __post_init__(self) -> None:
-        n, m, k = self.n_neurons, self.n_inputs, self.n_readout
-        if n < 1 or m < 0 or k < 0:
-            raise ValueError("n_neurons must be >= 1 and channel counts >= 0")
-        coerced = {name: _coerce(getattr(self, name), shape, dtype, name)
-                   for name, (shape, dtype) in self.layout(n, m, k).items()}
-        for name, arr in coerced.items():
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} contains non-finite entries")
+        layout = self.layout(self.n_neurons, self.n_inputs, self.n_readout)
+        for name, (shape, dtype) in layout.items():
+            arr = _coerce(getattr(self, name), shape, dtype, name, copy=True)
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
-        if np.any(coerced["tau_y"] <= 0.0):
+        if np.any(self.tau_y <= 0.0):
             raise ValueError("tau_y entries must be positive")
         if not all(np.isfinite(tau) and tau > 0.0 for tau in (self.tau_a, self.tau_b)):
             raise ValueError("tau_a and tau_b must be finite and positive")
         object.__setattr__(self, "tau_a", float(self.tau_a))
         object.__setattr__(self, "tau_b", float(self.tau_b))
         # Gains that do not read y let the engines take their block paths.
-        object.__setattr__(self, "_w_ay_zero", not np.any(coerced["w_ay"]))
-        object.__setattr__(self, "_w_by_zero", not np.any(coerced["w_by"]))
+        object.__setattr__(self, "_w_ay_zero", not np.any(self.w_ay))
+        object.__setattr__(self, "_w_by_zero", not np.any(self.w_by))
         # Every neuron's gains follow the same drive: they do not read y, and
         # each row of w_ax, w_bx, c_a and c_b equals the first.
         object.__setattr__(self, "_gains_shared", bool(
             self._w_ay_zero and self._w_by_zero
-            and all(np.all(coerced[name] == coerced[name][:1])
+            and all(np.all(getattr(self, name) == getattr(self, name)[:1])
                     for name in ("w_ax", "w_bx", "c_a", "c_b"))))
 
     @classmethod
@@ -303,12 +335,11 @@ class NetworkSpec:
         if unknown:
             raise TypeError(f"unknown NetworkSpec fields: {sorted(unknown)}")
         values.update(overrides)
-        tau_vec = np.broadcast_to(np.asarray(tau_y, dtype=np.float64), (n,)).copy()
         return cls(
             n_neurons=n,
             n_inputs=m,
             n_readout=k,
-            tau_y=tau_vec,
+            tau_y=np.broadcast_to(tau_y, (n,)),
             tau_a=tau_a,
             tau_b=tau_b,
             **values,
@@ -494,8 +525,7 @@ def energy(spec: NetworkSpec, traj: Trajectory) -> float:
     response coordinate is exactly 1.
     """
     for name in ("y", "x", "a", "b"):
-        if not np.all(np.isfinite(getattr(traj, name))):
-            raise ValueError(f"trajectory field {name} contains non-finite values")
+        _coerce(getattr(traj, name), (None, None), None, f"trajectory field {name}")
     b_plus = rectify(traj.b)
     alpha_plus = mismatch_gain(rectify(traj.a), b_plus)
     z = traj.x @ spec.w_zx.T + spec.c_z

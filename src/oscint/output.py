@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import CircuitTrajectory
-from .model import SampledRecord, Trajectory
+from .model import SampledRecord, Trajectory, _whole
 from .predict import PredictionResult
 
 # Cells per streamed block: one block's floats and row strings are the
@@ -41,10 +41,8 @@ _BLOCK_CELLS = 1 << 16
 def _write_rows(path: Path, header: list[str], columns: list[np.ndarray],
                 stride: int = 1) -> None:
     steps = len(columns[0]) - 1
-    if (isinstance(stride, bool) or not isinstance(stride, (int, np.integer))
-            or stride < 1 or steps % stride):
-        raise ValueError(f"stride {stride!r} is not a whole number >= 1 that "
-                         f"divides the {steps} steps")
+    if steps % _whole(stride, "stride", 1):
+        raise ValueError(f"stride {stride} does not divide the {steps} steps")
     columns = [c[::stride] for c in columns]
     # A column viewed more than once enters the row format as text.
     keys = [(c.__array_interface__["data"][0], c.strides, c.shape, c.dtype.str)

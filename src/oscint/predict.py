@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import _BLOCK, SampledRecord, check_finite, steps_in_span
+from .model import _BLOCK, SampledRecord, _coerce, _positive, check_finite, steps_in_span
 from .weights import diagonal_oscillators
 
 # Steps per block operator product (:func:`_euler_piece`).  fig10's driven piece
@@ -110,6 +110,7 @@ def prediction_step(
     """Advance the bank one Euler step; gains are scalars shared by all
     channels and enter rectified.  ``y`` is one (C,) state, or a (K, C)
     stack of states stepped at once with ``x`` a (K, 1) input column."""
+    _positive(dt, "dt")
     y = np.asarray(y, dtype=np.complex128)
     a_plus = max(a, 0.0)
     b_plus = max(b, 0.0)
@@ -152,8 +153,8 @@ def predict_series(
 
     ``x_samples`` are input values at ``-n dt, ..., -dt`` for n samples: the
     drive ends at time 0 and the free phase runs, with zero input, to
-    ``horizon``.  Complex or non-finite samples raise ValueError before any
-    step.
+    ``horizon``.  ``x_samples`` passes :func:`oscint.model._coerce`, as a
+    real 1-d array, before any step.
 
     The run is walked once, piece by piece.  It is cut at the end of the
     drive and at the sample where each schedule entry takes effect: sample
@@ -174,12 +175,7 @@ def predict_series(
     :func:`prediction_step` per step.  A non-finite state raises
     :class:`DivergenceError` naming its first time.
     """
-    x_arr = np.asarray(x_samples)
-    if np.iscomplexobj(x_arr) or x_arr.ndim != 1:
-        raise ValueError("x_samples must be real and 1-d")
-    x_arr = x_arr.astype(np.float64, copy=False)
-    if not np.isfinite(x_arr).all():
-        raise ValueError("x_samples must be finite")
+    x_arr = _coerce(x_samples, (None,), np.float64, "x_samples")
     n_past = len(x_arr)
     n_total = n_past + steps_in_span(horizon, dt)
     times = -n_past * dt + dt * np.arange(n_total + 1)

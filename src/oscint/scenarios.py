@@ -35,6 +35,7 @@ from .model import (
     SimState,
     Trajectory,
     _blas_threads,
+    _positive,
     grid_stride,
     readout_series,
     sample_times,
@@ -916,10 +917,8 @@ def run_scenario(name: str, **overrides) -> ScenarioResult:
     if ignored:
         raise ValueError(f"{name} does not use the override(s) "
                          f"{', '.join(ignored)}")
-    tau_scale = overrides.get("tau_scale")
-    if tau_scale is not None and not (np.isfinite(tau_scale) and tau_scale > 0):
-        raise ValueError(f"tau_scale must be positive and finite, "
-                         f"got {tau_scale!r}")
+    if overrides.get("tau_scale") is not None:
+        _positive(overrides["tau_scale"], "tau_scale")
     with _blas_threads(1):
         built = preset.build(ov)
     return ScenarioResult(name, preset.description, *built)

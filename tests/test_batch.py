@@ -530,6 +530,36 @@ def test_problem_rejects_bad_arguments(field, value):
         BatchProblem(spec=spec, x_series=np.zeros((4, 1)), **{field: value})
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("w_alpha_x", np.full((3, 2), np.nan), "w_alpha_x must be finite"),
+    ("w_alpha_x", np.zeros((1, 2)), r"w_alpha_x has shape \(1, 2\), expected \(3, 2\)"),
+    ("c_alpha", np.zeros(1), r"c_alpha has shape \(1,\), expected \(3,\)"),
+    ("w_alpha_x", np.zeros((3, 5)), r"w_alpha_x has shape \(3, 5\)"),
+    ("w_alpha_y", np.zeros((2, 2)), r"w_alpha_y has shape \(2, 2\), expected \(3, 3\)"),
+    ("c_alpha", np.zeros(3, dtype=complex), "c_alpha must be real"),
+    ("alpha0", np.zeros(2), r"alpha0 has shape \(2,\), expected \(3,\)"),
+    ("b0", [[0.0] * 3], r"b0 has shape \(1, 3\)"),
+    ("tau_alpha", 1 + 1j, "tau_alpha must be positive and finite"),
+], ids=["nan-w_alpha_x", "one-row-w_alpha_x", "one-entry-c_alpha",
+        "wide-w_alpha_x", "small-w_alpha_y", "complex-c_alpha", "short-alpha0",
+        "matrix-b0", "complex-tau_alpha"])
+def test_problem_checks_the_alpha_family_against_the_a_gain_layout(field, value, message):
+    # Each used to pass the constructor, and was broadcast without a word or
+    # failed inside solve.
+    spec = NetworkSpec.build(3, 2)
+    with pytest.raises(ValueError, match=message):
+        BatchProblem(spec=spec, x_series=np.zeros((4, 2)), **{field: value})
+
+
+def test_problem_takes_one_seed_or_one_per_neuron():
+    spec = NetworkSpec.build(3, 1, c_a=np.ones(3))
+    one = BatchProblem(spec=spec, x_series=np.ones((6, 1)), alpha0=0.5, b0=1)
+    each = BatchProblem(spec=spec, x_series=np.ones((6, 1)), alpha0=np.full(3, 0.5),
+                        b0=[1, 1, 1])
+    assert one.alpha0 == 0.5 and type(one.b0) is float
+    assert np.array_equal(solve(one).y_series, solve(each).y_series)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
 def test_problem_rejects_non_finite_input(bad):
     x_series = np.zeros((4, 1), dtype=type(bad))

@@ -212,7 +212,7 @@ def test_simulate_circuit_recording():
         simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
                          record_stride=3)
     for stride in (2.5, True):
-        with pytest.raises(ValueError, match="record_stride a whole number"):
+        with pytest.raises(ValueError, match="record_stride must be a whole number >= 1"):
             simulate_circuit(spec, CircuitParams(), x, 0.0, 1.0, dt=0.1,
                              record_stride=stride)
 
@@ -511,7 +511,8 @@ def test_simulate_circuit_rejects_misshapen_init_and_input():
         for bad in (np.zeros((11, 2)), np.zeros((10, 1)), np.zeros((12, 1)),
                     np.zeros(11), np.zeros((11, 1), dtype=complex)):
             with pytest.raises(ValueError,
-                               match=r"real series of shape \(11, 1\)"):
+                               match=r"^x (has shape \(.*\), expected \(11, 1\)"
+                                     r"|must be real)$"):
                 simulate_circuit(either_path, CircuitParams(), bad, 0.0, 1.0,
                                  dt=0.1)
 

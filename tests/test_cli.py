@@ -381,6 +381,17 @@ def test_run_bad_spec_exits_2(tmp_path, capsys, case, message):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_run_spec_with_a_fractional_count_exits_2(tmp_path, capsys):
+    # It used to run a 2-unit network, the count truncated to 2.
+    data = spec_to_dict(NetworkSpec.build(2, 1)) | {"n_neurons": 2.7}
+    code = cli.main(["--out", str(tmp_path), "run", "--spec", _spec_json(tmp_path, data),
+                     "--no-plot"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n_neurons must be a whole number" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_run_unwritable_out_exits_2(tmp_path, capsys):
     blocker = tmp_path / "file"
     blocker.write_text("")

@@ -6,16 +6,27 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from oscint.batch import BatchProblem
-from oscint.circuit import CircuitParams, CircuitTrajectory, simulate_circuit
+from oscint.circuit import (
+    CircuitParams,
+    CircuitState,
+    CircuitTrajectory,
+    pfc_step,
+    simulate_circuit,
+    thalamic_step,
+)
 from oscint.config import load_spec, save_spec, spec_from_dict, spec_to_dict
-from oscint.dynamics import simulate
+from oscint.dynamics import simulate, step
 from oscint.model import (
     _COLUMN_STEPPED_MAX,
     DivergenceError,
     NetworkSpec,
+    SimState,
     Trajectory,
+    _coerce,
+    _whole,
     check_finite,
     energy,
     first_order,
@@ -32,6 +43,7 @@ from oscint.predict import (
     PredictionResult,
     PredictorSpec,
     predict_series,
+    prediction_step,
 )
 
 
@@ -427,4 +439,122 @@ def test_every_engine_rejects_a_non_finite_input_series(engine, bad):
         "batch": lambda: BatchProblem(spec=spec, x_series=x),
     }[engine]
     with pytest.raises(ValueError, match="finite"):
+        run()
+
+
+# Every dtype here converts to float64 or complex128 exactly; an int64 beyond
+# 2**53 would round to the nearest float64.
+_KINDS = [np.int16, np.int32, np.float16, np.float32, np.float64, np.complex64,
+          np.complex128, np.bool_, np.dtype("U2")]
+
+
+@given(data=st.data(), kind=st.sampled_from(_KINDS),
+       dtype=st.sampled_from([None, np.float64, np.complex128]))
+def test_coerce_accepts_exactly_finite_numeric_input_of_its_shape(data, kind, dtype):
+    arr = data.draw(hnp.arrays(kind, hnp.array_shapes(min_dims=0, max_dims=3,
+                                                      min_side=0, max_side=3)))
+    shape = data.draw(st.one_of(
+        st.tuples(*(st.sampled_from([d, None]) for d in arr.shape)),
+        st.lists(st.one_of(st.none(), st.integers(0, 3)), max_size=3).map(tuple)))
+    ok = (np.issubdtype(arr.dtype, np.number)
+          and len(shape) == arr.ndim
+          and all(w is None or w == d for d, w in zip(arr.shape, shape))
+          and not (dtype is np.float64 and np.iscomplexobj(arr))
+          and bool(np.isfinite(arr).all()))
+    if not ok:
+        with pytest.raises(ValueError, match="^field "):
+            _coerce(arr, shape, dtype, "field")
+        return
+    want = dtype or (np.complex128 if np.iscomplexobj(arr) else np.float64)
+    out = _coerce(arr, shape, dtype, "field")
+    assert out.dtype == want and out.shape == arr.shape
+    assert np.array_equal(out, arr)
+    # The caller's array comes back when its dtype already matches.
+    assert (out is arr) == (arr.dtype == want)
+    fresh = _coerce(arr, shape, dtype, "field", copy=True)
+    assert np.array_equal(fresh, arr) and not np.shares_memory(fresh, arr)
+
+
+@given(value=st.one_of(st.integers(-3, 3), st.integers(-3, 3).map(np.int64),
+                       st.booleans(), st.floats(allow_nan=True), st.text(max_size=2),
+                       st.none(), st.complex_numbers()),
+       minimum=st.integers(0, 2))
+def test_whole_accepts_exactly_integers_from_the_minimum(value, minimum):
+    ok = (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+          and value >= minimum)
+    if ok:
+        assert _whole(value, "count", minimum) == value
+        assert type(_whole(value, "count", minimum)) is int
+    else:
+        with pytest.raises(ValueError, match=f"^count must be a whole number >= {minimum}"):
+            _whole(value, "count", minimum)
+
+
+def test_spec_keeps_the_memory_order_of_each_field():
+    # A copy in C order would move fig4's rounding-level discharge.
+    w_ry = np.asfortranarray(np.arange(6.0).reshape(2, 3) + 1j)
+    spec = NetworkSpec.build(3, 1, 2, w_ry=w_ry)
+    assert spec.w_ry.flags.f_contiguous and not spec.w_ry.flags.c_contiguous
+    assert not np.shares_memory(spec.w_ry, w_ry)
+    assert np.array_equal(spec.w_ry, w_ry)
+
+
+@pytest.mark.parametrize("override, message", [
+    ({"w_ax": [[1 + 2j], [0]]}, "w_ax must be real"),
+    ({"w_ax": [["1"], ["0"]]}, "w_ax must be numeric"),
+    ({"tau_y": [5.0, 5j]}, "tau_y must be real"),
+], ids=["complex-gain-weights", "string-gain-weights", "complex-tau-y"])
+def test_build_refuses_to_cast_a_field(override, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkSpec.build(2, 1, **override)
+
+
+@pytest.mark.parametrize("counts, name", [
+    ((2.5, 1), "n_neurons"), ((0, 1), "n_neurons"), ((True, 1), "n_neurons"),
+    ((2, 1.0), "n_inputs"), ((2, -1), "n_inputs"), ((2, 1, 0.5), "n_readout"),
+])
+def test_build_takes_whole_counts(counts, name):
+    with pytest.raises(ValueError, match=f"{name} must be a whole number"):
+        NetworkSpec.build(*counts)
+
+
+@pytest.mark.parametrize("key, value", [("n_neurons", 2.7), ("n_inputs", 1.5),
+                                        ("n_readout", 0.0), ("n_neurons", True)])
+def test_spec_from_dict_takes_json_integer_counts(key, value):
+    data = spec_to_dict(NetworkSpec.build(2, 1))
+    with pytest.raises(ValueError, match=f"{key} must be a whole number"):
+        spec_from_dict(data | {key: value})
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tau_a", "10"), ("tau_b", True), ("c_a", [True, 0.0]), ("c_b", ["1.5", 0.0]),
+    ("c_z", [["1.5", 0.0], [0.0, 0.0]]), ("c_yhat", [[0.0, False], [0.0, 0.0]]),
+])
+def test_spec_from_dict_takes_json_numbers(key, value):
+    data = spec_to_dict(NetworkSpec.build(2, 1))
+    with pytest.raises(ValueError, match=f"'{key}'.*is not a JSON number"):
+        spec_from_dict(data | {key: value})
+
+
+def test_spec_from_dict_reads_rows_as_written():
+    # Two rows of three are no (3, 2) matrix, though both hold six entries.
+    data = spec_to_dict(NetworkSpec.build(3, 2))
+    with pytest.raises(ValueError, match=r"'w_ax'.*shape \(2, 3\), expected \(3, 2\)"):
+        spec_from_dict(data | {"w_ax": [[0.0] * 3] * 2})
+
+
+@pytest.mark.parametrize("dt", [0.0, -1.0, np.nan, np.inf, 1j, True])
+@pytest.mark.parametrize("engine", ["rate", "pfc", "thalamic", "bank"])
+def test_every_step_function_rejects_a_bad_dt(engine, dt):
+    spec = NetworkSpec.build(2, 1)
+    state = CircuitState.zeros(2)
+    run = {
+        "rate": lambda: step(spec, SimState.zeros(spec), np.zeros(1), dt),
+        "pfc": lambda: pfc_step(spec, CircuitParams(), state, np.zeros(1), dt),
+        "thalamic": lambda: thalamic_step(spec, CircuitParams(), state, np.zeros(1),
+                                          np.zeros(2), np.zeros(2), dt),
+        "bank": lambda: prediction_step(PredictorSpec((1.0,)), np.zeros(1), 0.0,
+                                        0.0, 0.0, dt),
+    }[engine]
+    with pytest.raises(ValueError, match="^dt must be positive and finite"):
         run()

@@ -358,7 +358,8 @@ def test_stride_off_the_step_count_is_rejected(tmp_path, kind, stride):
     # strides.
     _, build, write, _ = _WRITERS[kind]
     path = tmp_path / f"{kind}.csv"
-    with pytest.raises(ValueError, match="divides the 20 steps"):
+    with pytest.raises(ValueError, match=r"^stride (must be a whole number >= 1, got "
+                                         r"|3 does not divide the 20 steps$)"):
         write(path, build(21), stride)
     assert list(tmp_path.iterdir()) == []
 

@@ -112,7 +112,7 @@ def test_predict_series_timeline_and_index():
     assert result.times[-1] == pytest.approx(20.0)
     assert len(result.times) == 141
     assert result.sample_index(0.0) == 100
-    with pytest.raises(ValueError, match="1-d"):
+    with pytest.raises(ValueError, match=r"x_samples has shape \(5, 2\), expected \(n,\)"):
         predict_series(pspec, np.zeros((5, 2)), sched, horizon=10.0, dt=0.5)
 
 
