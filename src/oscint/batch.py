@@ -36,12 +36,14 @@ The stop and divergence rules see whole-sweep sums.  :func:`forward_pass` and
 and are the reference the solver is tested against.
 
 Unless the gains read y, a block whose input rows (its own and the one before
-it) kept their bits through the previous sweep is reused, not computed: its
-step would repeat the previous sweep's exactly, which left those rows as they
-are, so the kept per-block energy and step-norm terms are summed in its place
-and the iterates do not change.  On fig3 about half the block updates are
-reused: the exact-zero tail that the front of the descent has not reached
-yet, and the delay blocks that have settled behind it.
+it) have the bits of the iterate one or two sweeps back is reused, not
+computed: its step would repeat that sweep's exactly, whose output rows the
+second series buffer already holds, so that sweep's kept per-block energy and
+step-norm terms are summed in its place and the iterates do not change.  fig3
+computes 9 410 of its 7 x 3632 block updates: the rest are the exact-zero tail
+that the front of the descent has not reached yet, the delay blocks that have
+settled behind it, and block 0, whose rows 1-2 flip between two bit patterns
+6.9e-18 apart from sweep 83 on.
 
 When the gains do not read y, :func:`fixed_point` gives the series the sweep
 leaves unchanged in one causal pass (sample i predicts from sample i - 1).
@@ -122,8 +124,11 @@ class BatchProblem:
                                         *layout[like], name))
         for name in ("alpha0", "b0"):
             value = getattr(self, name)
-            arr = _coerce(value, (spec.n_neurons,) if np.ndim(value) else (),
-                          np.float64, name)
+            try:
+                one = np.ndim(value) == 0
+            except ValueError:      # ragged nesting, which _coerce names
+                one = False
+            arr = _coerce(value, () if one else (spec.n_neurons,), np.float64, name)
             setattr(self, name, arr if arr.ndim else float(arr))
 
     @property
@@ -242,16 +247,21 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     buffers; unless the gains read y, a sweep allocates no series-sized
     temporaries.
 
-    Unless the gains read y, a block is reused rather than computed when the
-    previous sweep left every row it reads (its own and the one before them)
-    with the same bits.  Its step is then a function of the same rows and
-    the same weights as in the previous sweep, so it would write back rows
-    that both buffers already hold and give the same three ``np.vdot``
-    terms; those terms are kept per block and summed in block order as
-    before, so the energy, the step norm and the stop rule keep their bits
-    and the iterates are those of computing every block.  The first sweep, and every sweep
-    when the gains read y, computes every block.  ``block_updates`` in the
-    result counts the blocks computed.
+    Unless the gains read y, a block is reused rather than computed when
+    every row it reads (its own and the one before them) has the bits of the
+    iterate one sweep back or two sweeps back.  Its step is then a function
+    of the same rows and the same weights as in that sweep, so it would
+    write the rows that the second buffer already holds (the iterate one
+    sweep back has the same rows, and the second buffer holds the one two
+    back) and give the same three ``np.vdot`` terms.  Those terms are kept
+    per block for the last two sweeps and summed in block order as before,
+    so the energy, the step norm and the stop rule keep their bits and the
+    iterates are those of computing every block.  A computed block compares
+    its stepped rows with its input rows and with the second buffer's rows
+    before it writes them; the second buffer holds no iterate until sweep 1
+    has written it.  The first sweep, and every sweep when the gains read y,
+    computes every block.  ``block_updates`` in the result counts the blocks
+    computed.
 
     ``y_init`` (zeros by default) passes :func:`oscint.model._coerce`.
 
@@ -276,12 +286,14 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
         (5, min(_BLOCK, n_samples), spec.n_neurons), dtype=np.complex128)
     changed = np.empty((len(yhat), 2 * spec.n_neurons), dtype=bool)
     n_blocks = -(-n_samples // _BLOCK)
-    # Per block: did the last sweep change the bits of any of its rows, and
-    # of its last row (both stay set when the gains read y); and its feed,
-    # recurrent and step-norm terms from the last sweep that computed it.
-    moved = np.ones(n_blocks, dtype=bool)
-    last_moved = np.ones(n_blocks, dtype=bool)
-    terms = np.zeros((n_blocks, 3))
+    # Per block, against the iterate one sweep back (row 0) and two sweeps
+    # back (row 1): do any of its rows differ in their bits, and does its
+    # last row.  All stay set when the gains read y, and row 1 until the
+    # second buffer holds an iterate.  terms[p] holds each block's feed,
+    # recurrent and step-norm terms from the last sweep of parity p.
+    moved = np.ones((2, n_blocks), dtype=bool)
+    last_moved = np.ones((2, n_blocks), dtype=bool)
+    terms = np.zeros((2, n_blocks, 3))
 
     energies = []
     prev_energy = None
@@ -293,16 +305,23 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     for iteration in range(1, prob.max_iters + 1):
         if iteration == 1 or gains_read_y:
             beta, one_minus_beta, recur_weight, recur_scale = _sweep_weights(prob, y)
-        # A block reads its own rows and the row before them.  A block that
-        # is not stale keeps its terms, and its rows in both buffers.
-        stale = moved.copy()
-        stale[1:] |= last_moved[:-1]
+        # A block reads its own rows and the row before them; kept[0] (kept[1])
+        # marks the blocks whose reads equal the iterate one (two) back.
+        kept = ~moved
+        kept[:, 1:] &= ~last_moved[:, :-1]
+        now, last = terms[iteration % 2], terms[(iteration - 1) % 2]
         feed_sq = recur_sq = step_sq = 0.0
         for j, lo in enumerate(range(0, n_samples, _BLOCK)):
             hi = min(lo + _BLOCK, n_samples)
-            if stale[j]:
+            if kept[1, j] or kept[0, j]:
+                # The step repeats that of the sweep before last (or the
+                # last), whose rows y_next already holds.
+                if not kept[1, j]:
+                    now[j] = last[j]
+                moved[1, j] = last_moved[1, j] = False
+            else:
                 k = hi - lo
-                y_blk = y[lo:hi]
+                y_blk, y_dst = y[lo:hi], y_next[lo:hi]
                 yh, f, r, w, st = (yhat[:k], feed_res[:k], recur_res[:k],
                                    weighted[:k], step[:k])
                 # Sample i predicts from sample i - 1; sample 0 from itself.
@@ -316,22 +335,28 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
                 np.multiply(yh, recur_scale[lo:hi], out=r)
                 np.subtract(y_blk, r, out=r)
                 np.multiply(f, beta[lo:hi], out=w)
-                terms[j, 0] = np.vdot(f, w).real
+                now[j, 0] = np.vdot(f, w).real
                 np.multiply(r, one_minus_beta[lo:hi], out=st)
                 st += w
                 np.multiply(r, recur_weight[lo:hi], out=w)
-                terms[j, 1] = np.vdot(r, w).real
+                now[j, 1] = np.vdot(r, w).real
                 st *= prob.rate
-                terms[j, 2] = np.vdot(st, st).real
-                np.subtract(y_blk, st, out=y_next[lo:hi])
+                now[j, 2] = np.vdot(st, st).real
+                np.subtract(y_blk, st, out=st)
                 if not gains_read_y:
-                    np.not_equal(y_next[lo:hi].view(np.int64),
-                                 y_blk.view(np.int64), out=changed[:k])
-                    moved[j], last_moved[j] = changed[:k].any(), changed[k - 1].any()
+                    # In sweep 1, y_next holds no iterate to compare with.
+                    olds = (y_blk, y_dst) if iteration > 1 else (y_blk,)
+                    for back, old in enumerate(olds):
+                        np.not_equal(st.view(np.int64), old.view(np.int64),
+                                     out=changed[:k])
+                        moved[back, j] = changed[:k].any()
+                        last_moved[back, j] = changed[k - 1].any()
+                if moved[1, j]:
+                    y_dst[...] = st
                 block_updates += 1
-            feed_sq += terms[j, 0]
-            recur_sq += terms[j, 1]
-            step_sq += terms[j, 2]
+            feed_sq += now[j, 0]
+            recur_sq += now[j, 1]
+            step_sq += now[j, 2]
 
         e = 0.5 * prob.dt * (feed_sq + recur_sq)
         if not np.isfinite(e):

@@ -300,10 +300,9 @@ class NetworkSpec:
             object.__setattr__(self, name, arr)
         if np.any(self.tau_y <= 0.0):
             raise ValueError("tau_y entries must be positive")
-        if not all(np.isfinite(tau) and tau > 0.0 for tau in (self.tau_a, self.tau_b)):
-            raise ValueError("tau_a and tau_b must be finite and positive")
-        object.__setattr__(self, "tau_a", float(self.tau_a))
-        object.__setattr__(self, "tau_b", float(self.tau_b))
+        for name in ("tau_a", "tau_b"):
+            _positive(getattr(self, name), name)
+            object.__setattr__(self, name, float(getattr(self, name)))
         # Gains that do not read y let the engines take their block paths.
         object.__setattr__(self, "_w_ay_zero", not np.any(self.w_ay))
         object.__setattr__(self, "_w_by_zero", not np.any(self.w_by))

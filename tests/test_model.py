@@ -222,8 +222,17 @@ def test_spec_validation_errors():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("name", ["tau_a", "tau_b"])
 def test_spec_rejects_non_finite_gain_time_constants(name, bad):
-    with pytest.raises(ValueError, match="tau_a and tau_b must be finite"):
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         NetworkSpec.build(2, 1, **{name: bad})
+
+
+@pytest.mark.parametrize("bad", ["10", None, [1.0], True])
+@pytest.mark.parametrize("name", ["tau_a", "tau_b"])
+def test_spec_names_a_gain_time_constant_that_is_not_a_number(name, bad):
+    # A string or None used to raise TypeError from np.isfinite, a list
+    # TypeError from the comparison.
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        NetworkSpec.build(2, 1).replace(**{name: bad})
 
 
 def test_spec_is_frozen_and_arrays_locked():
