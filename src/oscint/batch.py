@@ -36,14 +36,15 @@ The stop and divergence rules see whole-sweep sums.  :func:`forward_pass` and
 and are the reference the solver is tested against.
 
 Unless the gains read y, a block whose input rows (its own and the one before
-it) have the bits of the iterate one or two sweeps back is reused, not
-computed: its step would repeat that sweep's exactly, whose output rows the
-second series buffer already holds, so that sweep's kept per-block energy and
-step-norm terms are summed in its place and the iterates do not change.  fig3
-computes 9 410 of its 7 x 3632 block updates: the rest are the exact-zero tail
-that the front of the descent has not reached yet, the delay blocks that have
-settled behind it, and block 0, whose rows 1-2 flip between two bit patterns
-6.9e-18 apart from sweep 83 on.
+it) have the bits of the iterate two sweeps back is reused, not computed: its
+step would repeat that sweep's exactly, whose output rows the second series
+buffer already holds, so that sweep's kept per-block energy and step-norm
+terms are summed in its place and the iterates do not change.  A block that
+has settled, or that flips between two bit patterns, is reused from the
+second sweep after.  fig3 computes 9 415 of its 7 x 3632 block updates: the
+rest are the exact-zero tail that the front of the descent has not reached
+yet, the delay blocks that have settled behind it, and block 0, whose rows
+1-2 flip between two bit patterns 6.9e-18 apart from sweep 83 on.
 
 When the gains do not read y, :func:`fixed_point` gives the series the sweep
 leaves unchanged in one causal pass (sample i predicts from sample i - 1).
@@ -249,19 +250,20 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
 
     Unless the gains read y, a block is reused rather than computed when
     every row it reads (its own and the one before them) has the bits of the
-    iterate one sweep back or two sweeps back.  Its step is then a function
-    of the same rows and the same weights as in that sweep, so it would
-    write the rows that the second buffer already holds (the iterate one
-    sweep back has the same rows, and the second buffer holds the one two
-    back) and give the same three ``np.vdot`` terms.  Those terms are kept
-    per block for the last two sweeps and summed in block order as before,
-    so the energy, the step norm and the stop rule keep their bits and the
-    iterates are those of computing every block.  A computed block compares
-    its stepped rows with its input rows and with the second buffer's rows
-    before it writes them; the second buffer holds no iterate until sweep 1
-    has written it.  The first sweep, and every sweep when the gains read y,
-    computes every block.  ``block_updates`` in the result counts the blocks
-    computed.
+    iterate two sweeps back.  Its step is then a function of the same rows
+    and the same weights as in that sweep, so it would write the rows that
+    the second buffer already holds and give the same three ``np.vdot``
+    terms.  Those terms are kept per block for each sweep parity and summed
+    in block order as before, so the energy, the step norm and the stop rule
+    keep their bits and the iterates are those of computing every block.  A
+    computed block steps into a block buffer, compares the stepped rows with
+    the second buffer's and copies them there only when they differ.  The
+    second buffer starts as a copy of the starting series, which stands in
+    for the iterate two sweeps back in sweep 2: a block whose reads sweep 1
+    left as they were repeats sweep 1's step, which left its rows as they
+    were, so sweep 1's terms are kept for both parities.  Sweep 1, and every
+    sweep when the gains read y, computes every block.  ``block_updates`` in
+    the result counts the blocks computed.
 
     ``y_init`` (zeros by default) passes :func:`oscint.model._coerce`.
 
@@ -281,18 +283,19 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     gains_read_y = prob.gains_read_y
     z = prob.x_series @ spec.w_zx.T + spec.c_z
     w_yy_t = spec.w_yy.T
-    y_next = np.empty_like(y)
+    # y_next holds the iterate two sweeps back; before sweep 2 the starting
+    # series stands in for it (see the docstring).
+    y_next = y.copy()
     yhat, feed_res, recur_res, weighted, step = np.empty(
         (5, min(_BLOCK, n_samples), spec.n_neurons), dtype=np.complex128)
     changed = np.empty((len(yhat), 2 * spec.n_neurons), dtype=bool)
     n_blocks = -(-n_samples // _BLOCK)
-    # Per block, against the iterate one sweep back (row 0) and two sweeps
-    # back (row 1): do any of its rows differ in their bits, and does its
-    # last row.  All stay set when the gains read y, and row 1 until the
-    # second buffer holds an iterate.  terms[p] holds each block's feed,
-    # recurrent and step-norm terms from the last sweep of parity p.
-    moved = np.ones((2, n_blocks), dtype=bool)
-    last_moved = np.ones((2, n_blocks), dtype=bool)
+    # Per block: do any of its rows, and does its last row, differ in their
+    # bits from the iterate two sweeps back (both stay set when the gains
+    # read y); and its feed, recurrent and step-norm terms from the last
+    # sweep of each parity that computed it.
+    moved = np.ones(n_blocks, dtype=bool)
+    last_moved = np.ones(n_blocks, dtype=bool)
     terms = np.zeros((2, n_blocks, 3))
 
     energies = []
@@ -305,21 +308,16 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
     for iteration in range(1, prob.max_iters + 1):
         if iteration == 1 or gains_read_y:
             beta, one_minus_beta, recur_weight, recur_scale = _sweep_weights(prob, y)
-        # A block reads its own rows and the row before them; kept[0] (kept[1])
-        # marks the blocks whose reads equal the iterate one (two) back.
-        kept = ~moved
-        kept[:, 1:] &= ~last_moved[:, :-1]
-        now, last = terms[iteration % 2], terms[(iteration - 1) % 2]
+        # A block reads its own rows and the row before them.  One whose reads
+        # repeat the iterate two sweeps back repeats that sweep's step: y_next
+        # already holds its rows, and now[j] its terms.
+        stale = moved.copy()
+        stale[1:] |= last_moved[:-1]
+        now = terms[iteration % 2]
         feed_sq = recur_sq = step_sq = 0.0
         for j, lo in enumerate(range(0, n_samples, _BLOCK)):
             hi = min(lo + _BLOCK, n_samples)
-            if kept[1, j] or kept[0, j]:
-                # The step repeats that of the sweep before last (or the
-                # last), whose rows y_next already holds.
-                if not kept[1, j]:
-                    now[j] = last[j]
-                moved[1, j] = last_moved[1, j] = False
-            else:
+            if stale[j]:
                 k = hi - lo
                 y_blk, y_dst = y[lo:hi], y_next[lo:hi]
                 yh, f, r, w, st = (yhat[:k], feed_res[:k], recur_res[:k],
@@ -342,21 +340,21 @@ def solve(prob: BatchProblem, y_init: Optional[np.ndarray] = None) -> BatchResul
                 now[j, 1] = np.vdot(r, w).real
                 st *= prob.rate
                 now[j, 2] = np.vdot(st, st).real
-                np.subtract(y_blk, st, out=st)
-                if not gains_read_y:
-                    # In sweep 1, y_next holds no iterate to compare with.
-                    olds = (y_blk, y_dst) if iteration > 1 else (y_blk,)
-                    for back, old in enumerate(olds):
-                        np.not_equal(st.view(np.int64), old.view(np.int64),
-                                     out=changed[:k])
-                        moved[back, j] = changed[:k].any()
-                        last_moved[back, j] = changed[k - 1].any()
-                if moved[1, j]:
-                    y_dst[...] = st
+                if gains_read_y:
+                    np.subtract(y_blk, st, out=y_dst)
+                else:
+                    np.subtract(y_blk, st, out=st)
+                    np.not_equal(st.view(np.int64), y_dst.view(np.int64),
+                                 out=changed[:k])
+                    moved[j], last_moved[j] = changed[:k].any(), changed[k - 1].any()
+                    if moved[j]:
+                        y_dst[...] = st
                 block_updates += 1
             feed_sq += now[j, 0]
             recur_sq += now[j, 1]
             step_sq += now[j, 2]
+        if iteration == 1:
+            terms[0] = terms[1]
 
         e = 0.5 * prob.dt * (feed_sq + recur_sq)
         if not np.isfinite(e):

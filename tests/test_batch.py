@@ -390,7 +390,7 @@ def _n_blocks(prob):
 def test_fig3_computes_under_two_fifths_of_its_block_updates(fig3):
     # Ahead of the front the series is exactly zero, behind it the delay has
     # settled, and from sweep 83 on rows 1-2 of block 0 repeat the bits of
-    # the iterate two sweeps back, so 9 410 of the 7 x 3632 block updates
+    # the iterate two sweeps back, so 9 415 of the 7 x 3632 block updates
     # (37 %) are computed.
     result = fig3.extras["result"]
     assert _n_blocks(fig3.extras["problem"]) == 7
@@ -399,8 +399,8 @@ def test_fig3_computes_under_two_fifths_of_its_block_updates(fig3):
 
 @pytest.mark.parametrize("case", ["fig3", "quiet tail"])
 def test_block_reuse_is_exact(case, fig3):
-    # Reusing a block whose input rows equal those of the iterate one or two
-    # sweeps back leaves every iterate and energy bit-identical to computing
+    # Reusing a block whose input rows equal those of the iterate two sweeps
+    # back leaves every iterate and energy bit-identical to computing
     # every block.  By sweep 1200 of fig3 the zero tail, the settled cue
     # blocks and block 0's two-sweep cycle are all being reused.
     if case == "fig3":
@@ -429,9 +429,10 @@ def test_reuse_sees_the_row_before_a_block_and_keeps_its_terms():
     # One unit with b pinned at 1e20, so beta is exactly 1: a step never
     # reads the prediction, while the energy's recurrent term does.  The one
     # input sample is block 0's last row, and sweep 1 moves that row alone.
-    # Sweep 2 must still compute block 1, whose prediction reads that row;
-    # from sweep 3 on nothing moves, and both blocks' non-zero energy terms
-    # must be reused.
+    # Sweeps 2 and 3 must still compute block 1, whose prediction reads that
+    # row (it differs from the iterate two sweeps back until sweep 3); in
+    # sweep 4 nothing has moved for two sweeps, and both blocks' non-zero
+    # energy terms must be reused.
     x_series = np.zeros((_BLOCK + 10, 1))
     x_series[_BLOCK - 1] = 1.0
     prob = _pinned_unit(x_series, rate=1.0, max_iters=4)
@@ -441,7 +442,25 @@ def test_reuse_sees_the_row_before_a_block_and_keeps_its_terms():
     assert np.array_equal(result.y_series, y_ref)
     assert np.array_equal(result.energy_history, e_ref)
     assert e_ref[-1] > 0
-    assert result.block_updates == 4
+    assert result.block_updates == 6
+
+
+def test_sweep_two_reuses_what_sweep_one_left_as_it_was():
+    # y_init is already the fixed point, so sweep 1 moves no row, while the
+    # energy's recurrent term is not zero.  The starting series stands in
+    # for the iterate two sweeps back: sweep 2 and on reuse both blocks and
+    # must sum sweep 1's terms.
+    x_series = np.zeros((_BLOCK + 10, 1))
+    x_series[[3, _BLOCK + 7]] = 1.0
+    prob = _pinned_unit(x_series, rate=1.0, max_iters=3)
+    y_init = x_series.astype(np.complex128)
+    y_ref, e_ref, iterations = _block_walk(prob, y_init)
+    result = solve(prob, y_init)
+    assert result.iterations == iterations == 3
+    assert np.array_equal(result.y_series, y_ref)
+    assert np.array_equal(result.energy_history, e_ref)
+    assert e_ref[-1] > 0
+    assert result.block_updates == 2
 
 
 def test_reuse_follows_an_exact_two_sweep_cycle():
@@ -449,7 +468,8 @@ def test_reuse_follows_an_exact_two_sweep_cycle():
     # exactly between 0 and 2z.  Blocks 0 and 1 hold an input sample each;
     # sweep 2 returns them to the bits of sweep 0, so from sweep 3 on they
     # repeat the sweep before last and only sweeps 1 and 2 compute them.
-    # Block 2 never moves.  Reuse of the last sweep alone computes 17.
+    # Block 2 never moves, so sweep 2 reuses it too.  Reuse of the last
+    # sweep alone computes 17.
     x_series = np.zeros((2 * _BLOCK + 10, 1))
     x_series[[3, _BLOCK + 7]] = 1.0
     prob = _pinned_unit(x_series, rate=2.0, max_iters=8)
